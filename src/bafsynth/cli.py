@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (realizable and, when enabled, verified);
 1 unrealizable; 2 usage or parse error; 3 timeout or resource limit;
-4 verification failure.  Every flag default can be overridden through a
+4 verification failure; 5 internal error (an unexpected exception, reported
+as one line on stderr).  Every flag default can be overridden through a
 BAFSYNTH_* environment variable (see --help per command).
 """
 
@@ -34,6 +35,7 @@ EXIT_UNREALIZABLE = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_VERIFICATION = 4
+EXIT_INTERNAL = 5
 
 MODES = ("back-and-forth", "mfs-enum", "mss-enum")
 
@@ -611,7 +613,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a bug must not pass for an outcome such as "unrealizable"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

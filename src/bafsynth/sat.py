@@ -7,10 +7,20 @@ assumption literals first, so the learned clauses are always consequences
 of the database alone and stay valid across calls.
 
 All heuristic constants are fixed for reproducibility:
-  - branching picks the unassigned variable with the highest activity,
-    smallest id on ties, and always assigns it false first;
-  - activity bump 1.0, decay factor 0.95, rescale threshold 1e100;
+  - branching pops the unassigned variable with the highest activity,
+    smallest id on ties, from a binary heap ordered by (-activity, id), and
+    always assigns it false first.  A variable enters the heap the first
+    time it occurs in a clause given to `add_clause`; `ensure_var` only
+    sizes the arrays.  A variable that occurs in no clause is never decided
+    and reads false in the model, as a false-first decision with nothing to
+    propagate would leave it;
+  - activity bump 1.0, decay factor 0.95, rescale threshold 1e100.  The
+    rescale multiplies every activity by 1e-100, which can turn distinct
+    activities into ties, so the heap is then rebuilt to order those by id;
   - Luby restarts with a base interval of 128 conflicts.
+
+`decisions` and `conflicts` count branching decisions (assumptions not
+included) and conflicts over the solver's lifetime.
 """
 
 from __future__ import annotations
@@ -20,6 +30,10 @@ from dataclasses import dataclass
 _RESCALE_LIMIT = 1e100
 _VAR_DECAY = 0.95
 _RESTART_BASE = 128
+
+# heap_pos values of a variable that is not in the order heap
+_POPPED = -1  # occurs in a clause; popped while assigned, re-inserted on backjump
+_IN_NO_CLAUSE = -2  # occurs in no clause yet, so it is never decided
 
 
 @dataclass
@@ -54,6 +68,8 @@ class Solver:
         self.reason: list[_Clause | None] = [None]
         self.activity = [0.0]
         self.var_inc = 1.0
+        self.heap: list[int] = []  # order heap; holds every unassigned var in a clause
+        self.heap_pos = [_IN_NO_CLAUSE]  # per var: index in heap, or _POPPED / _IN_NO_CLAUSE
         self.watches: dict[int, list[_Clause]] = {}
         self.clauses: list[_Clause] = []  # watched: problem + learned
         self.problem_lits: list[tuple[int, ...]] = []  # as added, for dump/check
@@ -63,17 +79,21 @@ class Solver:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
+        self.decisions = 0
+        self.conflicts = 0
 
     # ------------------------------------------------------------------
     # clause database
 
     def ensure_var(self, v: int):
-        while self.nvars < v:
-            self.nvars += 1
-            self.assign.append(0)
-            self.level.append(0)
-            self.reason.append(None)
-            self.activity.append(0.0)
+        grow = v - self.nvars
+        if grow > 0:
+            self.nvars = v
+            self.assign += [0] * grow
+            self.level += [0] * grow
+            self.reason += [None] * grow
+            self.activity += [0.0] * grow
+            self.heap_pos += [_IN_NO_CLAUSE] * grow
 
     def add_clause(self, lits) -> None:
         """Add a clause permanently; duplicates and tautologies are tolerated.
@@ -83,18 +103,23 @@ class Solver:
         clause satisfied at the root needs no watches."""
         if self.trail_lim:
             self._cancel_until(0)
-        lits = sorted(set(lits), key=lambda l: (abs(l), l))
-        if any(-l in lits for l in lits):
+        lits = sorted(set(lits), key=abs)
+        if len({abs(l) for l in lits}) < len(lits):
             return  # tautology, no constraint
+        if lits:
+            self.ensure_var(abs(lits[-1]))
+        pos = self.heap_pos
         for l in lits:
-            self.ensure_var(abs(l))
+            if pos[abs(l)] == _IN_NO_CLAUSE:
+                self._heap_insert(abs(l))
         self.problem_lits.append(tuple(lits))
+        assign = self.assign
         kept = []
         for l in lits:
-            val = self._value(l)
-            if val is True:
+            val = assign[l] if l > 0 else -assign[-l]
+            if val > 0:
                 return  # satisfied by a permanent root assignment
-            if val is None:
+            if val == 0:
                 kept.append(l)
         if not kept:
             self.has_empty = True
@@ -113,6 +138,53 @@ class Solver:
         """Debug dump of the problem clauses (as added) in DIMACS."""
         body = [" ".join(str(l) for l in c) + " 0" if c else "0" for c in self.problem_lits]
         return f"p cnf {self.nvars} {len(body)}\n" + "\n".join(body) + ("\n" if body else "")
+
+    # ------------------------------------------------------------------
+    # order heap: a binary heap on (-activity, id) with positions in heap_pos
+
+    def _heap_up(self, i: int):
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        v = heap[i]
+        a = act[v]
+        while i:
+            p = (i - 1) >> 1
+            u = heap[p]
+            au = act[u]
+            if au > a or (au == a and u < v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = p
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_down(self, i: int):
+        heap, pos, act = self.heap, self.heap_pos, self.activity
+        n = len(heap)
+        v = heap[i]
+        a = act[v]
+        while True:
+            c = 2 * i + 1
+            if c >= n:
+                break
+            u = heap[c]
+            au = act[u]
+            if c + 1 < n:
+                w = heap[c + 1]
+                aw = act[w]
+                if aw > au or (aw == au and w < u):
+                    c, u, au = c + 1, w, aw
+            if a > au or (a == au and v < u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = c
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_insert(self, v: int):
+        self.heap.append(v)
+        self._heap_up(len(self.heap) - 1)
 
     # ------------------------------------------------------------------
     # assignment handling
@@ -134,10 +206,13 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         lim = self.trail_lim[lvl]
+        assign, reason, pos = self.assign, self.reason, self.heap_pos
         for lit in self.trail[lim:]:
             v = abs(lit)
-            self.assign[v] = 0
-            self.reason[v] = None
+            assign[v] = 0
+            reason[v] = None
+            if pos[v] == _POPPED:
+                self._heap_insert(v)
         del self.trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
@@ -146,11 +221,12 @@ class Solver:
     # propagation
 
     def _propagate(self) -> _Clause | None:
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
+        assign, trail, watches = self.assign, self.trail, self.watches
+        while self.qhead < len(trail):
+            p = trail[self.qhead]
             self.qhead += 1
             neg = -p
-            ws = self.watches.get(neg)
+            ws = watches.get(neg)
             if not ws:
                 continue
             i = j = 0
@@ -162,31 +238,29 @@ class Solver:
                 if L[0] == neg:
                     L[0], L[1] = L[1], L[0]
                 first = L[0]
-                fv = self._value(first)
-                if fv is True:
+                fv = assign[first] if first > 0 else -assign[-first]
+                if fv > 0:
                     ws[j] = c
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(L)):
-                    if self._value(L[k]) is not False:
-                        L[1], L[k] = L[k], L[1]
-                        self.watches.setdefault(L[1], []).append(c)
-                        moved = True
+                    lk = L[k]
+                    if (assign[lk] if lk > 0 else -assign[-lk]) >= 0:
+                        L[1], L[k] = lk, L[1]
+                        watches.setdefault(lk, []).append(c)
                         break
-                if moved:
-                    continue
-                ws[j] = c
-                j += 1
-                if fv is False:
-                    while i < n:  # keep the unprocessed watchers
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return c
-                self._enqueue(first, c)
+                else:
+                    ws[j] = c
+                    j += 1
+                    if fv < 0:
+                        while i < n:  # keep the unprocessed watchers
+                            ws[j] = ws[i]
+                            j += 1
+                            i += 1
+                        del ws[j:]
+                        self.qhead = len(trail)
+                        return c
+                    self._enqueue(first, c)
             del ws[j:]
         return None
 
@@ -194,11 +268,17 @@ class Solver:
     # conflict analysis
 
     def _bump(self, v: int):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > _RESCALE_LIMIT:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
+        act = self.activity
+        act[v] += self.var_inc
+        i = self.heap_pos[v]
+        if i >= 0:  # in the heap
+            self._heap_up(i)
+        if act[v] > _RESCALE_LIMIT:
+            act[:] = [a * 1e-100 for a in act]
             self.var_inc *= 1e-100
+            # rebuild: the multiply can merge activities into ties, which go by id
+            for i in range(len(self.heap) // 2 - 1, -1, -1):
+                self._heap_down(i)
 
     def _analyze(self, confl: _Clause):
         """First-UIP learning; returns (learned lits, backjump level)."""
@@ -244,13 +324,17 @@ class Solver:
     # search
 
     def _pick_branch_var(self) -> int | None:
-        best, best_act = None, -1.0
-        assign = self.assign
-        act = self.activity
-        for v in range(1, self.nvars + 1):
-            if assign[v] == 0 and act[v] > best_act:
-                best, best_act = v, act[v]
-        return best
+        heap, pos, assign = self.heap, self.heap_pos, self.assign
+        while heap:
+            v = heap[0]
+            last = heap.pop()
+            pos[v] = _POPPED
+            if heap:
+                heap[0] = last
+                self._heap_down(0)
+            if assign[v] == 0:
+                return v
+        return None
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide database /\\ assumptions; deterministic for identical call sequences."""
@@ -282,6 +366,7 @@ class Solver:
                     self.unsat_at_root = True
                     return SatResult(False)
                 conflicts += 1
+                self.conflicts += 1
                 learned, bt = self._analyze(confl)
                 self._cancel_until(bt)
                 if len(learned) == 1:
@@ -317,6 +402,7 @@ class Solver:
                 model = {u: self.assign[u] > 0 for u in range(1, self.nvars + 1)}
                 assert self._model_ok(model, assumptions)
                 return SatResult(True, model)
+            self.decisions += 1
             self.trail_lim.append(len(self.trail))
             self._enqueue(-v, None)  # default-false polarity
 

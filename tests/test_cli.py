@@ -1,5 +1,6 @@
 import json
 
+from bafsynth import cli
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
@@ -119,6 +120,17 @@ def test_synth_timeout(tmp_path, capsys):
     f = _write(tmp_path, "id16.qdimacs", identity_qdimacs(16))
     code, _ = _run(capsys, ["synth", f, "--no-partition", "--timeout", "1"])
     assert code == 3
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    def crash(spec, cfg):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run_pipeline", crash)
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    assert main(["synth", f]) == 5
+    err = capsys.readouterr().err
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
 def test_analyze_example1(tmp_path, capsys):

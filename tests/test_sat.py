@@ -227,3 +227,104 @@ def test_dimacs_dump_roundtrip():
     text = s.to_dimacs()
     assert text.splitlines()[0] == "p cnf 2 2"
     assert "1 -2 0" in text and "2 0" in text
+
+
+class _ScanCheckedSolver(Solver):
+    """Checks every heap pick against a linear scan over the unassigned
+    variables that occur in a clause: highest activity, smallest id on ties."""
+
+    picks = 0
+
+    def _pick_branch_var(self):
+        occurring = sorted({abs(l) for c in self.problem_lits for l in c})
+        expected, best = None, -1.0
+        for v in occurring:
+            if self.assign[v] == 0 and self.activity[v] > best:
+                expected, best = v, self.activity[v]
+        got = super()._pick_branch_var()
+        assert got == expected
+        self.picks += 1
+        return got
+
+
+def _random_3cnf(rng, n):
+    return [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+        for _ in range(rng.randint(3 * n, 9 * n // 2))
+    ]
+
+
+def test_heap_picks_what_the_scan_picks():
+    rng = random.Random(2003)
+    picks = conflicts = 0
+    for _ in range(40):
+        n = rng.randint(10, 40)
+        s = _ScanCheckedSolver()
+        s.ensure_var(n + rng.randint(0, 5))  # some variables in no clause
+        for c in _random_3cnf(rng, n):
+            s.add_clause(c)
+        s.solve()
+        for _ in range(4):
+            assumed = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(1, 4))
+            ]
+            s.solve(assumed)
+        picks += s.picks
+        conflicts += s.conflicts
+    assert picks > 1000 and conflicts > 100  # the heap moved under bumps
+
+
+def test_heap_rebuild_after_activity_rescale():
+    n, clauses = _pigeonhole(5)
+    s = _ScanCheckedSolver()
+    s.ensure_var(n)
+    for c in clauses:
+        s.add_clause(c)
+    s.var_inc = 1e99  # the first bumps cross the rescale threshold
+    assert not s.solve().satisfiable
+    assert s.var_inc < 1e50  # rescaled at least once
+    assert s.picks > 0
+
+
+def test_variables_in_no_clause_are_not_decided():
+    s = Solver()
+    s.ensure_var(5000)
+    s.add_clause((1, 2))
+    res = s.solve()
+    assert res.satisfiable
+    assert s.decisions <= 2
+    assert not any(res.model[v] for v in range(3, 5001))
+
+
+def test_spare_variables_change_no_model_and_no_conflict():
+    rng = random.Random(808)
+    for _ in range(60):
+        n = rng.randint(5, 25)
+        clauses = _random_3cnf(rng, n)
+        runs = []
+        for size in (n, n + 300):
+            s = Solver()
+            s.ensure_var(size)
+            for c in clauses:
+                s.add_clause(c)
+            res = s.solve()
+            model = {v: res.model[v] for v in range(1, n + 1)} if res.satisfiable else None
+            runs.append((res.satisfiable, model, s.conflicts, s.decisions))
+        assert runs[0] == runs[1]
+
+
+def test_heap_orders_rescale_ties_by_id():
+    # variables 6..8 get tiny activities that the rescale flushes to zero,
+    # where they tie with 2..5 and must come after them again
+    s = _ScanCheckedSolver()
+    for v in range(1, 9):
+        s.add_clause((v, 9))
+    s.var_inc = 1e-300
+    for v in (8, 7, 6):
+        s._bump(v)
+    s.var_inc = 2e100
+    s._bump(1)
+    assert s.activity[1] == 2.0 and s.activity[8] == 0.0
+    res = s.solve()
+    assert res.satisfiable and s.picks == 9  # eight decisions, then none left
