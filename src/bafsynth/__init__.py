@@ -36,14 +36,13 @@ from .graph import (
     enumerate_mis,
     extend_to_mis,
 )
-from .maxsat import MaxSatInstance, MaxSatResult, solve_partial_maxsat, to_wcnf
+from .maxsat import MaxSatInstance, MaxSatResult, solve_partial_maxsat
 from .model import (
     Assignment,
     Clause,
     Specification,
     SplitClause,
     fals,
-    must_sat,
     parse_qdimacs,
 )
 from .sat import SatResult, Solver

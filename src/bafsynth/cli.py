@@ -37,8 +37,6 @@ EXIT_LIMIT = 3
 EXIT_VERIFICATION = 4
 EXIT_INTERNAL = 5
 
-MODES = ("back-and-forth", "mfs-enum", "mss-enum")
-
 
 @dataclass
 class RunConfig:
@@ -46,11 +44,8 @@ class RunConfig:
     partition: bool = True
     verify: bool = True
     timeout: float = 3600.0
-    budget: int = 10000
     mis_limit: int = 100000
     mss_limit: int = 100000
-    bf_var_limit: int = 16
-    bf_clause_limit: int = 20
     jobs: int = 1
     json_path: str | None = None
     dl_path: str | None = None
@@ -88,19 +83,23 @@ def time_limit(seconds: float):
 # synthesis pipeline
 
 
-def _zero_stats() -> dict:
-    return {
-        "iterations": 0,
-        "sat_calls": 0,
-        "maxsat_calls": 0,
-        "mss_recorded": 0,
-        "decisions": 0,
-    }
+# mode name -> synthesis of one component; the procedure is looked up on the
+# module at call time, so a wrapper installed on it is seen
+MODES = {
+    "back-and-forth": lambda comp, cfg: _synth.back_and_forth(comp),
+    "mfs-enum": lambda comp, cfg: _synth.synth_by_mfs_enumeration(comp, cfg.mis_limit),
+    "mss-enum": lambda comp, cfg: _synth.synth_by_mss_enumeration(comp, cfg.mss_limit),
+}
 
 
-def _component_specs(spec: Specification, cfg: RunConfig) -> list[Specification]:
-    if not cfg.partition:
-        return [spec]
+def _input_json(x) -> dict:
+    return {str(v): b for v, b in sorted(x.items())}
+
+
+def _component_specs(spec: Specification) -> list[Specification]:
+    """The output-disjoint components of `spec`, plus one clause-free
+    component for the outputs no clause mentions, if any.  Raises
+    ValueError when a clause has an empty y-part."""
     components = _synth.partition_by_output_variables(spec)
     covered = {v for comp in components for v in comp.outputs}
     leftover = tuple(v for v in spec.outputs if v not in covered)
@@ -110,17 +109,31 @@ def _component_specs(spec: Specification, cfg: RunConfig) -> list[Specification]
     return components
 
 
+def _unrealizable(result: dict, t0: float, component: int, mfs, x) -> dict:
+    result["status"] = _synth.UNREALIZABLE
+    result["witness"] = {"component": component, "mfs": sorted(mfs), "input": _input_json(x)}
+    result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
+    return result
+
+
 def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     """Partition, synthesize each component with the configured mode,
     combine, and verify.  Returns a JSON-ready result dictionary."""
     t0 = time.perf_counter()
+    synthesize = MODES.get(cfg.mode)
+    if synthesize is None:
+        raise ValueError(f"unknown mode {cfg.mode!r}")
     result = {
         "schema_version": SCHEMA_VERSION,
         "mode": cfg.mode,
         "partition": cfg.partition,
         "status": _synth.REALIZABLE,
         "partitions": 1,
-        **_zero_stats(),
+        "iterations": 0,
+        "sat_calls": 0,
+        "maxsat_calls": 0,
+        "mss_recorded": 0,
+        "decisions": 0,
         "verify": cfg.verify,
         "verified": False,
         "components": [],
@@ -130,34 +143,15 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         "dl_text": None,
     }
 
-    g = _graph.build_conflict_graph(spec)
-    bad = _synth._empty_ypart_failure(spec, g)
+    bad = _synth._empty_ypart_failure(spec)
     if bad is not None:
-        result["status"] = _synth.UNREALIZABLE
-        result["witness"] = {
-            "component": 0,
-            "mfs": sorted(bad[0]),
-            "input": {str(v): b for v, b in sorted(bad[1].items())},
-        }
-        result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
-        return result
+        return _unrealizable(result, t0, 0, *bad)
 
-    components = _component_specs(spec, cfg)
+    components = _component_specs(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
     parts: list[_dlist.DecisionList] = []
     for ci, comp in enumerate(components, 1):
-        if cfg.mode == "back-and-forth":
-            outcome = _synth.back_and_forth(comp)
-        elif cfg.mode == "mfs-enum":
-            outcome = _synth.synth_by_mfs_enumeration(comp, cfg.mis_limit)
-        elif cfg.mode == "mss-enum":
-            stats = _synth.Stats()
-            dl = _synth.synth_by_mss_enumeration(comp, cfg.mss_limit, stats=stats)
-            outcome = _synth.SynthesisOutcome(
-                _synth.REALIZABLE, decision_list=dl, stats=stats
-            )
-        else:
-            raise ValueError(f"unknown mode {cfg.mode!r}")
+        outcome = synthesize(comp, cfg)
         st = outcome.stats
         comp_record = {
             "outputs": list(comp.outputs),
@@ -175,14 +169,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
             result[key] += comp_record[key]
         result["decisions"] += comp_record["decisions"]
         if not outcome.realizable:
-            result["status"] = _synth.UNREALIZABLE
-            result["witness"] = {
-                "component": ci,
-                "mfs": sorted(outcome.witness_mfs),
-                "input": {str(v): b for v, b in sorted(outcome.witness_input.items())},
-            }
-            result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
-            return result
+            return _unrealizable(result, t0, ci, outcome.witness_mfs, outcome.witness_input)
         parts.append(outcome.decision_list)
 
     combined = _dlist.combine(parts, spec)
@@ -200,9 +187,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
                         "kind": report.failure_kind,
                         "decision": report.decision_index,
                         "clause": report.clause_index,
-                        "input": {
-                            str(v): b for v, b in sorted(report.witness_input.items())
-                        },
+                        "input": _input_json(report.witness_input),
                     }
                 )
         result["verified"] = not failures
@@ -230,12 +215,20 @@ def _emit_json(doc: dict, path: str | None):
     sys.stdout.write(text)
 
 
-def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
+def _read_spec(path: str) -> Specification | None:
+    """The parsed specification at `path`, or None after printing the
+    read or parse error."""
     try:
-        spec = parse_qdimacs(Path(args.file).read_text(encoding="utf-8"))
+        return parse_qdimacs(Path(path).read_text(encoding="utf-8"))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_synth(args) -> int:
+    cfg = _config_from_args(args)
+    spec = _read_spec(args.file)
+    if spec is None:
         return EXIT_USAGE
     try:
         with time_limit(cfg.timeout):
@@ -258,10 +251,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        spec = parse_qdimacs(Path(args.file).read_text(encoding="utf-8"))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    spec = _read_spec(args.file)
+    if spec is None:
         return EXIT_USAGE
     g = _graph.build_conflict_graph(spec)
     report = _graph.analyze_structure(g, args.budget)
@@ -281,26 +272,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    spec = _read_spec(args.spec)
+    if spec is None:
+        return EXIT_USAGE
     try:
-        spec = parse_qdimacs(Path(args.spec).read_text(encoding="utf-8"))
-        text = Path(args.dl).read_text(encoding="utf-8")
-        docs = _dlist.parse_many(text)
+        docs = _dlist.parse_many(Path(args.dl).read_text(encoding="utf-8"))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     by_digest = {spec.digest: spec}
     try:
-        components = _synth.partition_by_output_variables(spec)
+        by_digest.update((comp.digest, comp) for comp in _component_specs(spec))
     except ValueError:
-        components = []  # unpartitionable; whole-spec digest may still match
-    covered = set()
-    for comp in components:
-        by_digest[comp.digest] = comp
-        covered |= set(comp.outputs)
-    leftover = tuple(v for v in spec.outputs if v not in covered)
-    if components and leftover:
-        extra = Specification(spec.inputs, leftover, ())
-        by_digest[extra.digest] = extra
+        pass  # unpartitionable; the whole-spec digest may still match
     failures = []
     for di, dl in enumerate(docs, 1):
         comp = by_digest.get(dl.spec_digest)
@@ -319,7 +303,7 @@ def cmd_verify(args) -> int:
                     "kind": report.failure_kind,
                     "decision": report.decision_index,
                     "clause": report.clause_index,
-                    "input": {str(v): b for v, b in sorted(report.witness_input.items())},
+                    "input": _input_json(report.witness_input),
                 }
             )
     doc = {
@@ -334,10 +318,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        spec = parse_qdimacs(Path(args.file).read_text(encoding="utf-8"))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    spec = _read_spec(args.file)
+    if spec is None:
         return EXIT_USAGE
     pair = _decomp.cnf_decompose(spec)
     out_dir = Path(args.out_dir)

@@ -9,7 +9,6 @@ output witness was chosen for are the only ones the input can falsify.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -218,7 +217,3 @@ def to_json_dict(dl: DecisionList) -> dict:
             for dec in dl.decisions
         ],
     }
-
-
-def to_json(dl: DecisionList) -> str:
-    return json.dumps(to_json_dict(dl), sort_keys=True)

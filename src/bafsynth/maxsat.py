@@ -4,9 +4,7 @@ Default algorithm: add a fresh relaxation literal to every soft clause,
 then tighten an at-most-k bound over the relaxation variables (sequential
 counter encoding, asserted via unit clauses so the clause database only
 grows) while the instance stays satisfiable.  The last model is an exact
-optimum.  A cheaper mode grows any maximal satisfiable superset instead;
-correctness downstream only needs maximality, but exact maximum is the
-default.
+optimum.
 """
 
 from __future__ import annotations
@@ -60,18 +58,8 @@ def _restrict(model: dict[int, bool], max_var: int) -> dict[int, bool]:
     return {v: model.get(v, False) for v in range(1, max_var + 1)}
 
 
-def to_wcnf(inst: MaxSatInstance) -> str:
-    """Standard weighted-CNF text for differential testing."""
-    top = len(inst.soft) + 1
-    lines = [f"p wcnf {inst.max_var()} {len(inst.hard) + len(inst.soft)} {top}"]
-    lines.extend(f"{top} " + " ".join(map(str, c)) + " 0" for c in inst.hard)
-    lines.extend("1 " + " ".join(map(str, c)) + " 0" for c in inst.soft)
-    return "\n".join(lines) + "\n"
-
-
-def solve_partial_maxsat(inst: MaxSatInstance, exact: bool = True) -> MaxSatResult:
-    """Satisfy all hard clauses and a maximum (or, with exact=False, any
-    maximal) set of soft clauses."""
+def solve_partial_maxsat(inst: MaxSatInstance) -> MaxSatResult:
+    """Satisfy all hard clauses and a maximum set of soft clauses."""
     max_var = inst.max_var()
     s = Solver()
     s.ensure_var(max_var)
@@ -82,11 +70,7 @@ def solve_partial_maxsat(inst: MaxSatInstance, exact: bool = True) -> MaxSatResu
         return MaxSatResult(HARD_UNSAT)
     if not inst.soft:
         return MaxSatResult(OPTIMAL, _restrict(res.model, max_var))
-    if exact:
-        model = _maximum(s, inst, max_var, res.model)
-    else:
-        model = _maximal(s, inst, max_var, res.model)
-    model = _restrict(model, max_var)
+    model = _restrict(_maximum(s, inst, max_var, res.model), max_var)
     satisfied = frozenset(
         i for i, c in enumerate(inst.soft) if _clause_sat(c, model)
     )
@@ -102,7 +86,7 @@ def _maximum(s: Solver, inst: MaxSatInstance, max_var: int, model) -> dict[int, 
     res = s.solve()
     assert res.satisfiable  # relaxation literals keep the softs satisfiable
     model = res.model
-    falsified = _count_falsified(inst, model, max_var)
+    falsified = _count_falsified(inst, model)
     if falsified == 0:
         return model
     regs = _sequential_counter(s, relax, width=falsified)
@@ -112,13 +96,12 @@ def _maximum(s: Solver, inst: MaxSatInstance, max_var: int, model) -> dict[int, 
         if not res.satisfiable:
             break
         model = res.model
-        falsified = _count_falsified(inst, model, max_var)
+        falsified = _count_falsified(inst, model)
     return model
 
 
-def _count_falsified(inst: MaxSatInstance, model, max_var: int) -> int:
-    restricted = _restrict(model, max_var)
-    return sum(1 for c in inst.soft if not _clause_sat(c, restricted))
+def _count_falsified(inst: MaxSatInstance, model) -> int:
+    return sum(1 for c in inst.soft if not _clause_sat(c, model))
 
 
 def _sequential_counter(s: Solver, relax: list[int], width: int) -> list[list[int]]:
@@ -143,20 +126,3 @@ def _sequential_counter(s: Solver, relax: list[int], width: int) -> list[list[in
             if j >= 1 and j - 1 < len(prev):
                 s.add_clause((-relax[i], -prev[j - 1], regs[i][j]))
     return regs
-
-
-def _maximal(s: Solver, inst: MaxSatInstance, max_var: int, model) -> dict[int, bool]:
-    """Single ascending pass keeping each soft clause that stays satisfiable
-    together with the hard clauses and the softs kept so far."""
-    n = len(inst.soft)
-    guards = list(range(max_var + 1, max_var + n + 1))
-    s.ensure_var(guards[-1])
-    for c, g in zip(inst.soft, guards):
-        s.add_clause((*c, g))
-    kept: list[int] = []
-    for i in range(n):
-        res = s.solve([-guards[j] for j in kept] + [-guards[i]])
-        if res.satisfiable:
-            kept.append(i)
-            model = res.model
-    return model

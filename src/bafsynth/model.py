@@ -147,15 +147,6 @@ def fals(spec: Specification, x: Mapping[int, bool]) -> frozenset[int]:
     return frozenset(i for i in spec.indices if not spec.x_part(i).evaluate(x))
 
 
-def must_sat(spec: Specification, x: Mapping[int, bool]) -> frozenset[int]:
-    """Indices whose y-parts must be satisfied when `x` is the input.
-
-    The input-to-output clause correspondence is the identity on indices, so
-    this is the same index set as fals(); it is interpreted against y-parts.
-    """
-    return fals(spec, x)
-
-
 def _require_total(assignment: Mapping[int, bool], variables: tuple[int, ...], kind: str):
     if set(assignment) != set(variables):
         raise ValueError(f"assignment is not total over the {kind} variables")

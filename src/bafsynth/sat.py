@@ -72,7 +72,7 @@ class Solver:
         self.heap_pos = [_IN_NO_CLAUSE]  # per var: index in heap, or _POPPED / _IN_NO_CLAUSE
         self.watches: dict[int, list[_Clause]] = {}
         self.clauses: list[_Clause] = []  # watched: problem + learned
-        self.problem_lits: list[tuple[int, ...]] = []  # as added, for dump/check
+        self.problem_lits: list[tuple[int, ...]] = []  # as added, for the model check
         self.root_units: list[int] = []
         self.has_empty = False
         self.unsat_at_root = False
@@ -133,11 +133,6 @@ class Solver:
     def _watch(self, c: _Clause):
         self.watches.setdefault(c.lits[0], []).append(c)
         self.watches.setdefault(c.lits[1], []).append(c)
-
-    def to_dimacs(self) -> str:
-        """Debug dump of the problem clauses (as added) in DIMACS."""
-        body = [" ".join(str(l) for l in c) + " 0" if c else "0" for c in self.problem_lits]
-        return f"p cnf {self.nvars} {len(body)}\n" + "\n".join(body) + ("\n" if body else "")
 
     # ------------------------------------------------------------------
     # order heap: a binary heap on (-activity, id) with positions in heap_pos

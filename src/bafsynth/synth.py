@@ -14,8 +14,9 @@ Three ways to produce a decision list from a split specification:
     MaxSAT calls; never fails, but may leave inputs uncovered when the
     specification is unrealizable.
 
-plus the output-disjoint partitioner that splits a specification into
-independently synthesizable components.
+All three return a SynthesisOutcome (status, decision list or witness, and
+Stats).  The module also holds the output-disjoint partitioner that splits
+a specification into independently synthesizable components.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class Stats:
     maxsat_calls: int = 0
     mss_recorded: int = 0
     wall_time: float = 0.0
-    partitions: int = 1
 
 
 @dataclass
@@ -92,7 +92,7 @@ def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
     state.solver.add_clause(complement)
 
 
-def covering_mss(spec: Specification, mfs: frozenset[int], exact: bool = True):
+def covering_mss(spec: Specification, mfs: frozenset[int]):
     """Grow the output clauses of `mfs` into a covering MSS.
 
     Returns (mss index set, output witness) or None when the output clauses
@@ -100,7 +100,7 @@ def covering_mss(spec: Specification, mfs: frozenset[int], exact: bool = True):
     given MFS itself)."""
     hard = [spec.y_part(i).lits for i in sorted(mfs)]
     soft = [spec.y_part(j).lits for j in spec.indices if j not in mfs]
-    res = solve_partial_maxsat(MaxSatInstance.of(hard, soft), exact=exact)
+    res = solve_partial_maxsat(MaxSatInstance.of(hard, soft))
     if not res.optimal:
         return None
     witness = {v: res.model.get(v, False) for v in spec.outputs}
@@ -119,32 +119,33 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     return x
 
 
-def _empty_ypart_failure(spec: Specification, g: ConflictGraph):
+def _empty_ypart_failure(spec: Specification):
     """Unrealizability witness for a clause with no output literals, if any.
 
     Such a clause can always be falsified on the input side (tautological
     clauses are removed at parse time), and its empty y-part can never be
-    satisfied, so no output works for the falsifying input."""
+    satisfied, so no output works for the falsifying input.  The conflict
+    graph is built only when there is such a clause."""
     if not spec.empty_ypart_indices:
         return None
     i = spec.empty_ypart_indices[0]
-    witness = extend_to_mis(g, frozenset((i,)))
+    witness = extend_to_mis(build_conflict_graph(spec), frozenset((i,)))
     return witness, falsifying_input(spec, witness)
 
 
-def back_and_forth(spec: Specification, exact_mss: bool = True) -> SynthesisOutcome:
+def back_and_forth(spec: Specification) -> SynthesisOutcome:
     """Alternate uncovered-MFS generation with covering-MSS growth until
     every MFS is covered, then build the decision list from the recorded
     MSS sequence.  Iteration count is bounded by min(#MFS, #MSS)."""
     t0 = time.perf_counter()
     stats = Stats()
-    g = build_conflict_graph(spec)
-    bad = _empty_ypart_failure(spec, g)
+    bad = _empty_ypart_failure(spec)
     if bad is not None:
         stats.wall_time = time.perf_counter() - t0
         return SynthesisOutcome(
             UNREALIZABLE, witness_mfs=bad[0], witness_input=bad[1], stats=stats
         )
+    g = build_conflict_graph(spec)
     state = CoverageQueryState(g)
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
@@ -153,7 +154,7 @@ def back_and_forth(spec: Specification, exact_mss: bool = True) -> SynthesisOutc
         stats.sat_calls += 1
         if mfs is None:
             break
-        got = covering_mss(spec, mfs, exact=exact_mss)
+        got = covering_mss(spec, mfs)
         stats.maxsat_calls += 1
         if got is None:
             stats.iterations += 1
@@ -210,15 +211,14 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
 
 
-def synth_by_mss_enumeration(
-    spec: Specification, mss_limit: int = 100000, stats: Stats | None = None
-) -> DecisionList:
+def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> SynthesisOutcome:
     """One decision per MSS of the output clauses, found by repeated MaxSAT
     with a blocking clause per discovered MSS over selector variables.
 
     Works for unrealizable specifications too: the resulting list simply
     leaves the infeasible inputs uncovered."""
     t0 = time.perf_counter()
+    stats = Stats()
     k = spec.num_clauses
     base = max((*spec.inputs, *spec.outputs), default=0)
     selectors = [base + j for j in range(1, k + 1)]
@@ -232,8 +232,7 @@ def synth_by_mss_enumeration(
     while True:
         inst = MaxSatInstance.of(expansion + blocking, soft)
         res = solve_partial_maxsat(inst)
-        if stats is not None:
-            stats.maxsat_calls += 1
+        stats.maxsat_calls += 1
         if not res.optimal:
             break  # every MSS found
         witness = {v: res.model.get(v, False) for v in spec.outputs}
@@ -246,11 +245,10 @@ def synth_by_mss_enumeration(
         blocking.append(tuple(selectors[j - 1] for j in spec.indices if j not in mss))
         if not blocking[-1]:
             break  # single full MSS; nothing else can be maximal
-    if stats is not None:
-        stats.iterations += len(found)
-        stats.mss_recorded += len(found)
-        stats.wall_time += time.perf_counter() - t0
-    return build_decision_list(spec, found, witnesses)
+    stats.iterations = stats.mss_recorded = len(found)
+    dl = build_decision_list(spec, found, witnesses)
+    stats.wall_time = time.perf_counter() - t0
+    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
 
 
 def partition_by_output_variables(spec: Specification) -> list[Specification]:

@@ -65,7 +65,7 @@ def test_criterion_1_worked_example_exactness():
     ]
     enum = enumerate_mis(build_conflict_graph(spec), 100)
     assert set(enum.sets) == {frozenset({1}), frozenset({2, 3}), frozenset({3, 4})}
-    mss_dl = synth_by_mss_enumeration(spec)
+    mss_dl = synth_by_mss_enumeration(spec).decision_list
     found_mss = {frozenset(spec.indices) - d.guard for d in mss_dl.decisions}
     assert found_mss == {frozenset({1, 3, 4}), frozenset({2, 3}), frozenset({2, 4})}
     out = back_and_forth(spec)

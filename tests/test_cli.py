@@ -1,6 +1,8 @@
 import json
 
-from bafsynth import cli
+import pytest
+
+from bafsynth import cli, graph, synth
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
@@ -131,6 +133,75 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["synth", f]) == 5
     err = capsys.readouterr().err
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+EMPTY_YPART_TEXT = "p cnf 4 3\na 1 2 0\ne 3 4 0\n1 2 0\n-1 3 0\n2 4 0\n"
+
+
+def test_synth_empty_ypart_witness_is_component_zero(tmp_path, capsys):
+    f = _write(tmp_path, "empty.qdimacs", EMPTY_YPART_TEXT)
+    for extra in ([], ["--no-partition"]):
+        code, doc = _run(capsys, ["synth", f, *extra])
+        assert code == 1
+        assert doc["status"] == "unrealizable"
+        assert doc["witness"] == {"component": 0, "mfs": [1, 3], "input": {"1": False, "2": False}}
+
+
+def _count_graph_builds(monkeypatch) -> list:
+    built = []
+    original = graph.build_conflict_graph
+
+    def counting(spec):
+        built.append(spec.num_clauses)
+        return original(spec)
+
+    monkeypatch.setattr(graph, "build_conflict_graph", counting)
+    monkeypatch.setattr(synth, "build_conflict_graph", counting)
+    return built
+
+
+def test_pipeline_builds_one_conflict_graph_per_component(monkeypatch):
+    built = _count_graph_builds(monkeypatch)
+    result = cli.run_pipeline(parse_qdimacs(identity_qdimacs(16)), cli.RunConfig())
+    assert result["status"] == "realizable" and result["partitions"] == 16
+    assert built == [2] * 16
+
+
+def test_pipeline_builds_whole_spec_graph_only_for_empty_ypart(monkeypatch):
+    built = _count_graph_builds(monkeypatch)
+    result = cli.run_pipeline(parse_qdimacs(EMPTY_YPART_TEXT), cli.RunConfig())
+    assert result["witness"]["component"] == 0
+    assert built == [3]
+
+
+def test_pipeline_rejects_unknown_mode_before_any_work(monkeypatch):
+    built = _count_graph_builds(monkeypatch)
+    for text in (EXAMPLE1_TEXT, EMPTY_YPART_TEXT):
+        with pytest.raises(ValueError, match="'nope'"):
+            cli.run_pipeline(parse_qdimacs(text), cli.RunConfig(mode="nope"))
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [
+        ("back-and-forth", "back_and_forth"),
+        ("mfs-enum", "synth_by_mfs_enumeration"),
+        ("mss-enum", "synth_by_mss_enumeration"),
+    ],
+)
+def test_modes_look_up_procedures_at_call_time(monkeypatch, mode, name):
+    # a wrapper installed on the synth module (as a tracer does) must be seen
+    seen = []
+    original = getattr(synth, name)
+
+    def wrapped(comp, *args):
+        seen.append(comp.outputs)
+        return original(comp, *args)
+
+    monkeypatch.setattr(synth, name, wrapped)
+    cli.run_pipeline(parse_qdimacs(identity_qdimacs(2)), cli.RunConfig(mode=mode))
+    assert seen == [(3,), (4,)]
 
 
 def test_analyze_example1(tmp_path, capsys):

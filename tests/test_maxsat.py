@@ -5,7 +5,6 @@ from bafsynth.maxsat import (
     OPTIMAL,
     MaxSatInstance,
     solve_partial_maxsat,
-    to_wcnf,
 )
 
 from . import oracles
@@ -91,27 +90,6 @@ def test_maximality_of_satisfied_set():
             assert oracles.cnf_model(joint, range(1, n + 1)) is None
 
 
-def test_maximal_mode_gives_maximal_but_maybe_smaller():
-    rng = random.Random(79)
-    seen_smaller = False
-    for _ in range(200):
-        n, inst = _random_instance(rng, max_vars=6, max_soft=8)
-        exact = solve_partial_maxsat(inst)
-        quick = solve_partial_maxsat(inst, exact=False)
-        if exact.status == HARD_UNSAT:
-            assert quick.status == HARD_UNSAT
-            continue
-        assert quick.num_satisfied <= exact.num_satisfied
-        seen_smaller = seen_smaller or quick.num_satisfied < exact.num_satisfied
-        # maximality still holds in the cheap mode
-        chosen = [inst.soft[i] for i in quick.satisfied_soft]
-        for i, c in enumerate(inst.soft):
-            if i not in quick.satisfied_soft:
-                joint = list(inst.hard) + chosen + [c]
-                assert oracles.cnf_model(joint, range(1, n + 1)) is None
-    assert seen_smaller  # the two modes are genuinely different
-
-
 def test_determinism():
     rng = random.Random(83)
     for _ in range(50):
@@ -119,12 +97,3 @@ def test_determinism():
         a = solve_partial_maxsat(inst)
         b = solve_partial_maxsat(inst)
         assert a.model == b.model and a.satisfied_soft == b.satisfied_soft
-
-
-def test_wcnf_dump():
-    inst = MaxSatInstance.of([(1,)], [(-1,), (2,)])
-    text = to_wcnf(inst)
-    lines = text.splitlines()
-    assert lines[0] == "p wcnf 2 3 3"
-    assert lines[1] == "3 1 0"
-    assert lines[2] == "1 -1 0"

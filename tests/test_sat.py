@@ -220,15 +220,6 @@ def test_pigeonhole_equal_fits():
     assert s.solve().satisfiable
 
 
-def test_dimacs_dump_roundtrip():
-    s = Solver()
-    s.add_clause((1, -2))
-    s.add_clause((2,))
-    text = s.to_dimacs()
-    assert text.splitlines()[0] == "p cnf 2 2"
-    assert "1 -2 0" in text and "2 0" in text
-
-
 class _ScanCheckedSolver(Solver):
     """Checks every heap pick against a linear scan over the unassigned
     variables that occur in a clause: highest activity, smallest id on ties."""

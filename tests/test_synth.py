@@ -204,7 +204,10 @@ def test_mfs_enumeration_unrealizable(unrealizable4):
 
 
 def test_mss_enumeration_example1(example1):
-    dl = synth_by_mss_enumeration(example1)
+    out = synth_by_mss_enumeration(example1)
+    assert out.realizable
+    assert (out.stats.maxsat_calls, out.stats.iterations, out.stats.mss_recorded) == (4, 3, 3)
+    dl = out.decision_list
     assert len(dl) == 3
     assert sorted(dl.decisions[0].guard) == [2]  # largest MSS first
     found = {frozenset(range(1, 5)) - d.guard for d in dl.decisions}
@@ -213,13 +216,15 @@ def test_mss_enumeration_example1(example1):
 
 def test_mss_enumeration_single_soft():
     spec = parse_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n")
-    dl = synth_by_mss_enumeration(spec)
+    dl = synth_by_mss_enumeration(spec).decision_list
     assert len(dl) == 1
     assert dl.decisions[0].guard == frozenset()
 
 
 def test_mss_enumeration_unrealizable_leaves_uncovered(unrealizable4):
-    dl = synth_by_mss_enumeration(unrealizable4)
+    out = synth_by_mss_enumeration(unrealizable4)
+    assert out.realizable  # the procedure never fails; coverage shows the gap
+    dl = out.decision_list
     assert {frozenset({1, 2, 3, 4}) - d.guard for d in dl.decisions} == {
         frozenset({1, 3}),
         frozenset({2, 4}),
@@ -301,7 +306,7 @@ def test_cross_mode_agreement():
         if not table.realizable:
             continue
         mfs_mode = synth_by_mfs_enumeration(spec)
-        mss_list = synth_by_mss_enumeration(spec)
+        mss_list = synth_by_mss_enumeration(spec).decision_list
         assert mfs_mode.realizable
         for dl in (baf.decision_list, mfs_mode.decision_list, mss_list):
             assert verify_decision_list(spec, dl).verified
