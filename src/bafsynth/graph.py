@@ -74,30 +74,33 @@ def extend_to_mis(g: ConflictGraph, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(chosen)
 
 
-class _Overflow(Exception):
-    pass
-
-
 def _max_cliques(adj, n: int, limit: int) -> tuple[list[frozenset[int]], bool]:
-    """Pivoting Bron-Kerbosch over vertices 1..n, aborted past `limit` results."""
+    """Pivoting Bron-Kerbosch over vertices 1..n, aborted past `limit` results.
+
+    Iterative, so clique size is not bounded by the recursion limit: a frame
+    [R, P, X, branch vertices left] stands for one recursive call, and its
+    branch vertices are tried in ascending order, each to completion before
+    the next, as the recursion would."""
     found: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            found.append(frozenset(r))
-            if len(found) > limit:
-                raise _Overflow
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-        for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    try:
-        expand(set(), set(range(1, n + 1)), set())
-    except _Overflow:
-        return found[:limit], True
+    stack = [[set(), set(range(1, n + 1)), set(), None]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, todo = frame
+        if todo is None:  # entering the call
+            if not p and not x:
+                found.append(frozenset(r))
+                if len(found) > limit:
+                    return found[:limit], True
+                stack.pop()
+                continue
+            pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
+            todo = frame[3] = sorted(p - adj[pivot], reverse=True)
+        if not todo:
+            stack.pop()
+            continue
+        v = todo.pop()
+        frame[1], frame[2] = p - {v}, x | {v}
+        stack.append([r | {v}, p & adj[v], x & adj[v], None])
     return found, False
 
 

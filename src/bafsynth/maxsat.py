@@ -70,14 +70,14 @@ def solve_partial_maxsat(inst: MaxSatInstance) -> MaxSatResult:
         return MaxSatResult(HARD_UNSAT)
     if not inst.soft:
         return MaxSatResult(OPTIMAL, _restrict(res.model, max_var))
-    model = _restrict(_maximum(s, inst, max_var, res.model), max_var)
+    model = _restrict(_maximum(s, inst, max_var), max_var)
     satisfied = frozenset(
         i for i, c in enumerate(inst.soft) if _clause_sat(c, model)
     )
     return MaxSatResult(OPTIMAL, model, satisfied)
 
 
-def _maximum(s: Solver, inst: MaxSatInstance, max_var: int, model) -> dict[int, bool]:
+def _maximum(s: Solver, inst: MaxSatInstance, max_var: int) -> dict[int, bool]:
     n = len(inst.soft)
     relax = list(range(max_var + 1, max_var + n + 1))
     s.ensure_var(relax[-1])

@@ -7,16 +7,25 @@ assumption literals first, so the learned clauses are always consequences
 of the database alone and stay valid across calls.
 
 All heuristic constants are fixed for reproducibility:
-  - branching pops the unassigned variable with the highest activity,
-    smallest id on ties, from a binary heap ordered by (-activity, id), and
-    always assigns it false first.  A variable enters the heap the first
-    time it occurs in a clause given to `add_clause`; `ensure_var` only
-    sizes the arrays.  A variable that occurs in no clause is never decided
-    and reads false in the model, as a false-first decision with nothing to
-    propagate would leave it;
+  - branching decides the unassigned variable with the highest activity,
+    smallest id on ties, and always assigns it false first.  Only variables
+    that occur in a clause given to `add_clause` are candidates;
+    `ensure_var` only sizes the arrays.  A variable that occurs in no
+    clause is never decided and reads false in the model, as a false-first
+    decision with nothing to propagate would leave it;
+  - the candidates live in a `heapq` list of (-activity, id) entries with
+    lazy deletion: a variable is pushed when it first occurs in a clause,
+    when a backjump unassigns it and when a bump raises it while it is
+    unassigned, and old entries stay behind.  The pick pops until it finds
+    an unassigned variable whose entry holds its current activity.
+    Activity only grows between rescales, so a stale entry's activity is
+    smaller than the current one and never wins over the current entry.
+    Once a backjump leaves more than 2 * nvars entries, the heap is rebuilt
+    with one entry per unassigned candidate;
   - activity bump 1.0, decay factor 0.95, rescale threshold 1e100.  The
-    rescale multiplies every activity by 1e-100, which can turn distinct
-    activities into ties, so the heap is then rebuilt to order those by id;
+    rescale multiplies every activity by 1e-100, which shrinks them below
+    their entries' keys and can turn distinct activities into ties, so the
+    heap is then rebuilt the same way;
   - Luby restarts with a base interval of 128 conflicts.
 
 `decisions` and `conflicts` count branching decisions (assumptions not
@@ -26,27 +35,17 @@ included) and conflicts over the solver's lifetime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 _RESCALE_LIMIT = 1e100
 _VAR_DECAY = 0.95
 _RESTART_BASE = 128
-
-# heap_pos values of a variable that is not in the order heap
-_POPPED = -1  # occurs in a clause; popped while assigned, re-inserted on backjump
-_IN_NO_CLAUSE = -2  # occurs in no clause yet, so it is never decided
 
 
 @dataclass
 class SatResult:
     satisfiable: bool
     model: dict[int, bool] | None = None
-
-
-class _Clause:
-    __slots__ = ("lits",)
-
-    def __init__(self, lits):
-        self.lits = list(lits)
 
 
 def _luby(i: int) -> int:
@@ -65,16 +64,14 @@ class Solver:
         self.nvars = 0
         self.assign = [0]  # per var: 0 unassigned, +1 true, -1 false
         self.level = [0]
-        self.reason: list[_Clause | None] = [None]
+        self.reason: list[list[int] | None] = [None]
         self.activity = [0.0]
         self.var_inc = 1.0
-        self.heap: list[int] = []  # order heap; holds every unassigned var in a clause
-        self.heap_pos = [_IN_NO_CLAUSE]  # per var: index in heap, or _POPPED / _IN_NO_CLAUSE
-        self.watches: dict[int, list[_Clause]] = {}
-        self.clauses: list[_Clause] = []  # watched: problem + learned
+        self.occurs = [False]  # per var: occurs in a clause, so it can be decided
+        self.heap: list[tuple[float, int]] = []  # (-activity, var), lazily deleted
+        self.watches: dict[int, list[list[int]]] = {}
         self.problem_lits: list[tuple[int, ...]] = []  # as added, for the model check
         self.root_units: list[int] = []
-        self.has_empty = False
         self.unsat_at_root = False
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -93,7 +90,7 @@ class Solver:
             self.level += [0] * grow
             self.reason += [None] * grow
             self.activity += [0.0] * grow
-            self.heap_pos += [_IN_NO_CLAUSE] * grow
+            self.occurs += [False] * grow
 
     def add_clause(self, lits) -> None:
         """Add a clause permanently; duplicates and tautologies are tolerated.
@@ -108,10 +105,12 @@ class Solver:
             return  # tautology, no constraint
         if lits:
             self.ensure_var(abs(lits[-1]))
-        pos = self.heap_pos
+        occurs, act = self.occurs, self.activity
         for l in lits:
-            if pos[abs(l)] == _IN_NO_CLAUSE:
-                self._heap_insert(abs(l))
+            v = abs(l)
+            if not occurs[v]:
+                occurs[v] = True
+                heappush(self.heap, (-act[v], v))
         self.problem_lits.append(tuple(lits))
         assign = self.assign
         kept = []
@@ -122,64 +121,23 @@ class Solver:
             if val == 0:
                 kept.append(l)
         if not kept:
-            self.has_empty = True
+            self.unsat_at_root = True
         elif len(kept) == 1:
             self.root_units.append(kept[0])
         else:
-            c = _Clause(kept)
-            self.clauses.append(c)
-            self._watch(c)
+            self._watch(kept)
 
-    def _watch(self, c: _Clause):
-        self.watches.setdefault(c.lits[0], []).append(c)
-        self.watches.setdefault(c.lits[1], []).append(c)
+    def _watch(self, c: list[int]):
+        self.watches.setdefault(c[0], []).append(c)
+        self.watches.setdefault(c[1], []).append(c)
 
-    # ------------------------------------------------------------------
-    # order heap: a binary heap on (-activity, id) with positions in heap_pos
-
-    def _heap_up(self, i: int):
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        v = heap[i]
-        a = act[v]
-        while i:
-            p = (i - 1) >> 1
-            u = heap[p]
-            au = act[u]
-            if au > a or (au == a and u < v):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = p
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_down(self, i: int):
-        heap, pos, act = self.heap, self.heap_pos, self.activity
-        n = len(heap)
-        v = heap[i]
-        a = act[v]
-        while True:
-            c = 2 * i + 1
-            if c >= n:
-                break
-            u = heap[c]
-            au = act[u]
-            if c + 1 < n:
-                w = heap[c + 1]
-                aw = act[w]
-                if aw > au or (aw == au and w < u):
-                    c, u, au = c + 1, w, aw
-            if a > au or (a == au and v < u):
-                break
-            heap[i] = u
-            pos[u] = i
-            i = c
-        heap[i] = v
-        pos[v] = i
-
-    def _heap_insert(self, v: int):
-        self.heap.append(v)
-        self._heap_up(len(self.heap) - 1)
+    def _rebuild_heap(self):
+        """One entry per unassigned variable that occurs in a clause."""
+        act, assign, occurs = self.activity, self.assign, self.occurs
+        self.heap = [
+            (-act[v], v) for v in range(1, self.nvars + 1) if occurs[v] and not assign[v]
+        ]
+        heapify(self.heap)
 
     # ------------------------------------------------------------------
     # assignment handling
@@ -190,7 +148,7 @@ class Solver:
             return None
         return (a > 0) == (lit > 0)
 
-    def _enqueue(self, lit: int, reason: _Clause | None):
+    def _enqueue(self, lit: int, reason: list[int] | None):
         v = abs(lit)
         self.assign[v] = 1 if lit > 0 else -1
         self.level[v] = len(self.trail_lim)
@@ -201,21 +159,25 @@ class Solver:
         if len(self.trail_lim) <= lvl:
             return
         lim = self.trail_lim[lvl]
-        assign, reason, pos = self.assign, self.reason, self.heap_pos
+        assign, reason, act, occurs, heap = (
+            self.assign, self.reason, self.activity, self.occurs, self.heap
+        )
         for lit in self.trail[lim:]:
             v = abs(lit)
             assign[v] = 0
             reason[v] = None
-            if pos[v] == _POPPED:
-                self._heap_insert(v)
+            if occurs[v]:
+                heappush(heap, (-act[v], v))
         del self.trail[lim:]
         del self.trail_lim[lvl:]
         self.qhead = len(self.trail)
+        if len(heap) > 2 * self.nvars:
+            self._rebuild_heap()
 
     # ------------------------------------------------------------------
     # propagation
 
-    def _propagate(self) -> _Clause | None:
+    def _propagate(self) -> list[int] | None:
         assign, trail, watches = self.assign, self.trail, self.watches
         while self.qhead < len(trail):
             p = trail[self.qhead]
@@ -229,19 +191,18 @@ class Solver:
             while i < n:
                 c = ws[i]
                 i += 1
-                L = c.lits
-                if L[0] == neg:
-                    L[0], L[1] = L[1], L[0]
-                first = L[0]
+                if c[0] == neg:
+                    c[0], c[1] = c[1], c[0]
+                first = c[0]
                 fv = assign[first] if first > 0 else -assign[-first]
                 if fv > 0:
                     ws[j] = c
                     j += 1
                     continue
-                for k in range(2, len(L)):
-                    lk = L[k]
+                for k in range(2, len(c)):
+                    lk = c[k]
                     if (assign[lk] if lk > 0 else -assign[-lk]) >= 0:
-                        L[1], L[k] = lk, L[1]
+                        c[1], c[k] = lk, c[1]
                         watches.setdefault(lk, []).append(c)
                         break
                 else:
@@ -265,17 +226,14 @@ class Solver:
     def _bump(self, v: int):
         act = self.activity
         act[v] += self.var_inc
-        i = self.heap_pos[v]
-        if i >= 0:  # in the heap
-            self._heap_up(i)
         if act[v] > _RESCALE_LIMIT:
             act[:] = [a * 1e-100 for a in act]
             self.var_inc *= 1e-100
-            # rebuild: the multiply can merge activities into ties, which go by id
-            for i in range(len(self.heap) // 2 - 1, -1, -1):
-                self._heap_down(i)
+            self._rebuild_heap()  # every key is off, and ties now go by id
+        elif self.occurs[v] and not self.assign[v]:
+            heappush(self.heap, (-act[v], v))
 
-    def _analyze(self, confl: _Clause):
+    def _analyze(self, confl: list[int]):
         """First-UIP learning; returns (learned lits, backjump level)."""
         current = len(self.trail_lim)
         seen: set[int] = set()
@@ -285,7 +243,7 @@ class Solver:
         idx = len(self.trail) - 1
         cl = confl
         while True:
-            for q in cl.lits:
+            for q in cl:
                 if q == p_lit:
                     continue
                 v = abs(q)
@@ -319,22 +277,15 @@ class Solver:
     # search
 
     def _pick_branch_var(self) -> int | None:
-        heap, pos, assign = self.heap, self.heap_pos, self.assign
+        heap, act, assign = self.heap, self.activity, self.assign
         while heap:
-            v = heap[0]
-            last = heap.pop()
-            pos[v] = _POPPED
-            if heap:
-                heap[0] = last
-                self._heap_down(0)
-            if assign[v] == 0:
+            key, v = heappop(heap)
+            if not assign[v] and -key == act[v]:  # else assigned or stale
                 return v
         return None
 
     def solve(self, assumptions=()) -> SatResult:
         """Decide database /\\ assumptions; deterministic for identical call sequences."""
-        if self.has_empty:
-            self.unsat_at_root = True
         if self.unsat_at_root:
             return SatResult(False)
         self._cancel_until(0)
@@ -368,10 +319,8 @@ class Solver:
                     self.root_units.append(learned[0])
                     self._enqueue(learned[0], None)
                 else:
-                    c = _Clause(learned)
-                    self.clauses.append(c)
-                    self._watch(c)
-                    self._enqueue(learned[0], c)
+                    self._watch(learned)
+                    self._enqueue(learned[0], learned)
                 self.var_inc /= _VAR_DECAY
                 continue
             if conflicts >= threshold:

@@ -11,8 +11,8 @@ Three ways to produce a decision list from a split specification:
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated blocking
-    MaxSAT calls; never fails, but may leave inputs uncovered when the
-    specification is unrealizable.
+    MaxSAT calls, then ask the coverage query once whether some MFS is
+    left uncovered, which makes the specification unrealizable.
 
 All three return a SynthesisOutcome (status, decision list or witness, and
 Stats).  The module also holds the output-disjoint partitioner that splits
@@ -190,7 +190,6 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     witnesses = []
     for m in enum.sets:
         s = Solver()
-        s.ensure_var(max(spec.outputs, default=0))
         for i in sorted(m):
             s.add_clause(spec.y_part(i).lits)
         res = s.solve()
@@ -215,8 +214,10 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
     """One decision per MSS of the output clauses, found by repeated MaxSAT
     with a blocking clause per discovered MSS over selector variables.
 
-    Works for unrealizable specifications too: the resulting list simply
-    leaves the infeasible inputs uncovered."""
+    An MFS contained in no MSS has jointly unsatisfiable output clauses, so
+    once every MSS is found, one coverage query over all of them either
+    finds such an MFS, the unrealizability witness, or proves that the
+    list covers every input."""
     t0 = time.perf_counter()
     stats = Stats()
     k = spec.num_clauses
@@ -246,6 +247,21 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
         if not blocking[-1]:
             break  # single full MSS; nothing else can be maximal
     stats.iterations = stats.mss_recorded = len(found)
+    if len(found[0]) < k:  # else the single full MSS covers every MFS
+        g = build_conflict_graph(spec)
+        state = CoverageQueryState(g)
+        for mss in found:
+            record_mss(state, mss)
+        mfs = next_uncovered_mfs(state, g)
+        stats.sat_calls += 1
+        if mfs is not None:
+            stats.wall_time = time.perf_counter() - t0
+            return SynthesisOutcome(
+                UNREALIZABLE,
+                witness_mfs=mfs,
+                witness_input=falsifying_input(spec, mfs),
+                stats=stats,
+            )
     dl = build_decision_list(spec, found, witnesses)
     stats.wall_time = time.perf_counter() - t0
     return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)

@@ -52,7 +52,6 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
             if spec.y_part(j).evaluate(dec.output):
                 continue
             s = Solver()
-            s.ensure_var(max(spec.inputs, default=0))
             for g in sorted(dec.guard):
                 s.add_clause(spec.x_part(g).lits)
             for lit in spec.x_part(j).lits:

@@ -45,6 +45,16 @@ def test_synth_unrealizable(tmp_path, capsys):
     assert doc["witness"]["mfs"] in ([1, 2], [3, 4])
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-verify"], ["--no-partition"]])
+def test_synth_mss_enum_unrealizable(tmp_path, capsys, extra):
+    f = _write(tmp_path, "bad.qdimacs", UNREALIZABLE_TEXT)
+    code, doc = _run(capsys, ["synth", f, "--mode", "mss-enum", *extra])
+    assert code == 1
+    assert doc["status"] == "unrealizable"
+    assert doc["witness"]["mfs"] in ([1, 2], [3, 4])
+    assert doc["verification"] is None
+
+
 def test_synth_identity_partitioning(tmp_path, capsys):
     f = _write(tmp_path, "id16.qdimacs", identity_qdimacs(16))
     code, doc = _run(capsys, ["synth", f, "--dl", str(tmp_path / "id16.dl")])

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -136,6 +137,22 @@ def test_analyze_structure_budget_exceeded():
     g = build_conflict_graph(spec)
     report = analyze_structure(g, 100)
     assert report.count is None
+
+
+def test_single_mfs_chain_does_not_recurse_per_clique_vertex():
+    # x-parts never conflict: the consensus graph is one 300-vertex clique
+    k = 300
+    lines = [f"p cnf {k + 1} {k}", "a " + " ".join(map(str, range(1, k + 1))) + " 0"]
+    lines += [f"e {k + 1} 0"] + [f"{i} {k + 1} 0" for i in range(1, k + 1)]
+    g = build_conflict_graph(parse_qdimacs("\n".join(lines) + "\n"))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        report = analyze_structure(g, 10)
+    finally:
+        sys.setrecursionlimit(old)
+    assert report.count == 1
+    assert report.chordal is True
 
 
 def test_analyze_count_matches_enumeration():

@@ -319,3 +319,22 @@ def test_heap_orders_rescale_ties_by_id():
     assert s.activity[1] == 2.0 and s.activity[8] == 0.0
     res = s.solve()
     assert res.satisfiable and s.picks == 9  # eight decisions, then none left
+
+
+def test_heap_stays_compact_over_assumption_solves():
+    # lazy deletion leaves old entries behind on every backjump; the
+    # compaction keeps the heap within a constant factor of the variables
+    rng = random.Random(2003)
+    for _ in range(40):
+        n = rng.randint(10, 40)
+        s = Solver()
+        s.ensure_var(n)
+        for c in _random_3cnf(rng, n):
+            s.add_clause(c)
+        for _ in range(30):
+            assumed = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(1, 4))
+            ]
+            s.solve(assumed)
+            assert len(s.heap) <= 3 * s.nvars

@@ -222,15 +222,29 @@ def test_mss_enumeration_single_soft():
 
 
 def test_mss_enumeration_unrealizable_leaves_uncovered(unrealizable4):
+    # the two MSS {1,3} and {2,4} leave both inputs uncovered; the coverage
+    # query after the enumeration reports that as unrealizability
     out = synth_by_mss_enumeration(unrealizable4)
-    assert out.realizable  # the procedure never fails; coverage shows the gap
-    dl = out.decision_list
-    assert {frozenset({1, 2, 3, 4}) - d.guard for d in dl.decisions} == {
-        frozenset({1, 3}),
-        frozenset({2, 4}),
-    }
-    assert dlist.evaluate(dl, {1: False}) is None
-    assert dlist.evaluate(dl, {1: True}) is None
+    assert not out.realizable
+    assert out.decision_list is None
+    assert out.witness_mfs in (frozenset({1, 2}), frozenset({3, 4}))
+    assert (out.stats.maxsat_calls, out.stats.mss_recorded, out.stats.sat_calls) == (3, 2, 1)
+    x = out.witness_input
+    assert not any(unrealizable4.evaluate({**x, 2: y}) for y in (False, True))
+    table = brute_force_synthesize(unrealizable4)
+    assert table.entries[tuple(x[v] for v in table.inputs)] is None
+
+
+def test_mss_enumeration_agrees_with_brute_force_on_realizability():
+    for spec in _corpus(229, 60, max_in=4, max_out=4, max_clauses=8):
+        table = brute_force_synthesize(spec)
+        out = synth_by_mss_enumeration(spec)
+        assert out.realizable == table.realizable
+        if out.realizable:
+            assert verify_decision_list(spec, out.decision_list).verified
+        else:
+            x = out.witness_input
+            assert table.entries[tuple(x[v] for v in table.inputs)] is None
 
 
 # ----------------------------------------------------------------------
