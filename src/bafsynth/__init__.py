@@ -58,12 +58,6 @@ from .synth import (
     synth_by_mfs_enumeration,
     synth_by_mss_enumeration,
 )
-from .verify import (
-    BruteForceTable,
-    VerificationReport,
-    brute_force_mfs_mss,
-    brute_force_synthesize,
-    verify_decision_list,
-)
+from .verify import VerificationReport, verify_decision_list
 
 __version__ = "0.1.0"

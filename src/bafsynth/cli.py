@@ -109,6 +109,17 @@ def _component_specs(spec: Specification) -> list[Specification]:
     return components
 
 
+def _specs_by_digest(spec: Specification) -> dict[str, Specification]:
+    """The specification and each of its components, keyed by digest: the
+    specifications a written decision-list document can belong to."""
+    by_digest = {spec.digest: spec}
+    try:
+        by_digest.update((comp.digest, comp) for comp in _component_specs(spec))
+    except ValueError:
+        pass  # unpartitionable; the whole-spec digest may still match
+    return by_digest
+
+
 def _unrealizable(result: dict, t0: float, component: int, mfs, x) -> dict:
     result["status"] = _synth.UNREALIZABLE
     result["witness"] = {"component": component, "mfs": sorted(mfs), "input": _input_json(x)}
@@ -280,11 +291,7 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    by_digest = {spec.digest: spec}
-    try:
-        by_digest.update((comp.digest, comp) for comp in _component_specs(spec))
-    except ValueError:
-        pass  # unpartitionable; the whole-spec digest may still match
+    by_digest = _specs_by_digest(spec)
     failures = []
     for di, dl in enumerate(docs, 1):
         comp = by_digest.get(dl.spec_digest)
@@ -295,7 +302,11 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
-        report = _verify.verify_decision_list(comp, dl)
+        try:
+            report = _verify.verify_decision_list(comp, dl)
+        except ValueError as exc:
+            print(f"error: document {di}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if not report.verified:
             failures.append(
                 {

@@ -21,9 +21,6 @@ class ConflictGraph:
     n: int
     adj: tuple[frozenset[int], ...]  # adj[0] unused; vertices 1..n
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(1, self.n + 1) for j in sorted(self.adj[i]) if i < j]
 

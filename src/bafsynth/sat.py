@@ -101,25 +101,27 @@ class Solver:
         if self.trail_lim:
             self._cancel_until(0)
         lits = sorted(set(lits), key=abs)
-        if len({abs(l) for l in lits}) < len(lits):
-            return  # tautology, no constraint
+        for i in range(1, len(lits)):
+            if lits[i] == -lits[i - 1]:
+                return  # tautology, no constraint
         if lits:
             self.ensure_var(abs(lits[-1]))
-        occurs, act = self.occurs, self.activity
+        occurs, assign = self.occurs, self.assign
+        kept = []
+        satisfied = False
         for l in lits:
-            v = abs(l)
+            v = l if l > 0 else -l
             if not occurs[v]:
                 occurs[v] = True
-                heappush(self.heap, (-act[v], v))
-        self.problem_lits.append(tuple(lits))
-        assign = self.assign
-        kept = []
-        for l in lits:
-            val = assign[l] if l > 0 else -assign[-l]
-            if val > 0:
-                return  # satisfied by a permanent root assignment
-            if val == 0:
+                heappush(self.heap, (-self.activity[v], v))
+            a = assign[v]
+            if not a:
                 kept.append(l)
+            elif (a > 0) == (l > 0):
+                satisfied = True  # by a permanent root assignment
+        self.problem_lits.append(tuple(lits))
+        if satisfied:
+            return
         if not kept:
             self.unsat_at_root = True
         elif len(kept) == 1:

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used to compute expected test values.
 
-Everything here works directly on literal tuples and exhaustive enumeration
-and deliberately avoids the package's solver, graph, and synthesis code.
+Everything here works directly on literal tuples, specification clauses and
+exhaustive enumeration, and deliberately avoids the package's solver, graph,
+and synthesis code.
 """
 
+from dataclasses import dataclass
 from itertools import product
+
+from bafsynth.errors import LimitError
 
 
 def assignments(variables):
@@ -39,6 +43,58 @@ def all_falsifiable(lits_list):
 def maximal_sets(family):
     family = set(family)
     return sorted((s for s in family if not any(s < t for t in family)), key=sorted)
+
+
+@dataclass
+class BruteForceTable:
+    """Exhaustive input-to-output table; None marks inputs with no output."""
+
+    inputs: tuple
+    outputs: tuple
+    entries: dict
+
+    @property
+    def realizable(self):
+        return all(v is not None for v in self.entries.values())
+
+
+def brute_force_synthesize(spec, limit=16):
+    """For every input assignment, search all output assignments for one
+    satisfying the CNF; requires |inputs| + |outputs| <= limit."""
+    m, n = len(spec.inputs), len(spec.outputs)
+    if m + n > limit:
+        raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
+    entries = {}
+    for xbits in product((False, True), repeat=m):
+        x = dict(zip(spec.inputs, xbits))
+        found = None
+        for ybits in product((False, True), repeat=n):
+            y = dict(zip(spec.outputs, ybits))
+            if spec.evaluate({**x, **y}):
+                found = y
+                break
+        entries[xbits] = found
+    return BruteForceTable(spec.inputs, spec.outputs, entries)
+
+
+def brute_force_mfs_mss(spec, clause_limit=20, var_limit=16):
+    """Exact MFS and MSS lists by exhausting the assignment space.
+
+    Every all-falsifiable set is contained in the falsified-set of its own
+    witness, so the MFS are exactly the maximal falsified-sets over all
+    inputs; dually the MSS are the maximal satisfied-sets over all outputs.
+    Both lists come back in lexicographic order of sorted indices."""
+    if spec.num_clauses > clause_limit:
+        raise LimitError(f"{spec.num_clauses} clauses exceed the limit {clause_limit}")
+    if len(spec.inputs) > var_limit or len(spec.outputs) > var_limit:
+        raise LimitError(f"variable block larger than the limit {var_limit}")
+    fals_sets = set()
+    for x in assignments(spec.inputs):
+        fals_sets.add(frozenset(i for i in spec.indices if not spec.x_part(i).evaluate(x)))
+    sat_sets = set()
+    for y in assignments(spec.outputs):
+        sat_sets.add(frozenset(i for i in spec.indices if spec.y_part(i).evaluate(y)))
+    return maximal_sets(fals_sets), maximal_sets(sat_sets)
 
 
 def subset_enum_mfs(x_parts):

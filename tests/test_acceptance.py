@@ -17,11 +17,7 @@ from bafsynth.graph import analyze_structure, build_conflict_graph, enumerate_mi
 from bafsynth.maxsat import HARD_UNSAT, OPTIMAL, MaxSatInstance, solve_partial_maxsat
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import back_and_forth, synth_by_mss_enumeration
-from bafsynth.verify import (
-    brute_force_mfs_mss,
-    brute_force_synthesize,
-    verify_decision_list,
-)
+from bafsynth.verify import verify_decision_list
 from bafsynth.decomp import (
     DECOMP_UNREALIZABLE,
     GOOD,
@@ -37,6 +33,7 @@ from .conftest import (
     random_synth_spec_text,
 )
 from . import oracles
+from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
 CORPUS_SEED = 20250811
 CORPUS_SIZE = 500

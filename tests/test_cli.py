@@ -262,6 +262,33 @@ def test_verify_command_detects_tampering(tmp_path, capsys):
     assert doc["failures"][0]["kind"] == "soundness"
 
 
+# example 3's list for example1, with one fault each; the digest is right
+_EX3_DECISIONS = "d 2 | 3=1 4=1\nd 1 4 | 3=0 4=0\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "in 1 2\nout 3 4\nd 2 9 | 3=1 4=1\nd 1 4 | 3=0 4=0\n",
+        "in 1 2\nout 3\nd 2 | 3=1\nd 1 4 | 3=0\n",
+        "in 1\nout 3 4\n" + _EX3_DECISIONS,
+        "in 1 2\nout 3 4 7\nd 2 | 3=1 4=1 7=0\nd 1 4 | 3=0 4=0 7=0\n",
+    ],
+    ids=["guard-index-9", "output-missing", "input-missing", "output-extra"],
+)
+def test_verify_rejects_malformed_document(tmp_path, capsys, body):
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    header = f"dl 1\nspec {parse_qdimacs(EXAMPLE1_TEXT).digest}\n"
+    good = _write(tmp_path, "good.dl", header + "in 1 2\nout 3 4\n" + _EX3_DECISIONS)
+    assert main(["verify", f, good]) == 0
+    capsys.readouterr()
+    bad = _write(tmp_path, "bad.dl", header + body)
+    assert main(["verify", f, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: document 1: ")
+
+
 def test_verify_multidoc_partitioned(tmp_path, capsys):
     f = _write(tmp_path, "id4.qdimacs", identity_qdimacs(4))
     dl = str(tmp_path / "id4.dl")

@@ -14,10 +14,10 @@ from bafsynth.decomp import (
 )
 from bafsynth.errors import LimitError
 from bafsynth.model import Clause, parse_qdimacs
-from bafsynth.verify import brute_force_synthesize
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
+from .oracles import brute_force_synthesize
 
 
 def test_decompose_example1(example1):

@@ -16,10 +16,11 @@ from bafsynth.synth import (
     synth_by_mfs_enumeration,
     synth_by_mss_enumeration,
 )
-from bafsynth.verify import brute_force_mfs_mss, brute_force_synthesize, verify_decision_list
+from bafsynth.verify import verify_decision_list
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
+from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
 
 def _phi_models_bruteforce(k, edges, coverage_clauses):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,17 +7,14 @@ from bafsynth.dlist import Decision, DecisionList, build_decision_list
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.model import parse_qdimacs
-from bafsynth.synth import back_and_forth, covering_mss
-from bafsynth.verify import (
-    COVERAGE,
-    SOUNDNESS,
-    brute_force_mfs_mss,
-    brute_force_synthesize,
-    verify_decision_list,
-)
+from bafsynth import verify
+from bafsynth.sat import Solver
+from bafsynth.synth import back_and_forth, covering_mss, synth_by_mfs_enumeration
+from bafsynth.verify import COVERAGE, SOUNDNESS, verify_decision_list
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
+from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
 
 def _example3_list(spec):
@@ -100,6 +98,120 @@ def test_verifier_agrees_with_exhaustive_evaluation():
             if fired is None or not spec.evaluate({**x, **fired.output}):
                 exhaustive_ok = False
         assert report.verified == exhaustive_ok
+
+
+def _fires(spec, guard, x):
+    return all(spec.x_part(g).evaluate(x) for g in guard)
+
+
+def _random_list(rng, spec):
+    """Random guards and total outputs.  Some guards hold every clause whose
+    y-part the output falsifies, as synthesized guards do, some leave one of
+    those out, and some are empty or plain random subsets."""
+    decisions = []
+    for _ in range(rng.randint(0, 5)):
+        output = {v: rng.random() < 0.5 for v in spec.outputs}
+        guard = {i for i in spec.indices if rng.random() < 0.2}
+        shape = rng.random()
+        if shape < 0.7:
+            falsified = [i for i in spec.indices if not spec.y_part(i).evaluate(output)]
+            guard |= set(falsified)
+            if falsified and shape < 0.1:
+                guard.discard(rng.choice(falsified))
+        elif shape < 0.75:
+            guard = set()
+        decisions.append(Decision(frozenset(guard), output))
+    return DecisionList(spec.inputs, spec.outputs, tuple(decisions), spec.digest, spec)
+
+
+def test_verifier_agrees_with_brute_force_on_arbitrary_lists():
+    rng = random.Random(443)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    for _ in range(400):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=4, max_clauses=8))
+        dl = _random_list(rng, spec)
+        inputs = list(oracles.assignments(spec.inputs))
+        unsound = [
+            (di, j)
+            for di, dec in enumerate(dl.decisions, 1)
+            for j in spec.indices
+            if not spec.y_part(j).evaluate(dec.output)
+            and any(_fires(spec, dec.guard, x) and not spec.x_part(j).evaluate(x) for x in inputs)
+        ]
+        gap = any(not any(_fires(spec, d.guard, x) for d in dl.decisions) for x in inputs)
+        report = verify_decision_list(spec, dl)
+        x = report.witness_input
+        if unsound:
+            assert report.failure_kind == SOUNDNESS
+            di, j = unsound[0]
+            assert (report.decision_index, report.clause_index) == (di, j)
+            dec = dl.decisions[di - 1]
+            assert _fires(spec, dec.guard, x)
+            assert not spec.x_part(j).evaluate(x)
+            assert not spec.y_part(j).evaluate(dec.output)
+        elif gap:
+            assert report.failure_kind == COVERAGE
+            assert not any(_fires(spec, d.guard, x) for d in dl.decisions)
+        else:
+            assert report.verified
+        kinds[report.failure_kind] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"decisions": (Decision(frozenset({2, 9}), {3: True, 4: True}),)}, "out of range"),
+        ({"inputs": (1,)}, "variables differ"),
+        ({"outputs": (3, 4, 7)}, "variables differ"),
+        ({"decisions": (Decision(frozenset({2}), {3: True}),)}, "not total"),
+    ],
+    ids=["guard-index", "inputs", "outputs", "decision-output"],
+)
+def test_malformed_list_rejected_before_solving(example1, monkeypatch, change, message):
+    broken = dataclasses.replace(_example3_list(example1), **change)
+    monkeypatch.setattr(verify, "Solver", None)  # any solving would raise TypeError
+    with pytest.raises(ValueError, match=message):
+        verify_decision_list(example1, broken)
+
+
+def _record_solvers(monkeypatch) -> list:
+    """Every Solver the verifier constructs, in order."""
+    made = []
+
+    class Recording(Solver):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(verify, "Solver", Recording)
+    return made
+
+
+def test_verifying_a_synthesized_list_builds_one_solver(monkeypatch):
+    made = _record_solvers(monkeypatch)
+    rng = random.Random(409)
+    checked = 0
+    for _ in range(40):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=4, max_clauses=8))
+        out = back_and_forth(spec)
+        if not out.realizable:
+            continue
+        made.clear()
+        assert verify_decision_list(spec, out.decision_list).verified
+        assert len(made) == 1  # the coverage query; every soundness pair is refuted directly
+        checked += 1
+    assert checked >= 10
+
+
+def test_coverage_query_has_one_selector_per_clause(monkeypatch):
+    made = _record_solvers(monkeypatch)
+    spec = parse_qdimacs(identity_qdimacs(10))
+    dl = synth_by_mfs_enumeration(spec).decision_list
+    assert len(dl) == 1024
+    assert verify_decision_list(spec, dl).verified
+    assert len(made) == 1
+    assert made[0].nvars <= max(*spec.inputs, *spec.outputs) + spec.num_clauses
 
 
 def test_brute_force_synthesize_example1(example1):

@@ -1,0 +1,76 @@
+"""Print bafsynth's deterministic artifacts on the benchmark corpora.
+
+    python3 tools/artifacts.py [--workload NAME]... [--no-partition]
+
+Run from a source checkout: the program is imported from `src/`, and the
+instances come from perfbench's generators (`gen.WORKLOADS[name](seed)`,
+seeds 1 and 4242), which are only read.  For every instance, in modes
+back-and-forth and mfs-enum, one JSON line is printed: the `run_pipeline`
+report without its timing (`*_ms`) fields, with the decision-list text, and
+the `verify_decision_list` verdict of every document of that text.  All of
+it is deterministic, so diffing the output of two checkouts shows whether a
+change keeps behaviour byte for byte.  `--no-partition` is practical on
+planted-synth only: an unpartitioned equivalence chain of width w has 2^w MFS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+from bafsynth import cli, dlist, verify  # noqa: E402
+from bafsynth.model import parse_qdimacs  # noqa: E402
+from tests.test_golden_pipeline import _strip_ms  # noqa: E402
+
+SEEDS = (1, 4242)
+MODES = ("back-and-forth", "mfs-enum")
+
+
+def verdicts(spec, dl_text: str | None) -> list[dict]:
+    """The verifier's report on each document, matched to its specification
+    by digest as `bafsynth verify` does."""
+    if dl_text is None:
+        return []
+    by_digest = cli._specs_by_digest(spec)
+    return [
+        dataclasses.asdict(verify.verify_decision_list(by_digest[dl.spec_digest], dl))
+        for dl in dlist.parse_many(dl_text)
+    ]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=sorted(gen.WORKLOADS))
+    ap.add_argument("--no-partition", dest="partition", action="store_false")
+    args = ap.parse_args(argv)
+    for workload in args.workload or sorted(gen.WORKLOADS):
+        for seed in SEEDS:
+            for k, inst in enumerate(gen.WORKLOADS[workload](seed)):
+                spec = parse_qdimacs(inst.qdimacs())
+                for mode in MODES:
+                    cfg = cli.RunConfig(mode=mode, partition=args.partition)
+                    report = _strip_ms(cli.run_pipeline(spec, cfg))
+                    record = {
+                        "workload": workload,
+                        "seed": seed,
+                        "instance": f"{k:02d}-{inst.name}",
+                        "mode": mode,
+                        "partition": args.partition,
+                        "report": report,
+                        "verdicts": verdicts(spec, report["dl_text"]),
+                    }
+                    print(json.dumps(record, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
