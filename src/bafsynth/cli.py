@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import signal
 import sys
@@ -26,7 +27,7 @@ from . import graph as _graph
 from . import synth as _synth
 from . import verify as _verify
 from .errors import LimitError, ParseError
-from .model import Specification, parse_qdimacs
+from .model import Specification, decode_text, parse_qdimacs
 
 SCHEMA_VERSION = 1
 
@@ -52,13 +53,41 @@ class RunConfig:
     families: dict[str, str] = field(default_factory=dict)  # name -> filename prefix
 
 
-def _env(name: str, default, cast=str):
-    raw = os.environ.get("BAFSYNTH_" + name)
-    if raw is None:
-        return default
-    if cast is bool:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+def _env(name: str, default):
+    """The raw BAFSYNTH_<name> string, or `default`.  argparse converts a
+    string default with the option's `type`, so a malformed value is a
+    usage error of the command that reads it, like the flag itself."""
+    return os.environ.get("BAFSYNTH_" + name, default)
+
+
+def _env_flag(name: str) -> bool:
+    return _env(name, "").strip().lower() in ("1", "true", "yes", "on")
+
+
+def _positive(cast):
+    """argparse type: `cast` of the text, which must be finite and > 0."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive number, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _mode(text: str) -> str:
+    if text not in MODES:  # argparse checks `choices` on the flag only, not on the env default
+        raise argparse.ArgumentTypeError(f"unknown mode {text!r}")
+    return text
+
+
+def _family(text: str) -> tuple[str, str]:
+    name, _, prefix = text.partition("=")
+    if not name or not prefix:
+        raise argparse.ArgumentTypeError(f"expected NAME=PREFIX, got {text!r}")
+    return name, prefix
 
 
 @contextmanager
@@ -71,7 +100,8 @@ def time_limit(seconds: float):
     if seconds <= 0:
         raise ValueError("timeout must be positive")
     old = signal.signal(signal.SIGALRM, handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # a longer interval overflows the platform's time_t; 1e9 s is no limit
+    signal.setitimer(signal.ITIMER_REAL, min(seconds, 1e9))
     try:
         yield
     finally:
@@ -230,7 +260,7 @@ def _read_spec(path: str) -> Specification | None:
     """The parsed specification at `path`, or None after printing the
     read or parse error."""
     try:
-        return parse_qdimacs(Path(path).read_text(encoding="utf-8"))
+        return parse_qdimacs(Path(path).read_bytes())
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -287,7 +317,7 @@ def cmd_verify(args) -> int:
     if spec is None:
         return EXIT_USAGE
     try:
-        docs = _dlist.parse_many(Path(args.dl).read_text(encoding="utf-8"))
+        docs = _dlist.parse_many(decode_text(Path(args.dl).read_bytes()))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -398,13 +428,11 @@ def _bench_one(path_str: str, cfg: RunConfig) -> dict:
     }
     t0 = time.perf_counter()
     try:
-        text = Path(path_str).read_text(encoding="utf-8")
+        spec = parse_qdimacs(Path(path_str).read_bytes())
     except OSError as exc:
         record["status"] = "unreadable"
         record["warning"] = str(exc)
         return record
-    try:
-        spec = parse_qdimacs(text)
     except ParseError as exc:
         record["status"] = "parse-error"
         record["warning"] = str(exc)
@@ -476,14 +504,6 @@ def cmd_bench(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    families = {}
-    for item in getattr(args, "family", None) or []:
-        name, _, prefix = item.partition("=")
-        if not name or not prefix:
-            raise SystemExit(f"error: bad --family {item!r}, expected NAME=PREFIX")
-        families[name] = prefix
-    if args.timeout <= 0:
-        raise SystemExit("error: --timeout must be positive")
     return RunConfig(
         mode=args.mode,
         partition=not args.no_partition,
@@ -494,13 +514,14 @@ def _config_from_args(args) -> RunConfig:
         jobs=getattr(args, "jobs", 1),
         json_path=args.json,
         dl_path=getattr(args, "dl", None),
-        families=families,
+        families=dict(getattr(args, "family", None) or []),
     )
 
 
 def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--mode",
+        type=_mode,
         choices=MODES,
         default=_env("MODE", "back-and-forth"),
         help="synthesis procedure (env BAFSYNTH_MODE)",
@@ -508,39 +529,44 @@ def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--no-partition",
         action="store_true",
-        default=_env("NO_PARTITION", False, bool),
+        default=_env_flag("NO_PARTITION"),
         help="skip output-disjoint partitioning (env BAFSYNTH_NO_PARTITION)",
     )
     p.add_argument(
         "--no-verify",
         action="store_true",
-        default=_env("NO_VERIFY", False, bool),
+        default=_env_flag("NO_VERIFY"),
         help="skip post-synthesis verification (env BAFSYNTH_NO_VERIFY)",
     )
     p.add_argument(
         "--timeout",
-        type=float,
-        default=_env("TIMEOUT", 3600.0, float),
+        type=_positive(float),
+        default=_env("TIMEOUT", 3600.0),
         metavar="S",
         help="per-instance wall-time limit in seconds (env BAFSYNTH_TIMEOUT)",
     )
     p.add_argument(
         "--mis-limit",
-        type=int,
-        default=_env("MIS_LIMIT", 100000, int),
+        type=_positive(int),
+        default=_env("MIS_LIMIT", 100000),
         help=argparse.SUPPRESS,
     )
     p.add_argument(
         "--mss-limit",
-        type=int,
-        default=_env("MSS_LIMIT", 100000, int),
+        type=_positive(int),
+        default=_env("MSS_LIMIT", 100000),
         help=argparse.SUPPRESS,
     )
     p.add_argument("--json", metavar="PATH", default=None, help="also write the JSON report here")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other usage error
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bafsynth",
         description=(
             "Synthesize verified Skolem functions, represented as decision "
@@ -559,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--budget",
-        type=int,
-        default=_env("BUDGET", 10000, int),
+        type=_positive(int),
+        default=_env("BUDGET", 10000),
         help="maximal-clique counting budget (env BAFSYNTH_BUDGET)",
     )
     p.add_argument("--json", metavar="PATH", default=None)
@@ -578,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=_env("BF_LIMIT", 16, int),
+        default=_env("BF_LIMIT", 16),
         help="brute-force variable budget for the property checks",
     )
     p.add_argument("--no-check", action="store_true", help="skip the brute-force checks")
@@ -590,13 +616,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_flags(p)
     p.add_argument(
         "--jobs",
-        type=int,
-        default=_env("JOBS", 1, int),
+        type=_positive(int),
+        default=_env("JOBS", 1),
         help="concurrent worker processes (env BAFSYNTH_JOBS)",
     )
     p.add_argument(
         "--family",
         action="append",
+        type=_family,
         metavar="NAME=PREFIX",
         help="classify instances whose filename starts with PREFIX (repeatable)",
     )

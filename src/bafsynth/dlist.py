@@ -159,9 +159,10 @@ def parse(text: str, spec: Specification | None = None) -> DecisionList:
         output: dict[int, bool] = {}
         for tok in right.split():
             var, _, bit = tok.partition("=")
-            if bit not in ("0", "1"):
-                raise ParseError(f"bad output token {tok!r}")
-            output[int(var)] = bit == "1"
+            try:
+                output[int(var)] = {"0": False, "1": True}[bit]
+            except (KeyError, ValueError):
+                raise ParseError(f"bad output token {tok!r}") from None
         if any(i < 1 for i in guard):
             raise ParseError("guard indices must be positive")
         if set(output) != set(outputs):

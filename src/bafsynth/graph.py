@@ -5,7 +5,7 @@ x-parts contain a complementary literal pair, so a set of clauses is
 jointly falsifiable exactly when it is independent in the conflict graph.
 Maximal independent sets of the conflict graph are therefore the maximal
 falsifiable subsets (MFS), and equal the maximal cliques of the complement
-(the consensus graph).
+(the consensus graph); only `analyze` and MFS enumeration build the graphs.
 """
 
 from __future__ import annotations
@@ -58,16 +58,17 @@ def build_conflict_graph(spec: Specification) -> ConflictGraph:
     return ConflictGraph(n, tuple(frozenset(s) for s in adj))
 
 
-def extend_to_mis(g: ConflictGraph, seed: Iterable[int]) -> frozenset[int]:
-    """Grow a seed to a maximal independent set, adding vertices in
-    ascending index order (the fixed tie-break rule)."""
+def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
+    """Grow a jointly falsifiable seed to an MFS in ascending index order: a
+    clause joins when no literal of its x-part is made true by the chosen ones."""
     chosen = set(seed)
-    for v in chosen:
-        if g.adj[v] & chosen:
-            raise ValueError("seed is not independent in the conflict graph")
-    for v in range(1, g.n + 1):
-        if v not in chosen and not (g.adj[v] & chosen):
-            chosen.add(v)
+    true = {-l for i in chosen for l in spec.x_part(i).lits}
+    if any(-l in true for l in true):
+        raise ValueError("seed is not independent in the conflict graph")
+    for i, clause in enumerate(spec.clauses, 1):
+        if i not in chosen and true.isdisjoint(clause.x_part.lits):
+            chosen.add(i)
+            true.update(-l for l in clause.x_part.lits)
     return frozenset(chosen)
 
 

@@ -152,6 +152,15 @@ def _require_total(assignment: Mapping[int, bool], variables: tuple[int, ...], k
         raise ValueError(f"assignment is not total over the {kind} variables")
 
 
+def decode_text(data: bytes) -> str:
+    """The UTF-8 text of a document; bytes that are not UTF-8 are a
+    ParseError, like any other malformed document."""
+    try:
+        return bytes(data).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 _HEADER_RE = re.compile(r"p\s+cnf\s+(\d+)\s+(\d+)\s*$")
 
 
@@ -165,7 +174,7 @@ def parse_qdimacs(text: str | bytes) -> Specification:
     every variable used in a clause must be declared in a quantifier line.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("utf-8")
+        text = decode_text(text)
     header = None
     a_vars: list[int] | None = None
     e_vars: list[int] | None = None
@@ -179,9 +188,10 @@ def parse_qdimacs(text: str | bytes) -> Specification:
             if header is not None:
                 raise ParseError(f"line {lineno}: duplicate header")
             m = _HEADER_RE.match(line)
-            if m is None:
-                raise ParseError(f"line {lineno}: malformed header: {line!r}")
-            header = (int(m.group(1)), int(m.group(2)))
+            try:
+                header = (int(m.group(1)), int(m.group(2)))
+            except (AttributeError, ValueError):  # no match, or too many digits for int
+                raise ParseError(f"line {lineno}: malformed header: {line!r}") from None
             continue
         if header is None:
             raise ParseError(f"line {lineno}: expected `p cnf` header before {line!r}")

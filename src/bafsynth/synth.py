@@ -2,12 +2,12 @@
 
 Three ways to produce a decision list from a split specification:
 
-  - back_and_forth: alternate a SAT query that yields a maximal falsifiable
-    subset (MFS) of the input clauses not yet covered by any recorded
-    maximal satisfiable subset (MSS) of the output clauses, with a MaxSAT
-    query that grows that MFS's output clauses into a covering MSS.  Stops
-    when every MFS is covered, or reports unrealizability when some MFS's
-    output clauses cannot all be satisfied.
+  - back_and_forth: alternate a SAT query over the input variables that
+    yields a maximal falsifiable subset (MFS) of the input clauses not yet
+    covered by any recorded maximal satisfiable subset (MSS) of the output
+    clauses, with a MaxSAT query that grows that MFS's output clauses into
+    a covering MSS.  Stops when every MFS is covered, or reports
+    unrealizability when some MFS's output clauses cannot all be satisfied.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated blocking
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
-from .graph import ConflictGraph, build_conflict_graph, enumerate_mis, extend_to_mis
+from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatInstance, solve_partial_maxsat
 from .model import Assignment, Specification
 from .sat import Solver
@@ -58,20 +58,23 @@ class SynthesisOutcome:
 
 
 class CoverageQueryState:
-    """Incremental SAT query over selector variables z_1..z_k (one per
-    clause): a model selects an all-falsifiable subset of the input clauses
-    not covered by any recorded MSS.  Conflict constraints are installed
-    once; each recorded MSS adds a single clause and nothing is rebuilt."""
+    """Incremental SAT query for input clauses that one input falsifies
+    together and no recorded MSS covers: selector z_i (variable i) forces
+    every literal of x-part i false, so conflicts follow from the inputs
+    (variables k+1.. in ascending id order).  An MSS adds one clause."""
 
-    def __init__(self, graph: ConflictGraph):
-        self.k = graph.n
+    def __init__(self, spec: Specification):
+        self.spec, k = spec, spec.num_clauses
+        xs = sorted({abs(l) for i in spec.indices for l in spec.x_part(i).lits})
+        var = {v: k + n for n, v in enumerate(xs, 1)}
         self.solver = Solver()
-        self.solver.ensure_var(self.k)
-        for i, j in graph.edges():
-            self.solver.add_clause((-i, -j))
+        self.solver.ensure_var(k)
+        for i in spec.indices:
+            for lit in spec.x_part(i).lits:
+                self.solver.add_clause((-i, -var[lit] if lit > 0 else var[-lit]))
 
 
-def next_uncovered_mfs(state: CoverageQueryState, g: ConflictGraph):
+def next_uncovered_mfs(state: CoverageQueryState):
     """An MFS not covered by any recorded MSS, or None when all are covered.
 
     The selected subset from the model may be non-maximal; it is extended
@@ -80,13 +83,13 @@ def next_uncovered_mfs(state: CoverageQueryState, g: ConflictGraph):
     res = state.solver.solve()
     if not res.satisfiable:
         return None
-    seed = frozenset(i for i in range(1, state.k + 1) if res.model[i])
-    return extend_to_mis(g, seed)
+    seed = frozenset(i for i in state.spec.indices if res.model[i])
+    return extend_to_mis(state.spec, seed)
 
 
 def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
     """Block every subset of `mss` from future models via one clause."""
-    complement = sorted(set(range(1, state.k + 1)) - mss)
+    complement = sorted(set(state.spec.indices) - mss)
     if not complement:
         raise ValueError("MSS covers every clause; synthesis is already complete")
     state.solver.add_clause(complement)
@@ -124,12 +127,10 @@ def _empty_ypart_failure(spec: Specification):
 
     Such a clause can always be falsified on the input side (tautological
     clauses are removed at parse time), and its empty y-part can never be
-    satisfied, so no output works for the falsifying input.  The conflict
-    graph is built only when there is such a clause."""
+    satisfied, so no output works for the falsifying input."""
     if not spec.empty_ypart_indices:
         return None
-    i = spec.empty_ypart_indices[0]
-    witness = extend_to_mis(build_conflict_graph(spec), frozenset((i,)))
+    witness = extend_to_mis(spec, spec.empty_ypart_indices[:1])
     return witness, falsifying_input(spec, witness)
 
 
@@ -145,12 +146,11 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         return SynthesisOutcome(
             UNREALIZABLE, witness_mfs=bad[0], witness_input=bad[1], stats=stats
         )
-    g = build_conflict_graph(spec)
-    state = CoverageQueryState(g)
+    state = CoverageQueryState(spec)
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
     while True:
-        mfs = next_uncovered_mfs(state, g)
+        mfs = next_uncovered_mfs(state)
         stats.sat_calls += 1
         if mfs is None:
             break
@@ -248,11 +248,10 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
             break  # single full MSS; nothing else can be maximal
     stats.iterations = stats.mss_recorded = len(found)
     if len(found[0]) < k:  # else the single full MSS covers every MFS
-        g = build_conflict_graph(spec)
-        state = CoverageQueryState(g)
+        state = CoverageQueryState(spec)
         for mss in found:
             record_mss(state, mss)
-        mfs = next_uncovered_mfs(state, g)
+        mfs = next_uncovered_mfs(state)
         stats.sat_calls += 1
         if mfs is not None:
             stats.wall_time = time.perf_counter() - t0

@@ -170,18 +170,19 @@ def _count_graph_builds(monkeypatch) -> list:
     return built
 
 
-def test_pipeline_builds_one_conflict_graph_per_component(monkeypatch):
+def test_pipeline_builds_no_conflict_graph_outside_mfs_enum(monkeypatch):
     built = _count_graph_builds(monkeypatch)
-    result = cli.run_pipeline(parse_qdimacs(identity_qdimacs(16)), cli.RunConfig())
-    assert result["status"] == "realizable" and result["partitions"] == 16
-    assert built == [2] * 16
+    for mode in ("back-and-forth", "mss-enum"):
+        result = cli.run_pipeline(parse_qdimacs(identity_qdimacs(16)), cli.RunConfig(mode=mode))
+        assert result["status"] == "realizable" and result["partitions"] == 16
+    assert built == []
 
 
-def test_pipeline_builds_whole_spec_graph_only_for_empty_ypart(monkeypatch):
+def test_empty_ypart_witness_builds_no_conflict_graph(monkeypatch):
     built = _count_graph_builds(monkeypatch)
     result = cli.run_pipeline(parse_qdimacs(EMPTY_YPART_TEXT), cli.RunConfig())
     assert result["witness"]["component"] == 0
-    assert built == [3]
+    assert built == []
 
 
 def test_pipeline_rejects_unknown_mode_before_any_work(monkeypatch):
@@ -404,3 +405,84 @@ def test_determinism_of_artifacts(tmp_path, capsys):
 
     assert outs[0][0] == outs[1][0]
     assert strip_times(outs[0][1]) == strip_times(outs[1][1])
+
+
+# {spec}: example1, {dl}: its synthesized list, {dir}: a directory holding
+# the spec, {latin1}/{latin1_dl}: a spec and a list that are not UTF-8
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        ("synth {spec} --timeout 0", {}),
+        ("synth {spec} --timeout nan", {}),
+        ("synth {spec} --mode mfs-enum --mis-limit 0", {}),
+        ("synth {spec} --mode mss-enum --mss-limit -1", {}),
+        ("analyze {spec} --budget 0", {}),
+        ("bench {dir} --family bad", {}),
+        ("bench {dir} --jobs 0", {}),
+        ("synth {spec}", {"BAFSYNTH_TIMEOUT": "abc"}),
+        ("synth {spec}", {"BAFSYNTH_MODE": "bogus"}),
+        ("analyze {spec}", {"BAFSYNTH_BUDGET": "-3"}),
+        ("bench {dir}", {"BAFSYNTH_JOBS": "x"}),
+        ("synth {latin1}", {}),
+        ("analyze {latin1}", {}),
+        ("decompose {latin1} --out-dir {dir}", {}),
+        ("verify {latin1} {dl}", {}),
+        ("verify {spec} {latin1_dl}", {}),
+    ],
+)
+def test_bad_arguments_and_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, env):
+    paths = {
+        "spec": _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT),
+        "dl": str(tmp_path / "ex1.dl"),
+        "dir": str(tmp_path / "dir"),
+        "latin1": str(tmp_path / "latin1.qdimacs"),
+        "latin1_dl": str(tmp_path / "latin1.dl"),
+    }
+    assert main(["synth", paths["spec"], "--dl", paths["dl"]]) == 0
+    (tmp_path / "dir").mkdir()
+    _write(tmp_path / "dir", "ex1.qdimacs", EXAMPLE1_TEXT)
+    latin1 = EXAMPLE1_TEXT.replace("example", "exemple \xe9").encode("latin-1")
+    (tmp_path / "latin1.qdimacs").write_bytes(latin1)
+    (tmp_path / "latin1.dl").write_bytes((tmp_path / "ex1.dl").read_bytes() + b"\xff\n")
+    capsys.readouterr()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    try:
+        code = main(argv.format(**paths).split())
+    except SystemExit as exc:  # argparse rejects the argument
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_timeout_past_the_timer_range_means_no_limit(tmp_path, capsys):
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    code, doc = _run(capsys, ["synth", f, "--timeout", "1e12"])
+    assert code == 0 and doc["verified"] is True
+
+
+def test_verify_reads_no_bench_only_environment(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    dl = str(tmp_path / "ex1.dl")
+    assert main(["synth", f, "--dl", dl]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("BAFSYNTH_JOBS", "x")
+    code, doc = _run(capsys, ["verify", f, dl])
+    assert code == 0 and doc["verified"] is True
+
+
+def test_bench_records_a_non_utf8_file_as_parse_error(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    _write(d, "a_ok.qdimacs", EXAMPLE1_TEXT)
+    (d / "b_latin1.qdimacs").write_bytes(b"c caf\xe9\n" + EXAMPLE1_TEXT.encode())
+    out = tmp_path / "records.jsonl"
+    assert main(["bench", str(d), "--json", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["instance"], r["status"]) for r in records] == [
+        ("a_ok.qdimacs", "realizable"),
+        ("b_latin1.qdimacs", "parse-error"),
+    ]
+    assert "not UTF-8" in records[1]["warning"]

@@ -40,20 +40,48 @@ def test_opposite_unit_xparts_single_edge():
 
 
 def test_extend_to_mis_example1(example1):
-    g = build_conflict_graph(example1)
-    assert extend_to_mis(g, frozenset()) == frozenset({1})
-    assert extend_to_mis(g, frozenset({2})) == frozenset({2, 3})
+    assert extend_to_mis(example1, frozenset()) == frozenset({1})
+    assert extend_to_mis(example1, frozenset({2})) == frozenset({2, 3})
 
 
 def test_extend_to_mis_edgeless():
-    g = _graph(3, [])
-    assert extend_to_mis(g, frozenset({2})) == frozenset({1, 2, 3})
+    spec = parse_qdimacs("p cnf 6 3\na 1 2 3 0\ne 4 5 6 0\n1 4 0\n2 5 0\n-3 6 0\n")
+    assert extend_to_mis(spec, frozenset({2})) == frozenset({1, 2, 3})
 
 
 def test_extend_to_mis_rejects_dependent_seed():
-    g = _graph(2, [(1, 2)])
+    spec = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 2 0\n")
     with pytest.raises(ValueError, match="independent"):
-        extend_to_mis(g, frozenset({1, 2}))
+        extend_to_mis(spec, frozenset({1, 2}))
+
+
+def _greedy_over_graph(g, seed):
+    """Reference: ascending greedy growth over the conflict graph."""
+    chosen = set(seed)
+    for v in range(1, g.n + 1):
+        if v not in chosen and not (g.adj[v] & chosen):
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+def test_extension_equals_greedy_growth_over_the_conflict_graph():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(300):
+        spec = parse_qdimacs(random_spec_text(rng, max_clauses=14))
+        g = build_conflict_graph(spec)
+        seed = set()
+        for v in rng.sample(list(spec.indices), rng.randint(0, spec.num_clauses)):
+            if not (g.adj[v] & seed):
+                seed.add(v)
+        seed = frozenset(seed)
+        assert extend_to_mis(spec, seed) == _greedy_over_graph(g, seed)
+        checked += bool(seed)
+        edges = g.edges()
+        if edges:  # both ends of an edge: a dependent seed
+            with pytest.raises(ValueError):
+                extend_to_mis(spec, frozenset(rng.choice(edges)))
+    assert checked > 200
 
 
 def test_enumerate_mis_example1(example1):
@@ -105,7 +133,7 @@ def test_extension_is_maximal_and_independent():
     for _ in range(60):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=12))
         g = build_conflict_graph(spec)
-        mis = extend_to_mis(g, frozenset())
+        mis = extend_to_mis(spec, frozenset())
         for v in mis:
             assert not (g.adj[v] & mis)
         for v in range(1, g.n + 1):

@@ -41,38 +41,51 @@ def _phi_models_bruteforce(k, edges, coverage_clauses):
 
 def test_first_uncovered_mfs_example1(example1):
     g = build_conflict_graph(example1)
-    state = CoverageQueryState(g)
+    state = CoverageQueryState(example1)
     # brute force: with no coverage clauses the all-false model is allowed
     assert frozenset() in _phi_models_bruteforce(4, g.edges(), [])
-    assert next_uncovered_mfs(state, g) == frozenset({1})
+    assert next_uncovered_mfs(state) == frozenset({1})
 
 
 def test_uncovered_mfs_after_recording(example1):
     g = build_conflict_graph(example1)
-    state = CoverageQueryState(g)
+    state = CoverageQueryState(example1)
     record_mss(state, frozenset({1, 3, 4}))  # adds the clause (z2)
     # brute force over the 2^4 selector assignments: every model selects 2
     models = _phi_models_bruteforce(4, g.edges(), [[2]])
     assert models and all(2 in m for m in models)
-    got = next_uncovered_mfs(state, g)
+    got = next_uncovered_mfs(state)
     assert 2 in got
     assert got == frozenset({2, 3})
 
 
 def test_all_covered_terminates(example1):
     g = build_conflict_graph(example1)
-    state = CoverageQueryState(g)
+    state = CoverageQueryState(example1)
     record_mss(state, frozenset({1, 3, 4}))
     record_mss(state, frozenset({2, 3}))  # adds (z1 or z4)
     assert _phi_models_bruteforce(4, g.edges(), [[2], [1, 4]]) == []
-    assert next_uncovered_mfs(state, g) is None
+    assert next_uncovered_mfs(state) is None
 
 
 def test_record_full_set_rejected(example1):
-    g = build_conflict_graph(example1)
-    state = CoverageQueryState(g)
+    state = CoverageQueryState(example1)
     with pytest.raises(ValueError):
         record_mss(state, frozenset({1, 2, 3, 4}))
+
+
+def test_coverage_query_numbers_inputs_after_the_selectors():
+    # width-3 equivalence chain with high variable ids, as a partitioned
+    # component of a large spec has: 6 clauses over inputs 101..103
+    k = 3
+    text = (
+        f"p cnf 203 {2 * k}\na 101 102 103 0\ne 201 202 203 0\n"
+        + "".join(f"-{100 + i} {200 + i} 0\n{100 + i} -{200 + i} 0\n" for i in range(1, k + 1))
+    )
+    spec = parse_qdimacs(text)
+    state = CoverageQueryState(spec)
+    assert state.solver.nvars == spec.num_clauses + 3
+    assert next_uncovered_mfs(state) == frozenset({1, 3, 5})
 
 
 # ----------------------------------------------------------------------
