@@ -36,7 +36,7 @@ from .graph import (
     enumerate_mis,
     extend_to_mis,
 )
-from .maxsat import MaxSatInstance, MaxSatResult, solve_partial_maxsat
+from .maxsat import MaxSatInstance, MaxSatResult, MaxSatSession, solve_partial_maxsat
 from .model import (
     Assignment,
     Clause,
@@ -53,6 +53,7 @@ from .synth import (
     back_and_forth,
     covering_mss,
     next_uncovered_mfs,
+    output_session,
     partition_by_output_variables,
     record_mss,
     synth_by_mfs_enumeration,

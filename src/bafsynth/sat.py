@@ -4,7 +4,12 @@ Watched-literal propagation, first-UIP clause learning, activity-based
 branching and Luby restarts.  The clause database only grows; there is no
 clause deletion.  Solving under assumptions is supported by deciding the
 assumption literals first, so the learned clauses are always consequences
-of the database alone and stay valid across calls.
+of the database alone and stay valid across calls.  As in MiniSat, each
+assumption has its own decision level: level i+1 belongs to assumption i,
+so the next one to decide is assumptions[len(trail_lim)], and an
+assumption that is already true opens an empty level.  A false one ends
+the call as unsatisfiable under the assumptions.  Every model is checked
+against every clause added and every assumption before it is returned.
 
 All heuristic constants are fixed for reproducibility:
   - branching decides the unassigned variable with the highest activity,
@@ -331,29 +336,31 @@ class Solver:
                 threshold = _RESTART_BASE * _luby(restart_idx)
                 self._cancel_until(0)
                 continue
-            progressed = False
-            for a in assumptions:
+            trail_lim = self.trail_lim
+            while len(trail_lim) < len(assumptions):
+                a = assumptions[len(trail_lim)]
                 val = self._value(a)
                 if val is False:
                     return SatResult(False)
+                trail_lim.append(len(self.trail))  # empty level if already true
                 if val is None:
-                    self.trail_lim.append(len(self.trail))
                     self._enqueue(a, None)
-                    progressed = True
                     break
-            if progressed:
-                continue
-            v = self._pick_branch_var()
-            if v is None:
-                model = {u: self.assign[u] > 0 for u in range(1, self.nvars + 1)}
-                assert self._model_ok(model, assumptions)
-                return SatResult(True, model)
-            self.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(-v, None)  # default-false polarity
+            else:
+                v = self._pick_branch_var()
+                if v is None:
+                    model = {u: self.assign[u] > 0 for u in range(1, self.nvars + 1)}
+                    assert self._model_ok(model, assumptions)
+                    return SatResult(True, model)
+                self.decisions += 1
+                trail_lim.append(len(self.trail))
+                self._enqueue(-v, None)  # default-false polarity
 
     def _model_ok(self, model, assumptions) -> bool:
         for c in self.problem_lits:
-            if not any(model[abs(l)] == (l > 0) for l in c):
+            for l in c:
+                if model[l if l > 0 else -l] == (l > 0):
+                    break
+            else:
                 return False
         return all(model[abs(a)] == (a > 0) for a in assumptions)

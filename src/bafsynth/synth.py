@@ -8,11 +8,14 @@ Three ways to produce a decision list from a split specification:
     clauses, with a MaxSAT query that grows that MFS's output clauses into
     a covering MSS.  Stops when every MFS is covered, or reports
     unrealizability when some MFS's output clauses cannot all be satisfied.
+    Both queries are incremental: one coverage solver and one MaxSAT
+    session (`output_session`) per component.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
-  - synth_by_mss_enumeration: enumerate every MSS by repeated blocking
-    MaxSAT calls, then ask the coverage query once whether some MFS is
-    left uncovered, which makes the specification unrealizable.
+  - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
+    queries on one session that blocks each MSS found, then ask the
+    coverage query once whether some MFS is left uncovered, which makes
+    the specification unrealizable.
 
 All three return a SynthesisOutcome (status, decision list or witness, and
 Stats).  The module also holds the output-disjoint partitioner that splits
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
-from .maxsat import MaxSatInstance, solve_partial_maxsat
+from .maxsat import MaxSatSession, solve_partial_maxsat
 from .model import Assignment, Specification
 from .sat import Solver
 
@@ -95,21 +98,25 @@ def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
     state.solver.add_clause(complement)
 
 
-def covering_mss(spec: Specification, mfs: frozenset[int]):
+def output_session(spec: Specification) -> MaxSatSession:
+    """The component's MaxSAT session: y-part i is soft clause i-1, over
+    the component's output variables, shared by all its MaxSAT queries."""
+    return MaxSatSession(spec.outputs, [spec.y_part(i).lits for i in spec.indices])
+
+
+def covering_mss(spec: Specification, mfs: frozenset[int], session: MaxSatSession | None = None):
     """Grow the output clauses of `mfs` into a covering MSS.
 
     Returns (mss index set, output witness) or None when the output clauses
     of `mfs` are jointly unsatisfiable (the unrealizability witness is the
-    given MFS itself)."""
-    hard = [spec.y_part(i).lits for i in sorted(mfs)]
-    soft = [spec.y_part(j).lits for j in spec.indices if j not in mfs]
-    res = solve_partial_maxsat(MaxSatInstance.of(hard, soft))
+    given MFS itself).  `session` is `output_session(spec)`, made here when
+    not given."""
+    res = solve_partial_maxsat(session or output_session(spec), [i - 1 for i in mfs])
     if not res.optimal:
         return None
-    witness = {v: res.model.get(v, False) for v in spec.outputs}
-    mss = frozenset(i for i in spec.indices if spec.y_part(i).evaluate(witness))
+    mss = frozenset(j + 1 for j in res.satisfied_soft)
     assert mfs <= mss
-    return mss, witness
+    return mss, res.model
 
 
 def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment:
@@ -147,6 +154,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
             UNREALIZABLE, witness_mfs=bad[0], witness_input=bad[1], stats=stats
         )
     state = CoverageQueryState(spec)
+    session = output_session(spec)
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
     while True:
@@ -154,7 +162,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.sat_calls += 1
         if mfs is None:
             break
-        got = covering_mss(spec, mfs)
+        got = covering_mss(spec, mfs, session)
         stats.maxsat_calls += 1
         if got is None:
             stats.iterations += 1
@@ -212,7 +220,7 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
 
 def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> SynthesisOutcome:
     """One decision per MSS of the output clauses, found by repeated MaxSAT
-    with a blocking clause per discovered MSS over selector variables.
+    on one session that gains a blocking clause per discovered MSS.
 
     An MFS contained in no MSS has jointly unsatisfiable output clauses, so
     once every MSS is found, one coverage query over all of them either
@@ -221,31 +229,23 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
     t0 = time.perf_counter()
     stats = Stats()
     k = spec.num_clauses
-    base = max((*spec.inputs, *spec.outputs), default=0)
-    selectors = [base + j for j in range(1, k + 1)]
-    expansion = []
-    for j in spec.indices:
-        expansion.append((-selectors[j - 1], *spec.y_part(j).lits))
-    soft = [(sel,) for sel in selectors]
-    blocking: list[tuple[int, ...]] = []
+    session = output_session(spec)
     found: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
     while True:
-        inst = MaxSatInstance.of(expansion + blocking, soft)
-        res = solve_partial_maxsat(inst)
+        res = solve_partial_maxsat(session)
         stats.maxsat_calls += 1
         if not res.optimal:
             break  # every MSS found
-        witness = {v: res.model.get(v, False) for v in spec.outputs}
-        mss = frozenset(j for j in spec.indices if spec.y_part(j).evaluate(witness))
+        mss = frozenset(j + 1 for j in res.satisfied_soft)
         assert mss not in found
         found.append(mss)
-        witnesses.append(witness)
+        witnesses.append(res.model)
         if len(found) > mss_limit:
             raise LimitError(f"more than {mss_limit} maximal satisfiable subsets")
-        blocking.append(tuple(selectors[j - 1] for j in spec.indices if j not in mss))
-        if not blocking[-1]:
+        if len(mss) == k:
             break  # single full MSS; nothing else can be maximal
+        session.require_any(j - 1 for j in spec.indices if j not in mss)
     stats.iterations = stats.mss_recorded = len(found)
     if len(found[0]) < k:  # else the single full MSS covers every MFS
         state = CoverageQueryState(spec)

@@ -4,6 +4,7 @@ from bafsynth.maxsat import (
     HARD_UNSAT,
     OPTIMAL,
     MaxSatInstance,
+    MaxSatSession,
     solve_partial_maxsat,
 )
 
@@ -97,3 +98,37 @@ def test_determinism():
         a = solve_partial_maxsat(inst)
         b = solve_partial_maxsat(inst)
         assert a.model == b.model and a.satisfied_soft == b.satisfied_soft
+
+
+def test_one_session_answers_like_fresh_solves():
+    # many queries on one session, in random order with repeats, some of
+    # them with an unsatisfiable hard part; each must match a fresh solve
+    # of the same instance and brute force
+    rng = random.Random(89)
+    unsat = bounded = 0
+    for _ in range(80):
+        n, inst = _random_instance(rng, max_soft=8)
+        session = MaxSatSession(range(1, n + 1), inst.soft, inst.hard)
+        k = len(inst.soft)
+        queries = [frozenset(rng.sample(range(k), rng.randint(0, k))) for _ in range(6)]
+        queries += rng.choices(queries, k=3)
+        rng.shuffle(queries)
+        for q in queries:
+            hard = [*inst.hard, *(inst.soft[j] for j in sorted(q))]
+            soft = [c for j, c in enumerate(inst.soft) if j not in q]
+            feasible, best = oracles.maxsat_optimum(hard, soft, range(1, n + 1))
+            got = solve_partial_maxsat(session, q)
+            fresh = solve_partial_maxsat(MaxSatInstance.of(hard, soft))
+            assert got.status == fresh.status == (OPTIMAL if feasible else HARD_UNSAT)
+            if not feasible:
+                unsat += 1
+                continue
+            assert q <= got.satisfied_soft
+            assert got.num_satisfied == fresh.num_satisfied + len(q) == best + len(q)
+            assert set(got.model) == set(range(1, n + 1))
+            assert all(oracles.clause_sat(c, got.model) for c in inst.hard)
+            assert got.satisfied_soft == frozenset(
+                i for i, c in enumerate(inst.soft) if oracles.clause_sat(c, got.model)
+            )
+            bounded += got.num_satisfied < k  # the descent asked for a bound
+    assert unsat > 50 and bounded > 100

@@ -1,6 +1,6 @@
 import random
 
-from bafsynth.sat import Solver, _luby
+from bafsynth.sat import _RESTART_BASE, _VAR_DECAY, SatResult, Solver, _luby
 
 from . import oracles
 
@@ -338,3 +338,109 @@ def test_heap_stays_compact_over_assumption_solves():
             ]
             s.solve(assumed)
             assert len(s.heap) <= 3 * s.nvars
+
+
+class _RescanSolver(Solver):
+    """The assumption loop as it was before one pseudo-level per assumption:
+    before every decision, rescan the assumptions for the first one not yet
+    true and decide it; assumptions already true get no level."""
+
+    def solve(self, assumptions=()):
+        if self.unsat_at_root:
+            return SatResult(False)
+        self._cancel_until(0)
+        for a in assumptions:
+            self.ensure_var(abs(a))
+        for u in self.root_units:
+            val = self._value(u)
+            if val is False:
+                self.unsat_at_root = True
+                return SatResult(False)
+            if val is None:
+                self._enqueue(u, None)
+        if self._propagate() is not None:
+            self.unsat_at_root = True
+            return SatResult(False)
+        conflicts = 0
+        restart_idx = 1
+        threshold = _RESTART_BASE * _luby(restart_idx)
+        while True:
+            confl = self._propagate()
+            if confl is not None:
+                if not self.trail_lim:
+                    self.unsat_at_root = True
+                    return SatResult(False)
+                conflicts += 1
+                self.conflicts += 1
+                learned, bt = self._analyze(confl)
+                self._cancel_until(bt)
+                if len(learned) == 1:
+                    self.root_units.append(learned[0])
+                    self._enqueue(learned[0], None)
+                else:
+                    self._watch(learned)
+                    self._enqueue(learned[0], learned)
+                self.var_inc /= _VAR_DECAY
+                continue
+            if conflicts >= threshold:
+                conflicts = 0
+                restart_idx += 1
+                threshold = _RESTART_BASE * _luby(restart_idx)
+                self._cancel_until(0)
+                continue
+            progressed = False
+            for a in assumptions:
+                val = self._value(a)
+                if val is False:
+                    return SatResult(False)
+                if val is None:
+                    self.trail_lim.append(len(self.trail))
+                    self._enqueue(a, None)
+                    progressed = True
+                    break
+            if progressed:
+                continue
+            v = self._pick_branch_var()
+            if v is None:
+                model = {u: self.assign[u] > 0 for u in range(1, self.nvars + 1)}
+                assert self._model_ok(model, assumptions)
+                return SatResult(True, model)
+            self.decisions += 1
+            self.trail_lim.append(len(self.trail))
+            self._enqueue(-v, None)
+
+
+def test_assumption_levels_decide_what_the_rescan_decides():
+    rng = random.Random(2014)
+    sat = unsat = conflicts = 0
+    for _ in range(60):
+        n = rng.randint(20, 50)
+        clauses = _random_3cnf(rng, n)[: rng.randint(3 * n, 4 * n)]
+        fixed = rng.randint(1, n)  # a root unit, so some assumptions are fixed
+        solvers = (Solver(), _RescanSolver())
+        for s in solvers:
+            s.ensure_var(n)
+            s.add_clause((fixed,))
+            for c in clauses:
+                s.add_clause(c)
+        for _ in range(12):
+            assumed = [
+                v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, n + 1), rng.randint(1, 5))
+            ]
+            assumed += rng.choices(assumed, k=rng.randint(0, 2))  # duplicates
+            if rng.random() < 0.2:
+                assumed.append(-rng.choice(assumed))  # a contradictory pair
+            if rng.random() < 0.3:
+                assumed.insert(rng.randint(0, len(assumed)), rng.choice((fixed, -fixed)))
+            rng.shuffle(assumed)
+            got = [
+                (r.satisfiable, r.model, s.decisions, s.conflicts)
+                for s in solvers
+                for r in (s.solve(assumed),)
+            ]
+            assert got[0] == got[1]
+            sat += got[0][0]
+            unsat += not got[0][0]
+        conflicts += solvers[0].conflicts
+    assert sat > 100 and unsat > 100 and conflicts > 1000

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from bafsynth import dlist
+from bafsynth import dlist, sat, synth
 from bafsynth.graph import build_conflict_graph
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import (
@@ -11,6 +11,7 @@ from bafsynth.synth import (
     back_and_forth,
     covering_mss,
     next_uncovered_mfs,
+    output_session,
     partition_by_output_variables,
     record_mss,
     synth_by_mfs_enumeration,
@@ -18,7 +19,7 @@ from bafsynth.synth import (
 )
 from bafsynth.verify import verify_decision_list
 
-from .conftest import identity_qdimacs, random_spec_text
+from .conftest import identity_qdimacs, random_spec_text, random_synth_spec_text
 from . import oracles
 from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
@@ -114,6 +115,68 @@ def test_covering_mss_in_brute_force_list(example1):
         got = covering_mss(example1, mfs)
         assert got is not None
         assert got[0] in mss_all
+
+
+def test_one_session_grows_every_mfs_like_a_fresh_one():
+    # every MFS, in random order with repeats, through one session per
+    # spec: the MSS is an optimum that holds the MFS, as a fresh session's
+    rng = random.Random(307)
+    unsat = 0
+    for spec in _corpus(307, 60, max_in=4, max_out=4, max_clauses=9):
+        mfs_all, mss_all = brute_force_mfs_mss(spec)
+        queries = mfs_all + rng.choices(mfs_all, k=3)
+        rng.shuffle(queries)
+        session = output_session(spec)
+        for mfs in queries:
+            got = covering_mss(spec, mfs, session)
+            fresh = covering_mss(spec, mfs)
+            above = [m for m in mss_all if mfs <= m]
+            if not above:
+                assert got is None and fresh is None
+                unsat += 1
+                continue
+            assert got[0] in above and mfs <= got[0]
+            assert len(got[0]) == len(fresh[0]) == max(map(len, above))
+            assert frozenset(i for i in spec.indices if spec.y_part(i).evaluate(got[1])) == got[0]
+    assert unsat > 20
+
+
+def test_output_session_is_sized_by_the_component(monkeypatch):
+    sessions = []
+
+    def recorded(comp):
+        sessions.append(output_session(comp))
+        return sessions[-1]
+
+    monkeypatch.setattr(synth, "output_session", recorded)
+    for k in (400, 1):
+        last = partition_by_output_variables(parse_qdimacs(identity_qdimacs(k)))[-1]
+        assert last.outputs == (2 * k,)
+        assert back_and_forth(last).realizable
+    assert sessions[0].solver.nvars == sessions[1].solver.nvars <= 5
+
+
+def test_back_and_forth_builds_two_solvers_per_component(monkeypatch):
+    made = []
+    init = sat.Solver.__init__
+
+    def counted(self):
+        made.append(self)
+        init(self)
+
+    monkeypatch.setattr(sat.Solver, "__init__", counted)
+    rng = random.Random(311)
+    checked = 0
+    for _ in range(30):
+        spec = parse_qdimacs(random_synth_spec_text(rng, max_clauses=10))
+        if spec.empty_ypart_indices:
+            continue
+        for comp in partition_by_output_variables(spec):
+            made.clear()
+            back_and_forth(comp)
+            assert len(made) == 2  # the coverage query and the MaxSAT session
+            checked += 1
+    assert checked > 25
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +322,16 @@ def test_mss_enumeration_agrees_with_brute_force_on_realizability():
         else:
             x = out.witness_input
             assert table.entries[tuple(x[v] for v in table.inputs)] is None
+
+
+def test_mss_enumeration_finds_exactly_the_brute_force_mss():
+    for spec in _corpus(313, 60, max_in=4, max_out=4, max_clauses=9):
+        out = synth_by_mss_enumeration(spec)
+        mss_all = brute_force_mfs_mss(spec)[1]
+        assert out.stats.mss_recorded == len(mss_all)
+        if out.realizable:
+            found = {frozenset(spec.indices) - d.guard for d in out.decision_list.decisions}
+            assert found == set(mss_all)
 
 
 # ----------------------------------------------------------------------

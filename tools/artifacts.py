@@ -5,11 +5,10 @@
 Run from a source checkout: the program is imported from `src/`, and the
 instances come from perfbench's generators (`gen.WORKLOADS[name](seed)`,
 seeds 1 and 4242), which are only read.  For every instance, in modes
-back-and-forth and mfs-enum, and in mss-enum for instances of at most
-MSS_ENUM_MAX_CLAUSES clauses (it enumerates every MSS, which takes seconds
-per spec above that), one JSON line is printed: the `run_pipeline` report
-without its timing (`*_ms`) fields, with the decision-list text, and the
-`verify_decision_list` verdict of every document of that text.  All of
+back-and-forth, mfs-enum and mss-enum, one JSON line is printed: the
+`run_pipeline` report without its timing (`*_ms`) fields, with the
+decision-list text, and the `verify_decision_list` verdict of every
+document of that text.  All of
 it is deterministic, so diffing the output of two checkouts shows whether a
 change keeps behaviour byte for byte.  `--no-partition` is practical on
 planted-synth only: an unpartitioned equivalence chain of width w has 2^w MFS.
@@ -35,7 +34,6 @@ from tests.test_golden_pipeline import _strip_ms  # noqa: E402
 
 SEEDS = (1, 4242)
 MODES = ("back-and-forth", "mfs-enum", "mss-enum")
-MSS_ENUM_MAX_CLAUSES = 26  # the planted-synth specs of 20 to 26 clauses
 
 
 def verdicts(spec, dl_text: str | None) -> list[dict]:
@@ -60,8 +58,6 @@ def main(argv=None) -> int:
             for k, inst in enumerate(gen.WORKLOADS[workload](seed)):
                 spec = parse_qdimacs(inst.qdimacs())
                 for mode in MODES:
-                    if mode == "mss-enum" and spec.num_clauses > MSS_ENUM_MAX_CLAUSES:
-                        continue
                     cfg = cli.RunConfig(mode=mode, partition=args.partition)
                     report = _strip_ms(cli.run_pipeline(spec, cfg))
                     record = {
