@@ -6,12 +6,18 @@ jointly falsifiable exactly when it is independent in the conflict graph.
 Maximal independent sets of the conflict graph are therefore the maximal
 falsifiable subsets (MFS), and equal the maximal cliques of the complement
 (the consensus graph); only `analyze` and MFS enumeration build the graphs.
+
+The conflict graph keeps sparse adjacency sets.  The clique search and the
+chordality test run on the consensus graph as Python ints used as bitsets:
+bit v of a mask stands for vertex v (bit 0 is never set), and vertex v's
+consensus neighbours are one mask, every vertex but v and its conflicts.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import Specification
 
@@ -23,13 +29,6 @@ class ConflictGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(1, self.n + 1) for j in sorted(self.adj[i]) if i < j]
-
-    def consensus_adj(self) -> tuple[frozenset[int], ...]:
-        """Adjacency of the complement graph."""
-        everything = frozenset(range(1, self.n + 1))
-        return (frozenset(),) + tuple(
-            everything - self.adj[v] - {v} for v in range(1, self.n + 1)
-        )
 
 
 @dataclass(frozen=True)
@@ -46,16 +45,18 @@ class CliqueCountReport:
 
 
 def build_conflict_graph(spec: Specification) -> ConflictGraph:
-    """One vertex per clause; edge iff the x-parts share a complementary pair."""
-    n = spec.num_clauses
-    xlits = [None] + [frozenset(spec.x_part(i).lits) for i in spec.indices]
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if any(-l in xlits[j] for l in xlits[i]):
-                adj[i].add(j)
-                adj[j].add(i)
-    return ConflictGraph(n, tuple(frozenset(s) for s in adj))
+    """One vertex per clause; edge iff the x-parts share a complementary pair.
+
+    Clause i's neighbours are the clauses whose x-part holds `-l` for some
+    `l` of its own; an x-part never holds both `l` and `-l`, so no loops."""
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    for i in spec.indices:
+        for l in spec.x_part(i).lits:
+            holders[l].append(i)
+    adj: list[frozenset[int]] = [frozenset()]
+    for i in spec.indices:
+        adj.append(frozenset(j for l in spec.x_part(i).lits for j in holders.get(-l, ())))
+    return ConflictGraph(spec.num_clauses, tuple(adj))
 
 
 def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
@@ -72,33 +73,65 @@ def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _max_cliques(adj, n: int, limit: int) -> tuple[list[frozenset[int]], bool]:
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _vertices(n: int) -> int:
+    """The mask of vertices 1..n."""
+    return (1 << (n + 1)) - 2
+
+
+def _consensus_masks(g: ConflictGraph) -> list[int]:
+    """nb[v]: the consensus neighbours of vertex v as a mask; nb[0] = 0."""
+    everything = _vertices(g.n)
+    return [0] + [
+        everything ^ sum(1 << u for u in g.adj[v]) ^ (1 << v) for v in range(1, g.n + 1)
+    ]
+
+
+def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]], bool]:
     """Pivoting Bron-Kerbosch over vertices 1..n, aborted past `limit` results.
 
-    Iterative, so clique size is not bounded by the recursion limit: a frame
-    [R, P, X, branch vertices left] stands for one recursive call, and its
-    branch vertices are tried in ascending order, each to completion before
-    the next, as the recursion would."""
+    The pivot is Tomita's: the first vertex of P | X, in ascending order,
+    with the most neighbours in P.  Iterative, so clique size is not bounded
+    by the recursion limit: a frame [R, P, X, branch vertices left] (masks)
+    stands for one recursive call, and its branch vertices are tried in
+    ascending order, each to completion before the next, as the recursion
+    would."""
     found: list[frozenset[int]] = []
-    stack = [[set(), set(range(1, n + 1)), set(), None]]
+    stack = [[0, _vertices(n), 0, None]]
     while stack:
         frame = stack[-1]
         r, p, x, todo = frame
         if todo is None:  # entering the call
             if not p and not x:
-                found.append(frozenset(r))
+                found.append(frozenset(_bits(r)))
                 if len(found) > limit:
                     return found[:limit], True
                 stack.pop()
                 continue
-            pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
-            todo = frame[3] = sorted(p - adj[pivot], reverse=True)
+            size, pivot, best = p.bit_count(), 0, -1
+            for u in _bits(p | x):
+                score = (p & nb[u]).bit_count()
+                if score > best:
+                    pivot, best = u, score
+                # no later vertex can score higher: one of X scores at most
+                # |P|, and one of P, not its own neighbour, at most |P| - 1
+                if best == size or (best == size - 1 and not x >> (u + 1)):
+                    break
+            todo = frame[3] = p & ~nb[pivot]
         if not todo:
             stack.pop()
             continue
-        v = todo.pop()
-        frame[1], frame[2] = p - {v}, x | {v}
-        stack.append([r | {v}, p & adj[v], x & adj[v], None])
+        low = todo & -todo
+        frame[1], frame[2], frame[3] = p ^ low, x | low, todo ^ low
+        v = nb[low.bit_length() - 1]
+        stack.append([r | low, p & v, x & v, None])
     return found, False
 
 
@@ -107,7 +140,7 @@ def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     index tuples; truncated with overflow=True when more than `limit` exist."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    found, overflow = _max_cliques(g.consensus_adj(), g.n, limit)
+    found, overflow = _max_cliques(_consensus_masks(g), g.n, limit)
     found.sort(key=sorted)
     return MisEnumeration(tuple(found), overflow)
 
@@ -117,33 +150,52 @@ def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
     count) up to `budget`, and test the consensus graph for chordality."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    cons = g.consensus_adj()
-    found, overflow = _max_cliques(cons, g.n, budget)
+    nb = _consensus_masks(g)
+    found, overflow = _max_cliques(nb, g.n, budget)
     return CliqueCountReport(
         count=None if overflow else len(found),
         budget=budget,
-        chordal=_is_chordal(cons, g.n),
+        chordal=_is_chordal(nb, g.n),
     )
 
 
-def _is_chordal(adj, n: int) -> bool:
-    """Maximum-cardinality search followed by the perfect-elimination check."""
-    weight = {v: 0 for v in range(1, n + 1)}
-    unnumbered = set(weight)
-    visit: list[int] = []
-    while unnumbered:
-        v = max(sorted(unnumbered), key=weight.__getitem__)
-        visit.append(v)
-        unnumbered.remove(v)
-        for u in adj[v] & unnumbered:
-            weight[u] += 1
-    elim = visit[::-1]
-    pos = {v: i for i, v in enumerate(elim)}
-    for v in elim:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
+def _is_chordal(nb: list[int], n: int) -> bool:
+    """Maximum-cardinality search followed by the perfect-elimination check
+    (Tarjan & Yannakakis 1984).
+
+    The search numbers, at each step, the smallest unnumbered vertex of the
+    highest weight (its count of numbered neighbours); `levels` maps each
+    weight held by an unnumbered vertex to the mask of those vertices.  The
+    graph is chordal iff, for every v, the neighbours numbered before v,
+    minus the latest of them, u, are all neighbours of u."""
+    levels = {0: _vertices(n)}
+    order: list[int] = []
+    numbered = [0]  # numbered[t]: mask of the first t vertices numbered
+    for _ in range(n):
+        weight = max(levels)
+        low = levels[weight] & -levels[weight]
+        levels[weight] ^= low
+        order.append(low.bit_length() - 1)
+        numbered.append(numbered[-1] | low)
+        raised = nb[order[-1]]
+        grown: dict[int, int] = {}
+        for w, mask in levels.items():
+            for level, part in ((w, mask & ~raised), (w + 1, mask & raised)):
+                if part:
+                    grown[level] = grown.get(level, 0) | part
+        levels = grown
+    for t, v in enumerate(order):
+        earlier = nb[v] & numbered[t]
+        if not earlier:
             continue
-        u0 = min(later, key=pos.__getitem__)
-        if any(u != u0 and u not in adj[u0] for u in later):
+        lo, hi = 1, t  # the least s with every earlier neighbour among the first s
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if earlier & ~numbered[mid]:
+                lo = mid + 1
+            else:
+                hi = mid
+        u = order[lo - 1]
+        if earlier & ~nb[u] & ~(1 << u):
             return False
     return True

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to compute expected test values.
 
-Everything here works directly on literal tuples, specification clauses and
-exhaustive enumeration, and deliberately avoids the package's solver, graph,
-and synthesis code.
+Everything here works directly on literal tuples, specification clauses,
+plain Python sets and exhaustive enumeration, and deliberately avoids the
+package's solver, graph, and synthesis code.  The set-based graph routines
+are the references the package's bitset versions must match exactly.
 """
 
 from dataclasses import dataclass
@@ -162,3 +163,47 @@ def has_chordless_cycle(adj, n):
             if extend([s, second], {s, second}):
                 return True
     return False
+
+
+def pairwise_conflict_adj(x_parts):
+    """Conflict adjacency by comparing every pair of x-parts: clauses i < j
+    (1-based) are adjacent iff one holds a literal whose negation the other
+    holds.  Entry 0 is unused."""
+    k = len(x_parts)
+    adj = [set() for _ in range(k + 1)]
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            if any(-l in x_parts[j - 1] for l in x_parts[i - 1]):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj
+
+
+def max_cliques_reference(adj, n, limit):
+    """Set-based pivoting Bron-Kerbosch over vertices 1..n (adjacency sets
+    `adj[v]`), aborted past `limit` results: (found, overflow).
+
+    The pivot is the first vertex of sorted(P | X) with the most neighbours
+    in P (Tomita et al. 2006); branch vertices are tried in ascending order,
+    each to completion before the next, and `found` keeps discovery order."""
+    found = []
+    stack = [[set(), set(range(1, n + 1)), set(), None]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, todo = frame
+        if todo is None:
+            if not p and not x:
+                found.append(frozenset(r))
+                if len(found) > limit:
+                    return found[:limit], True
+                stack.pop()
+                continue
+            pivot = max(sorted(p | x), key=lambda u: len(p & adj[u]))
+            todo = frame[3] = sorted(p - adj[pivot], reverse=True)
+        if not todo:
+            stack.pop()
+            continue
+        v = todo.pop()
+        frame[1], frame[2] = p - {v}, x | {v}
+        stack.append([r | {v}, p & adj[v], x & adj[v], None])
+    return found, False

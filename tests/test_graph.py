@@ -5,6 +5,8 @@ import pytest
 
 from bafsynth.graph import (
     ConflictGraph,
+    _consensus_masks,
+    _max_cliques,
     analyze_structure,
     build_conflict_graph,
     enumerate_mis,
@@ -168,8 +170,8 @@ def test_analyze_structure_budget_exceeded():
 
 
 def test_single_mfs_chain_does_not_recurse_per_clique_vertex():
-    # x-parts never conflict: the consensus graph is one 300-vertex clique
-    k = 300
+    # x-parts never conflict: the consensus graph is one 1200-vertex clique
+    k = 1200
     lines = [f"p cnf {k + 1} {k}", "a " + " ".join(map(str, range(1, k + 1))) + " 0"]
     lines += [f"e {k + 1} 0"] + [f"{i} {k + 1} 0" for i in range(1, k + 1)]
     g = build_conflict_graph(parse_qdimacs("\n".join(lines) + "\n"))
@@ -229,3 +231,71 @@ def test_graph_is_symmetric_irreflexive():
             assert v not in g.adj[v]
             for u in g.adj[v]:
                 assert v in g.adj[u]
+
+
+def test_conflict_graph_equals_pairwise_definition():
+    rng = random.Random(67)
+    for _ in range(300):
+        spec = parse_qdimacs(random_spec_text(rng, max_clauses=30))
+        g = build_conflict_graph(spec)
+        expected = oracles.pairwise_conflict_adj([spec.x_part(i).lits for i in spec.indices])
+        assert g.n == spec.num_clauses
+        assert [set(a) for a in g.adj] == expected
+        assert all(v not in g.adj[v] for v in range(g.n + 1))
+
+
+def _consensus_sets(g):
+    return [set()] + [
+        {u for u in range(1, g.n + 1) if u != v and u not in g.adj[v]}
+        for v in range(1, g.n + 1)
+    ]
+
+
+def _assert_cliques_match_reference(g):
+    nb = _consensus_masks(g)
+    cons = _consensus_sets(g)
+    for limit in (1, 3, 10**6):
+        assert _max_cliques(nb, g.n, limit) == oracles.max_cliques_reference(cons, g.n, limit)
+
+
+def test_clique_search_matches_set_based_reference_on_random_graphs():
+    # same cliques in the same discovery order, same truncated prefix
+    rng = random.Random(71)
+    for _ in range(420):
+        n = rng.randint(1, 25)
+        density = rng.random()
+        g = _graph(
+            n,
+            [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(i + 1, n + 1)
+                if rng.random() < density
+            ],
+        )
+        _assert_cliques_match_reference(g)
+
+
+def _chain_matching_text(rng, chain, pairs):
+    """Clauses (a_i | z) for i = 1..chain and matched pairs (u_j | y_j | z),
+    (-u_j | -y_j | z), in shuffled order: 2^pairs MFS."""
+    m = chain + pairs
+    z = m + pairs + 1
+    clauses = [[a, z] for a in range(1, chain + 1)]
+    for j in range(pairs):
+        u, y = chain + 1 + j, m + 1 + j
+        clauses += [[u, y, z], [-u, -y, z]]
+    rng.shuffle(clauses)
+    lines = [f"p cnf {z} {len(clauses)}", "a " + " ".join(map(str, range(1, m + 1))) + " 0"]
+    lines.append("e " + " ".join(map(str, range(m + 1, z + 1))) + " 0")
+    lines += [" ".join(map(str, c)) + " 0" for c in clauses]
+    return "\n".join(lines) + "\n"
+
+
+def test_clique_search_matches_set_based_reference_on_chain_matching_specs():
+    rng = random.Random(73)
+    for chain, pairs in ((0, 1), (1, 0), (5, 3), (40, 0), (30, 2), (20, 4), (10, 6)):
+        g = build_conflict_graph(parse_qdimacs(_chain_matching_text(rng, chain, pairs)))
+        assert len(g.edges()) == pairs
+        _assert_cliques_match_reference(g)
+        assert len(enumerate_mis(g, 10**6).sets) == 2**pairs

@@ -4,22 +4,29 @@
 
 Run from a source checkout: the program is imported from `src/`, and the
 instances come from perfbench's generators (`gen.WORKLOADS[name](seed)`,
-seeds 1 and 4242), which are only read.  For every instance, in modes
-back-and-forth, mfs-enum and mss-enum, one JSON line is printed: the
+seeds 1 and 4242), which are only read.  For every instance one JSON line
+holds the structural fields of `bafsynth analyze --budget 10000` (clauses,
+conflict_edges, consensus_chordal, max_cliques, p_np_fragment), and then, in
+modes back-and-forth, mfs-enum and mss-enum, one JSON line each holds the
 `run_pipeline` report without its timing (`*_ms`) fields, with the
 decision-list text, and the `verify_decision_list` verdict of every
 document of that text.  All of
 it is deterministic, so diffing the output of two checkouts shows whether a
-change keeps behaviour byte for byte.  `--no-partition` is practical on
-planted-synth only: an unpartitioned equivalence chain of width w has 2^w MFS.
+change keeps behaviour byte for byte; the tool uses only names that earlier
+checkouts also have, so it can run over either checkout's `src/`.
+`--no-partition` is practical on planted-synth and graph-structure only: an
+unpartitioned equivalence chain of width w has 2^w MFS.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +41,7 @@ from tests.test_golden_pipeline import _strip_ms  # noqa: E402
 
 SEEDS = (1, 4242)
 MODES = ("back-and-forth", "mfs-enum", "mss-enum")
+ANALYZE_FIELDS = ("clauses", "conflict_edges", "consensus_chordal", "max_cliques", "p_np_fragment")
 
 
 def verdicts(spec, dl_text: str | None) -> list[dict]:
@@ -48,6 +56,20 @@ def verdicts(spec, dl_text: str | None) -> list[dict]:
     ]
 
 
+def analyze(text: str) -> dict:
+    """The structural fields of `bafsynth analyze` on the QDIMACS `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.qdimacs"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["analyze", str(path), "--budget", "10000"])
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"analyze exited {code}")
+    doc = json.loads(out.getvalue())
+    return {key: doc[key] for key in ANALYZE_FIELDS}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=sorted(gen.WORKLOADS))
@@ -56,14 +78,15 @@ def main(argv=None) -> int:
     for workload in args.workload or sorted(gen.WORKLOADS):
         for seed in SEEDS:
             for k, inst in enumerate(gen.WORKLOADS[workload](seed)):
-                spec = parse_qdimacs(inst.qdimacs())
+                text = inst.qdimacs()
+                head = {"workload": workload, "seed": seed, "instance": f"{k:02d}-{inst.name}"}
+                print(json.dumps({**head, "analyze": analyze(text)}, sort_keys=True), flush=True)
+                spec = parse_qdimacs(text)
                 for mode in MODES:
                     cfg = cli.RunConfig(mode=mode, partition=args.partition)
                     report = _strip_ms(cli.run_pipeline(spec, cfg))
                     record = {
-                        "workload": workload,
-                        "seed": seed,
-                        "instance": f"{k:02d}-{inst.name}",
+                        **head,
                         "mode": mode,
                         "partition": args.partition,
                         "report": report,
