@@ -36,7 +36,14 @@ from .graph import (
     enumerate_mis,
     extend_to_mis,
 )
-from .maxsat import MaxSatInstance, MaxSatResult, MaxSatSession, solve_partial_maxsat
+from .maxsat import (
+    MaxSatInstance,
+    MaxSatResult,
+    MaxSatSession,
+    TableSession,
+    new_session,
+    solve_partial_maxsat,
+)
 from .model import (
     Assignment,
     Clause,

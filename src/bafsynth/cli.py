@@ -150,7 +150,11 @@ def _specs_by_digest(spec: Specification) -> dict[str, Specification]:
     return by_digest
 
 
-def _unrealizable(result: dict, t0: float, component: int, mfs, x) -> dict:
+def _unrealizable(result: dict, t0: float, spec: Specification, component: int, mfs, x) -> dict:
+    """Report the witness; with verification on, first confirm that the
+    whole `spec` has no output for its input."""
+    if result["verify"] and not _verify.witness_has_no_output(spec, x):
+        raise RuntimeError(f"component {component}'s unrealizability witness has an output")
     result["status"] = _synth.UNREALIZABLE
     result["witness"] = {"component": component, "mfs": sorted(mfs), "input": _input_json(x)}
     result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -186,7 +190,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
 
     bad = _synth._empty_ypart_failure(spec)
     if bad is not None:
-        return _unrealizable(result, t0, 0, *bad)
+        return _unrealizable(result, t0, spec, 0, *bad)
 
     components = _component_specs(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
@@ -210,7 +214,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
             result[key] += comp_record[key]
         result["decisions"] += comp_record["decisions"]
         if not outcome.realizable:
-            return _unrealizable(result, t0, ci, outcome.witness_mfs, outcome.witness_input)
+            return _unrealizable(result, t0, spec, ci, outcome.witness_mfs, outcome.witness_input)
         parts.append(outcome.decision_list)
 
     combined = _dlist.combine(parts, spec)

@@ -1,7 +1,29 @@
-"""Exact partial MaxSAT on top of the SAT engine.
+"""Exact partial MaxSAT: a truth table for few variables, the SAT engine
+for the rest.
 
-A MaxSatSession encodes a fixed list of soft clauses once and answers many
-queries, each of which may make some of the soft clauses hard:
+Both sessions hold a fixed list of soft clauses and answer many queries,
+each of which may make some of the soft clauses hard.  `new_session`
+picks one from the input size:
+
+  - a TableSession works on the truth table of its m variables.  A clause is
+    one Python int of 2^m bits, the set of assignments that satisfy it;
+    assignment a sets variable i (1-based, in the order given) to bit i-1 of
+    a.  The masks of the variables are built by doubling: each new
+    variable copies every earlier mask into the upper half of a table
+    twice as wide and takes that upper half as its own, with no division.
+    The soft masks are summed once into a bit-sliced binary counter:
+    plane b holds bit b of every assignment's count of satisfied softs.  A
+    query ANDs the base mask (the hard clauses and every `require_any`) with
+    the masks of its required softs; nothing left is HARD_UNSAT.  Otherwise
+    it walks the planes from the top and keeps `cand & plane` whenever that
+    is non-zero, which leaves exactly the assignments with the most
+    satisfied softs.  The lowest of them is the model, so ties go to the
+    smallest assignment index;
+  - a TableSession is used when its masks, `(len(soft) + m) << m` bits, fit
+    in TABLE_BITS (2^26 bits, 8 MB).  A wider problem gets a MaxSatSession,
+    described below.
+
+A MaxSatSession encodes its soft clauses once in one SAT solver:
 
   - soft clause j is added as (c_j or r_j) with a relaxation variable r_j,
     and a query makes it hard by assuming -r_j.  The clause database is the
@@ -18,12 +40,12 @@ queries, each of which may make some of the soft clauses hard:
     the hard part is unsatisfiable or gives a first model, then a linear
     descent: while the model falsifies f > 0 softs, solve again with
     -out[f-1] assumed as well.  Only assumptions change between steps, and
-    the last model is an exact optimum;
-  - `require_any` adds a permanent clause that one of some softs holds,
-    which is how MSS enumeration blocks the MSS it has found.
+    the last model is an exact optimum.
 
-The session numbers its variables 1..m in the order given and maps every
-model back, so its solver grows with the clauses it holds, not with the
+In both, `require_any` adds a permanent clause that one of some softs
+holds, which is how MSS enumeration blocks the MSS it has found.  Both
+number their variables 1..m in the order given and key every model by the
+given ids, so their size grows with the clauses they hold, not with the
 ids they use.  `solve_partial_maxsat` on a MaxSatInstance is a session
 asked once.
 """
@@ -37,6 +59,7 @@ from .sat import Solver
 
 OPTIMAL = "optimal"
 HARD_UNSAT = "hard-unsatisfiable"
+TABLE_BITS = 1 << 26  # largest truth table, in mask bits, a session may hold
 
 
 @dataclass(frozen=True)
@@ -132,6 +155,88 @@ class MaxSatSession:
         return self._total[1][f - 1]
 
 
+class TableSession:
+    """Soft and hard clauses over `variables`, which must name every
+    variable the clauses use, answered on their truth table; a model
+    assigns exactly these."""
+
+    def __init__(
+        self,
+        variables: Iterable[int],
+        soft: Sequence[Sequence[int]],
+        hard: Iterable[Sequence[int]] = (),
+    ):
+        self.variables = tuple(variables)
+        local = {v: i for i, v in enumerate(self.variables)}
+        size, true = 1, []  # true[i]: the assignments that set variable i+1
+        for _ in self.variables:
+            true = [t | t << size for t in true]
+            true.append(((1 << size) - 1) << size)
+            size <<= 1
+        full = (1 << size) - 1
+
+        def mask(clause) -> int:
+            sat = 0
+            for l in clause:
+                t = true[local[abs(l)]]
+                sat |= t if l > 0 else full ^ t
+            return sat
+
+        self._clauses = [tuple(c) for c in soft]
+        self._soft = [mask(c) for c in self._clauses]
+        self._base = full
+        for c in hard:
+            self._base &= mask(c)
+        self._planes: list[int] = []  # plane b: bit b of each satisfied-soft count
+        planes = self._planes
+        for carry in self._soft:
+            b = 0
+            while carry:
+                if b == len(planes):
+                    planes.append(carry)
+                    break
+                planes[b], carry = planes[b] ^ carry, planes[b] & carry
+                b += 1
+
+    def require_any(self, indices: Iterable[int]) -> None:
+        """From now on, one of the soft clauses at `indices` must hold."""
+        some = 0
+        for j in indices:
+            some |= self._soft[j]
+        self._base &= some
+
+    def solve(self, required: Iterable[int] = ()) -> MaxSatResult:
+        """Satisfy the hard clauses, the softs at the 0-based `required`
+        indices and a maximum number of the other softs."""
+        cand = self._base
+        for j in required:
+            cand &= self._soft[j]
+        if not cand:
+            return MaxSatResult(HARD_UNSAT)
+        for plane in reversed(self._planes):
+            most = cand & plane
+            if most:
+                cand = most
+        a = (cand & -cand).bit_length() - 1
+        model = {v: bool(a >> i & 1) for i, v in enumerate(self.variables)}
+        satisfied = frozenset(
+            j for j, c in enumerate(self._clauses) if _clause_sat(c, model)
+        )
+        return MaxSatResult(OPTIMAL, model, satisfied)
+
+
+def new_session(
+    variables: Iterable[int],
+    soft: Sequence[Sequence[int]],
+    hard: Iterable[Sequence[int]] = (),
+) -> MaxSatSession | TableSession:
+    """A TableSession when its masks fit in TABLE_BITS, else a MaxSatSession."""
+    variables = tuple(variables)
+    if (len(soft) + len(variables)) << len(variables) <= TABLE_BITS:
+        return TableSession(variables, soft, hard)
+    return MaxSatSession(variables, soft, hard)
+
+
 def _tree(lits: list[int]):
     """Balanced totalizer nodes (input count, outputs, left, right); a
     leaf's one output is its input literal."""
@@ -169,10 +274,10 @@ def solve_partial_maxsat(problem, required: Iterable[int] = ()) -> MaxSatResult:
     """Satisfy all hard clauses and a maximum set of soft clauses.
 
     `problem` is a MaxSatInstance, solved by a session of its own over
-    variables 1..max_var, or a MaxSatSession, asked with the softs at the
-    0-based `required` indices made hard."""
+    variables 1..max_var, or a session, asked with the softs at the 0-based
+    `required` indices made hard."""
     if isinstance(problem, MaxSatInstance):
-        problem = MaxSatSession(
+        problem = new_session(
             range(1, problem.max_var() + 1), problem.soft, problem.hard
         )
     return problem.solve(required)

@@ -9,7 +9,8 @@ Three ways to produce a decision list from a split specification:
     a covering MSS.  Stops when every MFS is covered, or reports
     unrealizability when some MFS's output clauses cannot all be satisfied.
     Both queries are incremental: one coverage solver and one MaxSAT
-    session (`output_session`) per component.
+    session (`output_session`) per component, which is a truth table over
+    the component's outputs when they are few and a SAT solver otherwise.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
-from .maxsat import MaxSatSession, solve_partial_maxsat
+from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat
 from .model import Assignment, Specification
 from .sat import Solver
 
@@ -98,13 +99,17 @@ def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
     state.solver.add_clause(complement)
 
 
-def output_session(spec: Specification) -> MaxSatSession:
+def output_session(spec: Specification) -> MaxSatSession | TableSession:
     """The component's MaxSAT session: y-part i is soft clause i-1, over
     the component's output variables, shared by all its MaxSAT queries."""
-    return MaxSatSession(spec.outputs, [spec.y_part(i).lits for i in spec.indices])
+    return new_session(spec.outputs, [spec.y_part(i).lits for i in spec.indices])
 
 
-def covering_mss(spec: Specification, mfs: frozenset[int], session: MaxSatSession | None = None):
+def covering_mss(
+    spec: Specification,
+    mfs: frozenset[int],
+    session: MaxSatSession | TableSession | None = None,
+):
     """Grow the output clauses of `mfs` into a covering MSS.
 
     Returns (mss index set, output witness) or None when the output clauses

@@ -1,7 +1,8 @@
-"""Independent checking of synthesized decision lists.
+"""Independent checking of synthesized decision lists and of
+unrealizability witnesses.
 
 The verifier shares only the SAT engine with the synthesizer and reads only
-the specification and the list.
+the specification and the list or the witness input.
 
 Soundness asks, for every decision i and clause j whose y-part the decision
 output falsifies, whether guard_i's x-parts can hold together with the
@@ -16,6 +17,9 @@ Coverage asks whether some input fires no guard, in one SAT query with one
 selector variable per clause index that occurs in a guard: the selector
 implies that the clause's x-part is false, and every decision needs one of
 its guard's selectors.
+
+A witness input is confirmed by one SAT query: the y-parts of the clauses
+whose x-part the input falsifies must be jointly unsatisfiable.
 """
 
 from __future__ import annotations
@@ -94,3 +98,12 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
         x = {v: res.model.get(v, False) for v in spec.inputs}
         return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
     return VerificationReport(VERIFIED)
+
+
+def witness_has_no_output(spec: Specification, x: Assignment) -> bool:
+    """True when no output satisfies `spec` under the total input `x`."""
+    s = Solver()
+    for i in spec.indices:
+        if not spec.x_part(i).evaluate(x):
+            s.add_clause(spec.y_part(i).lits)
+    return not s.solve().satisfiable

@@ -38,6 +38,16 @@ def identity_qdimacs(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def output_chain_qdimacs(k: int) -> str:
+    """One component over outputs y_1..y_k (ids 2..k+1) and one input x:
+    y_1 is not x, and y_i implies y_(i+1).  Two MFS, two decisions."""
+    lines = [f"p cnf {k + 1} {k + 1}", "a 1 0"]
+    lines.append("e " + " ".join(str(v) for v in range(2, k + 2)) + " 0")
+    lines += ["1 2 0", "-1 -2 0"]
+    lines += [f"-{v} {v + 1} 0" for v in range(2, k + 1)]
+    return "\n".join(lines) + "\n"
+
+
 def random_spec_text(rng: random.Random, max_in=6, max_out=6, max_clauses=20) -> str:
     """Unbiased random splits; produces plenty of degenerate shapes (empty
     x- or y-parts), good for structural and parsing tests."""

@@ -14,7 +14,14 @@ import pytest
 from bafsynth.cli import main
 from bafsynth.dlist import evaluate
 from bafsynth.graph import analyze_structure, build_conflict_graph, enumerate_mis
-from bafsynth.maxsat import HARD_UNSAT, OPTIMAL, MaxSatInstance, solve_partial_maxsat
+from bafsynth.maxsat import (
+    HARD_UNSAT,
+    OPTIMAL,
+    MaxSatInstance,
+    MaxSatSession,
+    TableSession,
+    solve_partial_maxsat,
+)
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import back_and_forth, synth_by_mss_enumeration
 from bafsynth.verify import verify_decision_list
@@ -156,13 +163,19 @@ def test_criterion_5_maxsat_exactness():
             soft.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         inst = MaxSatInstance.of(hard, soft)
         feasible, best = oracles.maxsat_optimum(hard, soft, range(1, n + 1))
-        res = solve_partial_maxsat(inst)
-        if feasible:
-            assert res.status == OPTIMAL and res.num_satisfied == best
-        else:
-            assert res.status == HARD_UNSAT
+        variables = range(1, n + 1)
+        # the library default, and each session kind whatever the default picks
+        for res in (
+            solve_partial_maxsat(inst),
+            TableSession(variables, soft, hard).solve(),
+            MaxSatSession(variables, soft, hard).solve(),
+        ):
+            if feasible:
+                assert res.status == OPTIMAL and res.num_satisfied == best
+            else:
+                assert res.status == HARD_UNSAT
         checked += 1
-    print(f"\nACCEPTANCE 5 PASS: {checked} partial-MaxSAT instances exact")
+    print(f"\nACCEPTANCE 5 PASS: {checked} partial-MaxSAT instances exact, table and solver sessions")
 
 
 def test_criterion_6_structural_analysis():

@@ -145,6 +145,19 @@ def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
 
 
+def test_a_witness_with_an_output_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # a covering query that wrongly finds no output makes back-and-forth call
+    # the realizable example unrealizable; the witness check refuses it
+    monkeypatch.setattr(synth, "covering_mss", lambda spec, mfs, session=None: None)
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    assert main(["synth", f]) == 5
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError: component 1's unrealizability witness has an output\n"
+    )
+    code, doc = _run(capsys, ["synth", f, "--no-verify"])
+    assert code == 1 and doc["status"] == "unrealizable"
+
+
 EMPTY_YPART_TEXT = "p cnf 4 3\na 1 2 0\ne 3 4 0\n1 2 0\n-1 3 0\n2 4 0\n"
 
 

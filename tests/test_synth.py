@@ -5,6 +5,7 @@ import pytest
 
 from bafsynth import dlist, sat, synth
 from bafsynth.graph import build_conflict_graph
+from bafsynth.maxsat import MaxSatSession, TableSession
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import (
     CoverageQueryState,
@@ -19,7 +20,12 @@ from bafsynth.synth import (
 )
 from bafsynth.verify import verify_decision_list
 
-from .conftest import identity_qdimacs, random_spec_text, random_synth_spec_text
+from .conftest import (
+    identity_qdimacs,
+    output_chain_qdimacs,
+    random_spec_text,
+    random_synth_spec_text,
+)
 from . import oracles
 from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
@@ -142,18 +148,25 @@ def test_one_session_grows_every_mfs_like_a_fresh_one():
 
 
 def test_output_session_is_sized_by_the_component(monkeypatch):
-    sessions = []
+    # output 800 and output 2 each make a one-variable component: its table
+    # has one variable, and a solver session over it the same few variables
+    made = []
 
     def recorded(comp):
-        sessions.append(output_session(comp))
-        return sessions[-1]
+        made.append((comp, output_session(comp)))
+        return made[-1][1]
 
     monkeypatch.setattr(synth, "output_session", recorded)
     for k in (400, 1):
         last = partition_by_output_variables(parse_qdimacs(identity_qdimacs(k)))[-1]
         assert last.outputs == (2 * k,)
         assert back_and_forth(last).realizable
-    assert sessions[0].solver.nvars == sessions[1].solver.nvars <= 5
+    assert [type(s) for _, s in made] == [TableSession, TableSession]
+    assert [s.variables for _, s in made] == [(800,), (2,)]
+    wide = [
+        MaxSatSession(c.outputs, [c.y_part(i).lits for i in c.indices]) for c, _ in made
+    ]
+    assert wide[0].solver.nvars == wide[1].solver.nvars <= 5
 
 
 def test_back_and_forth_builds_two_solvers_per_component(monkeypatch):
@@ -174,9 +187,14 @@ def test_back_and_forth_builds_two_solvers_per_component(monkeypatch):
         for comp in partition_by_output_variables(spec):
             made.clear()
             back_and_forth(comp)
-            assert len(made) == 2  # the coverage query and the MaxSAT session
+            assert len(made) == 1  # the coverage query; MaxSAT runs on a table
             checked += 1
     assert checked > 25
+    # 25 chained outputs are too many for a table: the MaxSAT session is a solver
+    (wide,) = partition_by_output_variables(parse_qdimacs(output_chain_qdimacs(25)))
+    made.clear()
+    assert back_and_forth(wide).realizable
+    assert len(made) == 2  # the coverage query and the MaxSAT session
 
 
 # ----------------------------------------------------------------------

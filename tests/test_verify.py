@@ -10,7 +10,7 @@ from bafsynth.model import parse_qdimacs
 from bafsynth import verify
 from bafsynth.sat import Solver
 from bafsynth.synth import back_and_forth, covering_mss, synth_by_mfs_enumeration
-from bafsynth.verify import COVERAGE, SOUNDNESS, verify_decision_list
+from bafsynth.verify import COVERAGE, SOUNDNESS, verify_decision_list, witness_has_no_output
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
@@ -297,3 +297,16 @@ def test_covering_mss_results_are_brute_force_mss():
             got = covering_mss(spec, mfs)
             if got is not None:
                 assert got[0] in mss_all
+
+
+def test_witness_has_no_output_exactly_where_brute_force_has_none():
+    rng = random.Random(331)
+    witnesses = 0
+    for _ in range(60):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=3, max_clauses=8))
+        table = brute_force_synthesize(spec)
+        for values, output in table.entries.items():
+            x = dict(zip(table.inputs, values))
+            assert witness_has_no_output(spec, x) == (output is None)
+            witnesses += output is None
+    assert witnesses > 50
