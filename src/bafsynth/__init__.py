@@ -37,7 +37,6 @@ from .graph import (
     extend_to_mis,
 )
 from .maxsat import (
-    MaxSatInstance,
     MaxSatResult,
     MaxSatSession,
     TableSession,

@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import decomp as _decomp
@@ -126,28 +126,35 @@ def _input_json(x) -> dict:
     return {str(v): b for v, b in sorted(x.items())}
 
 
-def _component_specs(spec: Specification) -> list[Specification]:
-    """The output-disjoint components of `spec`, plus one clause-free
-    component for the outputs no clause mentions, if any.  Raises
-    ValueError when a clause has an empty y-part."""
-    components = _synth.partition_by_output_variables(spec)
-    covered = {v for comp in components for v in comp.outputs}
-    leftover = tuple(v for v in spec.outputs if v not in covered)
-    if leftover:
-        # outputs constrained by no clause: one all-false default document
-        components.append(Specification(spec.inputs, leftover, ()))
-    return components
-
-
 def _specs_by_digest(spec: Specification) -> dict[str, Specification]:
     """The specification and each of its components, keyed by digest: the
     specifications a written decision-list document can belong to."""
     by_digest = {spec.digest: spec}
     try:
-        by_digest.update((comp.digest, comp) for comp in _component_specs(spec))
+        by_digest.update(
+            (comp.digest, comp) for comp in _synth.partition_by_output_variables(spec)
+        )
     except ValueError:
         pass  # unpartitionable; the whole-spec digest may still match
     return by_digest
+
+
+def _failure(key: str, index: int, report: _verify.VerificationReport) -> dict:
+    """The report's record of a list that failed verification; `key` names
+    what `index` counts."""
+    return {
+        key: index,
+        "kind": report.failure_kind,
+        "decision": report.decision_index,
+        "clause": report.clause_index,
+        "input": _input_json(report.witness_input),
+    }
+
+
+# the Stats counters: reported per component and summed into the run totals,
+# like the decisions of the component's list; wall_time is reported per
+# component in ms
+_STATS_COUNTERS = tuple(f.name for f in fields(_synth.Stats) if f.name != "wall_time")
 
 
 def _unrealizable(result: dict, t0: float, spec: Specification, component: int, mfs, x) -> dict:
@@ -174,11 +181,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         "partition": cfg.partition,
         "status": _synth.REALIZABLE,
         "partitions": 1,
-        "iterations": 0,
-        "sat_calls": 0,
-        "maxsat_calls": 0,
-        "mss_recorded": 0,
-        "decisions": 0,
+        **dict.fromkeys((*_STATS_COUNTERS, "decisions"), 0),
         "verify": cfg.verify,
         "verified": False,
         "components": [],
@@ -190,29 +193,27 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
 
     bad = _synth._empty_ypart_failure(spec)
     if bad is not None:
-        return _unrealizable(result, t0, spec, 0, *bad)
+        return _unrealizable(result, t0, spec, 0, bad, _synth.falsifying_input(spec, bad))
 
-    components = _component_specs(spec) if cfg.partition else [spec]
+    components = _synth.partition_by_output_variables(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
     parts: list[_dlist.DecisionList] = []
     for ci, comp in enumerate(components, 1):
         outcome = synthesize(comp, cfg)
         st = outcome.stats
-        comp_record = {
-            "outputs": list(comp.outputs),
-            "clauses": comp.num_clauses,
-            "status": outcome.status,
-            "iterations": st.iterations,
-            "sat_calls": st.sat_calls,
-            "maxsat_calls": st.maxsat_calls,
-            "mss_recorded": st.mss_recorded,
-            "decisions": len(outcome.decision_list) if outcome.decision_list else 0,
-            "wall_time_ms": st.wall_time * 1000.0,
-        }
-        result["components"].append(comp_record)
-        for key in ("iterations", "sat_calls", "maxsat_calls", "mss_recorded"):
-            result[key] += comp_record[key]
-        result["decisions"] += comp_record["decisions"]
+        counts = {key: getattr(st, key) for key in _STATS_COUNTERS}
+        counts["decisions"] = len(outcome.decision_list) if outcome.decision_list else 0
+        for key, n in counts.items():
+            result[key] += n
+        result["components"].append(
+            {
+                "outputs": list(comp.outputs),
+                "clauses": comp.num_clauses,
+                "status": outcome.status,
+                **counts,
+                "wall_time_ms": st.wall_time * 1000.0,
+            }
+        )
         if not outcome.realizable:
             return _unrealizable(result, t0, spec, ci, outcome.witness_mfs, outcome.witness_input)
         parts.append(outcome.decision_list)
@@ -226,15 +227,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         for ci, (comp, dl) in enumerate(zip(components, parts), 1):
             report = _verify.verify_decision_list(comp, dl)
             if not report.verified:
-                failures.append(
-                    {
-                        "component": ci,
-                        "kind": report.failure_kind,
-                        "decision": report.decision_index,
-                        "clause": report.clause_index,
-                        "input": _input_json(report.witness_input),
-                    }
-                )
+                failures.append(_failure("component", ci, report))
         result["verified"] = not failures
         result["verification"] = {"verified": not failures, "failures": failures}
     result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -253,11 +246,23 @@ def _pipeline_exit_code(result: dict, cfg: RunConfig) -> int:
 # commands
 
 
-def _emit_json(doc: dict, path: str | None):
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`; False after printing the error when that
+    fails."""
+    try:
+        Path(path).write_bytes(text.encode("utf-8"))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_json(doc: dict, path: str | None, code: int = EXIT_OK) -> int:
+    """Print `doc` and, when `path` is given, write it there too.  Returns
+    `code`, or EXIT_USAGE when the file cannot be written."""
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
+    return code if not path or _write(path, text) else EXIT_USAGE
 
 
 def _read_spec(path: str) -> Specification | None:
@@ -278,21 +283,19 @@ def cmd_synth(args) -> int:
     try:
         with time_limit(cfg.timeout):
             result = run_pipeline(spec, cfg)
-    except TimeoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except LimitError as exc:
+    except (TimeoutError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     result["instance"] = Path(args.file).name
     dl_text = result.pop("dl_text")
+    code = _pipeline_exit_code(result, cfg)
+    result["dl_path"] = None
     if cfg.dl_path and dl_text is not None:
-        Path(cfg.dl_path).write_bytes(dl_text.encode("utf-8"))
-        result["dl_path"] = cfg.dl_path
-    else:
-        result["dl_path"] = None
-    _emit_json(result, cfg.json_path)
-    return _pipeline_exit_code(result, cfg)
+        if _write(cfg.dl_path, dl_text):
+            result["dl_path"] = cfg.dl_path
+        else:
+            code = EXIT_USAGE
+    return _emit_json(result, cfg.json_path, code)
 
 
 def cmd_analyze(args) -> int:
@@ -312,8 +315,7 @@ def cmd_analyze(args) -> int:
         "budget": report.budget,
         "p_np_fragment": fragment,
     }
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return _emit_json(doc, args.json)
 
 
 def cmd_verify(args) -> int:
@@ -321,15 +323,14 @@ def cmd_verify(args) -> int:
     if spec is None:
         return EXIT_USAGE
     try:
-        docs = _dlist.parse_many(decode_text(Path(args.dl).read_bytes()))
+        text = decode_text(Path(args.dl).read_bytes())
+        docs = _dlist.parse_many(text, _specs_by_digest(spec))
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    by_digest = _specs_by_digest(spec)
     failures = []
     for di, dl in enumerate(docs, 1):
-        comp = by_digest.get(dl.spec_digest)
-        if comp is None:
+        if dl.spec is None:
             print(
                 f"error: document {di} digest matches neither the specification "
                 "nor any of its components",
@@ -337,20 +338,17 @@ def cmd_verify(args) -> int:
             )
             return EXIT_USAGE
         try:
-            report = _verify.verify_decision_list(comp, dl)
+            report = _verify.verify_decision_list(dl.spec, dl)
         except ValueError as exc:
             print(f"error: document {di}: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not report.verified:
-            failures.append(
-                {
-                    "document": di,
-                    "kind": report.failure_kind,
-                    "decision": report.decision_index,
-                    "clause": report.clause_index,
-                    "input": _input_json(report.witness_input),
-                }
-            )
+            failures.append(_failure("document", di, report))
+    try:
+        _dlist.combine(docs, spec)  # every output in exactly one document
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.spec).name,
@@ -358,8 +356,7 @@ def cmd_verify(args) -> int:
         "verified": not failures,
         "failures": failures,
     }
-    _emit_json(doc, args.json)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
+    return _emit_json(doc, args.json, EXIT_OK if not failures else EXIT_VERIFICATION)
 
 
 def cmd_decompose(args) -> int:
@@ -368,12 +365,16 @@ def cmd_decompose(args) -> int:
         return EXIT_USAGE
     pair = _decomp.cnf_decompose(spec)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.file).stem
     f1_path = out_dir / f"{stem}.f1.cnf"
     f2_path = out_dir / f"{stem}.f2.qdimacs"
-    f1_path.write_text(_stage1_dimacs(spec, pair), encoding="utf-8")
-    f2_path.write_text(pair.f2_spec.to_qdimacs(), encoding="utf-8")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        f1_path.write_text(_stage1_dimacs(spec, pair), encoding="utf-8")
+        f2_path.write_text(pair.f2_spec.to_qdimacs(), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.file).name,
@@ -398,8 +399,7 @@ def cmd_decompose(args) -> int:
             "spec_realizable": comp.spec_realizable,
             "wall_time_ms": comp.wall_time * 1000.0,
         }
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return _emit_json(doc, args.json)
 
 
 def _stage1_dimacs(spec: Specification, pair) -> str:
@@ -475,6 +475,8 @@ def cmd_bench(args) -> int:
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
+    if cfg.json_path and not _write(cfg.json_path, ""):  # before hours of runs
+        return EXIT_USAGE
     if cfg.jobs > 1 and paths:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_bench_one, paths, [cfg] * len(paths)))
@@ -482,10 +484,10 @@ def cmd_bench(args) -> int:
         records = [_bench_one(p, cfg) for p in paths]
     records.sort(key=lambda r: r["instance"])
 
+    code = EXIT_OK
     if cfg.json_path:
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        jsonl = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        code = EXIT_OK if _write(cfg.json_path, jsonl) else EXIT_USAGE
 
     per_family: dict[str, dict[str, int]] = {}
     for rec in records:
@@ -500,7 +502,7 @@ def cmd_bench(args) -> int:
         status_txt = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{fam.ljust(width)}  {total:9d}  {status_txt}")
     print(f"total instances: {len(records)}")
-    return EXIT_OK
+    return code
 
 
 # ----------------------------------------------------------------------

@@ -38,11 +38,10 @@ class DecisionList:
 
 @dataclass
 class CombinedImplementation:
-    """Per-component decision lists over pairwise-disjoint output blocks,
-    plus default (false) values for outputs constrained by no component."""
+    """Per-component decision lists whose output blocks cover the
+    specification's outputs exactly once."""
 
     parts: tuple[DecisionList, ...]
-    defaults: dict[int, bool]
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
 
@@ -88,23 +87,31 @@ def evaluate(dl: DecisionList, x: Assignment, spec: Specification | None = None)
 
 
 def combine(parts: list[DecisionList], spec: Specification) -> CombinedImplementation:
-    """Stitch component lists into an implementation of the full spec."""
+    """Stitch component lists into an implementation of the full spec.
+    Raises ValueError unless every output of `spec` is an output of exactly
+    one list and the lists have no other outputs."""
     covered: set[int] = set()
     for dl in parts:
         block = set(dl.outputs)
         if block & covered:
-            raise ValueError("component output sets overlap")
-        if not block <= set(spec.outputs):
-            raise ValueError("component output outside the specification outputs")
+            raise ValueError(f"decision lists overlap on outputs {_ids(block & covered)}")
         covered |= block
-    defaults = {v: False for v in spec.outputs if v not in covered}
-    return CombinedImplementation(tuple(parts), defaults, spec.inputs, spec.outputs)
+    outputs = set(spec.outputs)
+    if covered - outputs:
+        raise ValueError(f"outputs {_ids(covered - outputs)} are not outputs of the specification")
+    if outputs - covered:
+        raise ValueError(f"no decision list covers outputs {_ids(outputs - covered)}")
+    return CombinedImplementation(tuple(parts), spec.inputs, spec.outputs)
+
+
+def _ids(variables) -> str:
+    return " ".join(str(v) for v in sorted(variables))
 
 
 def evaluate_combined(ci: CombinedImplementation, x: Assignment):
-    """Union of the component outputs plus defaults; None if any component
-    leaves the input uncovered."""
-    out = dict(ci.defaults)
+    """Union of the component outputs; None if any component leaves the
+    input uncovered."""
+    out = {}
     for dl in ci.parts:
         part = evaluate(dl, x)
         if part is None:

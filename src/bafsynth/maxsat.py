@@ -46,8 +46,7 @@ In both, `require_any` adds a permanent clause that one of some softs
 holds, which is how MSS enumeration blocks the MSS it has found.  Both
 number their variables 1..m in the order given and key every model by the
 given ids, so their size grows with the clauses they hold, not with the
-ids they use.  `solve_partial_maxsat` on a MaxSatInstance is a session
-asked once.
+ids they use.
 """
 
 from __future__ import annotations
@@ -60,23 +59,6 @@ from .sat import Solver
 OPTIMAL = "optimal"
 HARD_UNSAT = "hard-unsatisfiable"
 TABLE_BITS = 1 << 26  # largest truth table, in mask bits, a session may hold
-
-
-@dataclass(frozen=True)
-class MaxSatInstance:
-    hard: tuple[tuple[int, ...], ...]
-    soft: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def of(hard: Sequence[Sequence[int]], soft: Sequence[Sequence[int]]) -> "MaxSatInstance":
-        return MaxSatInstance(
-            tuple(tuple(c) for c in hard), tuple(tuple(c) for c in soft)
-        )
-
-    def max_var(self) -> int:
-        return max(
-            (abs(l) for cl in (*self.hard, *self.soft) for l in cl), default=0
-        )
 
 
 @dataclass
@@ -270,14 +252,9 @@ def _grow(s: Solver, node, k: int) -> None:
             s.add_clause(clause)
 
 
-def solve_partial_maxsat(problem, required: Iterable[int] = ()) -> MaxSatResult:
-    """Satisfy all hard clauses and a maximum set of soft clauses.
-
-    `problem` is a MaxSatInstance, solved by a session of its own over
-    variables 1..max_var, or a session, asked with the softs at the 0-based
-    `required` indices made hard."""
-    if isinstance(problem, MaxSatInstance):
-        problem = new_session(
-            range(1, problem.max_var() + 1), problem.soft, problem.hard
-        )
-    return problem.solve(required)
+def solve_partial_maxsat(
+    session: MaxSatSession | TableSession, required: Iterable[int] = ()
+) -> MaxSatResult:
+    """Satisfy all hard clauses of `session` and a maximum set of its soft
+    clauses, with the softs at the 0-based `required` indices made hard."""
+    return session.solve(required)

@@ -134,16 +134,39 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     return x
 
 
-def _empty_ypart_failure(spec: Specification):
-    """Unrealizability witness for a clause with no output literals, if any.
+def _empty_ypart_failure(spec: Specification) -> frozenset[int] | None:
+    """An MFS holding a clause with no output literals, if any.
 
     Such a clause can always be falsified on the input side (tautological
     clauses are removed at parse time), and its empty y-part can never be
-    satisfied, so no output works for the falsifying input."""
+    satisfied, so no output works for an input that falsifies the MFS."""
     if not spec.empty_ypart_indices:
         return None
-    witness = extend_to_mis(spec, spec.empty_ypart_indices[:1])
-    return witness, falsifying_input(spec, witness)
+    return extend_to_mis(spec, spec.empty_ypart_indices[:1])
+
+
+def _realizable(
+    spec: Specification,
+    t0: float,
+    stats: Stats,
+    index_sets: list[frozenset[int]],
+    witnesses: list[Assignment],
+) -> SynthesisOutcome:
+    """The list with one decision per index set, timed from `t0`."""
+    stats.mss_recorded = len(index_sets)
+    dl = build_decision_list(spec, index_sets, witnesses)
+    stats.wall_time = time.perf_counter() - t0
+    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
+
+
+def _unrealizable(
+    spec: Specification, t0: float, stats: Stats, mfs: frozenset[int]
+) -> SynthesisOutcome:
+    """`mfs`, whose output clauses no output satisfies, and an input that
+    falsifies it, timed from `t0`."""
+    x = falsifying_input(spec, mfs)
+    stats.wall_time = time.perf_counter() - t0
+    return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, witness_input=x, stats=stats)
 
 
 def back_and_forth(spec: Specification) -> SynthesisOutcome:
@@ -154,10 +177,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
     stats = Stats()
     bad = _empty_ypart_failure(spec)
     if bad is not None:
-        stats.wall_time = time.perf_counter() - t0
-        return SynthesisOutcome(
-            UNREALIZABLE, witness_mfs=bad[0], witness_input=bad[1], stats=stats
-        )
+        return _unrealizable(spec, t0, stats, bad)
     state = CoverageQueryState(spec)
     session = output_session(spec)
     mss_list: list[frozenset[int]] = []
@@ -171,13 +191,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.maxsat_calls += 1
         if got is None:
             stats.iterations += 1
-            stats.wall_time = time.perf_counter() - t0
-            return SynthesisOutcome(
-                UNREALIZABLE,
-                witness_mfs=mfs,
-                witness_input=falsifying_input(spec, mfs),
-                stats=stats,
-            )
+            return _unrealizable(spec, t0, stats, mfs)
         mss, witness = got
         mss_list.append(mss)
         witnesses.append(witness)
@@ -185,10 +199,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         if len(mss) == spec.num_clauses:
             break  # full cover: every MFS is a subset, nothing left to find
         record_mss(state, mss)
-    stats.mss_recorded = len(mss_list)
-    dl = build_decision_list(spec, mss_list, witnesses)
-    stats.wall_time = time.perf_counter() - t0
-    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
+    return _realizable(spec, t0, stats, mss_list, witnesses)
 
 
 def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> SynthesisOutcome:
@@ -209,18 +220,9 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         stats.sat_calls += 1
         stats.iterations += 1
         if not res.satisfiable:
-            stats.wall_time = time.perf_counter() - t0
-            return SynthesisOutcome(
-                UNREALIZABLE,
-                witness_mfs=m,
-                witness_input=falsifying_input(spec, m),
-                stats=stats,
-            )
+            return _unrealizable(spec, t0, stats, m)
         witnesses.append({v: res.model.get(v, False) for v in spec.outputs})
-    stats.mss_recorded = len(enum.sets)
-    dl = build_decision_list(spec, list(enum.sets), witnesses)
-    stats.wall_time = time.perf_counter() - t0
-    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
+    return _realizable(spec, t0, stats, list(enum.sets), witnesses)
 
 
 def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> SynthesisOutcome:
@@ -259,22 +261,16 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
         mfs = next_uncovered_mfs(state)
         stats.sat_calls += 1
         if mfs is not None:
-            stats.wall_time = time.perf_counter() - t0
-            return SynthesisOutcome(
-                UNREALIZABLE,
-                witness_mfs=mfs,
-                witness_input=falsifying_input(spec, mfs),
-                stats=stats,
-            )
-    dl = build_decision_list(spec, found, witnesses)
-    stats.wall_time = time.perf_counter() - t0
-    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
+            return _unrealizable(spec, t0, stats, mfs)
+    return _realizable(spec, t0, stats, found, witnesses)
 
 
 def partition_by_output_variables(spec: Specification) -> list[Specification]:
     """Split into components of clauses connected through shared output
     variables; inputs are kept whole, outputs are restricted per component.
-    Components are ordered by their smallest original clause index."""
+    Components are ordered by their smallest original clause index.  The
+    outputs no clause mentions, if any, form one last component without
+    clauses, whose list sets them all false."""
     if spec.empty_ypart_indices:
         raise ValueError(
             "specification has a clause with an empty y-part; "
@@ -311,4 +307,7 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
         outs = sorted({v for i in members for v in spec.y_part(i).variables()})
         clauses = tuple(spec.clause(i) for i in members)
         components.append(Specification(spec.inputs, tuple(outs), clauses))
+    leftover = tuple(v for v in spec.outputs if v not in first_with_var)
+    if leftover:
+        components.append(Specification(spec.inputs, leftover, ()))
     return components

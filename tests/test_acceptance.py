@@ -17,9 +17,9 @@ from bafsynth.graph import analyze_structure, build_conflict_graph, enumerate_mi
 from bafsynth.maxsat import (
     HARD_UNSAT,
     OPTIMAL,
-    MaxSatInstance,
     MaxSatSession,
     TableSession,
+    new_session,
     solve_partial_maxsat,
 )
 from bafsynth.model import parse_qdimacs
@@ -161,12 +161,11 @@ def test_criterion_5_maxsat_exactness():
         for _ in range(rng.randint(1, 10)):
             vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
             soft.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-        inst = MaxSatInstance.of(hard, soft)
         feasible, best = oracles.maxsat_optimum(hard, soft, range(1, n + 1))
         variables = range(1, n + 1)
         # the library default, and each session kind whatever the default picks
         for res in (
-            solve_partial_maxsat(inst),
+            solve_partial_maxsat(new_session(variables, soft, hard)),
             TableSession(variables, soft, hard).solve(),
             MaxSatSession(variables, soft, hard).solve(),
         ):

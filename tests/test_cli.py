@@ -39,10 +39,12 @@ def test_synth_example1(tmp_path, capsys):
 
 def test_synth_unrealizable(tmp_path, capsys):
     f = _write(tmp_path, "bad.qdimacs", UNREALIZABLE_TEXT)
-    code, doc = _run(capsys, ["synth", f])
+    dl = tmp_path / "bad.dl"
+    code, doc = _run(capsys, ["synth", f, "--dl", str(dl)])
     assert code == 1
     assert doc["status"] == "unrealizable"
     assert doc["witness"]["mfs"] in ([1, 2], [3, 4])
+    assert doc["dl_path"] is None and not dl.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--no-verify"], ["--no-partition"]])
@@ -311,6 +313,80 @@ def test_verify_multidoc_partitioned(tmp_path, capsys):
     code, doc = _run(capsys, ["verify", f, dl])
     assert code == 0
     assert doc["documents"] == 4
+
+
+# two clauses over outputs 3 and 4: two components, one document each
+TWO_OUTPUTS_TEXT = "p cnf 4 2\na 1 2 0\ne 3 4 0\n1 3 0\n2 4 0\n"
+
+
+@pytest.mark.parametrize("extra, documents", [([], 2), (["--no-partition"], 1)])
+def test_synth_documents_verify(tmp_path, capsys, extra, documents):
+    f = _write(tmp_path, "two.qdimacs", TWO_OUTPUTS_TEXT)
+    dl = str(tmp_path / "two.dl")
+    assert main(["synth", f, "--dl", dl, *extra]) == 0
+    capsys.readouterr()
+    code, doc = _run(capsys, ["verify", f, dl])
+    assert code == 0 and doc["verified"] is True
+    assert doc["documents"] == documents
+
+
+@pytest.mark.parametrize(
+    "which, error",
+    [
+        ("empty", "no decision list covers outputs 3 4"),
+        ("first-only", "no decision list covers outputs 4"),
+        ("twice", "decision lists overlap on outputs 3"),
+    ],
+)
+def test_verify_rejects_documents_that_do_not_cover_each_output_once(
+    tmp_path, capsys, which, error
+):
+    f = _write(tmp_path, "two.qdimacs", TWO_OUTPUTS_TEXT)
+    dl = tmp_path / "two.dl"
+    assert main(["synth", f, "--dl", str(dl)]) == 0
+    text = dl.read_text()
+    first = text[: text.index("dl 1", 1)]
+    bodies = {"empty": "", "first-only": first, "twice": text + text}
+    bad = _write(tmp_path, "bad.dl", bodies[which])
+    capsys.readouterr()
+    assert main(["verify", f, bad]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+# {spec}: example1, {dl}: its synthesized list, {dir}: a directory holding
+# the spec, {missing}: a path in a directory that does not exist
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "synth {spec} --dl {missing}",
+        "synth {spec} --json {missing}",
+        "analyze {spec} --json {missing}",
+        "verify {spec} {dl} --json {missing}",
+        "bench {dir} --json {missing}",
+        "decompose {spec} --out-dir {spec}",
+        "decompose {spec} --out-dir {dir} --json {missing}",
+    ],
+)
+def test_unwritable_output_paths_exit_2_with_one_line(tmp_path, capsys, argv):
+    paths = {
+        "spec": _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT),
+        "dl": str(tmp_path / "ex1.dl"),
+        "dir": str(tmp_path / "dir"),
+        "missing": str(tmp_path / "no-such-dir" / "out"),
+    }
+    assert main(["synth", paths["spec"], "--dl", paths["dl"]]) == 0
+    (tmp_path / "dir").mkdir()
+    _write(tmp_path / "dir", "ex1.qdimacs", EXAMPLE1_TEXT)
+    capsys.readouterr()
+    code = main(argv.format(**paths).split())
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if argv.startswith("synth"):  # the report still reaches stdout
+        doc = json.loads(captured.out)
+        assert doc["verified"] is True and doc["dl_path"] is None
 
 
 def test_decompose_command(tmp_path, capsys):

@@ -13,7 +13,7 @@ from bafsynth.dlist import (
     to_json_dict,
 )
 from bafsynth.errors import ParseError
-from bafsynth.model import parse_qdimacs
+from bafsynth.model import Specification, parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
 
 from .conftest import identity_qdimacs, random_spec_text
@@ -170,19 +170,38 @@ def test_combine_identity_family():
 def test_combine_single_component(example1):
     out = back_and_forth(example1)
     ci = combine([out.decision_list], example1)
-    assert ci.defaults == {}
+    assert ci.parts == (out.decision_list,)
     for x in oracles.assignments(example1.inputs):
         assert evaluate_combined(ci, x) == evaluate(out.decision_list, x)
 
 
 def test_combine_defaults_unconstrained_output():
+    # output 5 is in no clause: the partitioner's last, clause-free
+    # component holds it, and its list sets it false
     spec = parse_qdimacs("p cnf 5 2\na 1 2 0\ne 3 4 5 0\n1 3 0\n2 4 0\n")
     parts = partition_by_output_variables(spec)
     outs = [back_and_forth(p) for p in parts]
     ci = combine([o.decision_list for o in outs], spec)
-    assert ci.defaults == {5: False}
-    y = evaluate_combined(ci, {1: True, 2: True})
-    assert y is not None and y[5] is False
+    assert ci.parts[-1].outputs == (5,)
+    for x in oracles.assignments(spec.inputs):
+        y = evaluate_combined(ci, x)
+        assert y is not None and set(y) == {3, 4, 5} and y[5] is False
+
+
+def test_combine_rejects_missing_output():
+    spec = parse_qdimacs("p cnf 5 2\na 1 2 0\ne 3 4 5 0\n1 3 0\n2 4 0\n")
+    lists = [back_and_forth(p).decision_list for p in partition_by_output_variables(spec)]
+    with pytest.raises(ValueError, match="no decision list covers outputs 5$"):
+        combine(lists[:-1], spec)
+    with pytest.raises(ValueError, match="covers outputs 3 4 5$"):
+        combine([], spec)
+
+
+def test_combine_rejects_foreign_output(example1):
+    out = back_and_forth(example1)
+    narrow = Specification(example1.inputs, (3,), ())
+    with pytest.raises(ValueError, match="outputs 4 are not outputs"):
+        combine([out.decision_list], narrow)
 
 
 def test_combine_rejects_overlap(example1):

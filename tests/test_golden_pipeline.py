@@ -24,7 +24,7 @@ SPECS = {
     "example1": EXAMPLE1_TEXT,
     "unrealizable4": UNREALIZABLE_TEXT,
     "identity3": identity_qdimacs(3),
-    # output 5 occurs in no clause: the leftover-defaults document
+    # output 5 occurs in no clause: the partitioner's last, clause-free component
     "unconstrained-outputs": "p cnf 5 2\na 1 2 0\ne 3 4 5 0\n1 3 0\n2 4 0\n",
     # clause 1 has no output literal
     "empty-ypart": "p cnf 3 2\na 1 2 0\ne 3 0\n1 2 0\n1 3 0\n",

@@ -3,9 +3,9 @@ import random
 from bafsynth.maxsat import (
     HARD_UNSAT,
     OPTIMAL,
-    MaxSatInstance,
     MaxSatSession,
     TableSession,
+    new_session,
     solve_partial_maxsat,
 )
 from bafsynth.model import parse_qdimacs
@@ -18,19 +18,21 @@ from .conftest import output_chain_qdimacs
 SESSIONS = (TableSession, MaxSatSession)
 
 
-def _every_way(inst: MaxSatInstance):
-    """`inst` solved by the library default and by a session of each kind."""
-    variables = range(1, inst.max_var() + 1)
-    return [
-        solve_partial_maxsat(inst),
-        *(kind(variables, inst.soft, inst.hard).solve() for kind in SESSIONS),
-    ]
+def _solve(n: int, soft, hard=()):
+    """The library default's answer over variables 1..n."""
+    return solve_partial_maxsat(new_session(range(1, n + 1), soft, hard))
+
+
+def _every_way(n: int, soft, hard=()):
+    """Softs and hards over variables 1..n solved by the library default
+    and by a session of each kind."""
+    sessions = [kind(range(1, n + 1), soft, hard) for kind in SESSIONS]
+    return [_solve(n, soft, hard), *(session.solve() for session in sessions)]
 
 
 def test_worked_example_hard_unit():
     # hard (y1), soft (not y1), (y1 or not y2), (y2) over y1=1, y2=2
-    inst = MaxSatInstance.of([(1,)], [(-1,), (1, -2), (2,)])
-    res = solve_partial_maxsat(inst)
+    res = _solve(2, [(-1,), (1, -2), (2,)], [(1,)])
     assert res.status == OPTIMAL
     assert res.num_satisfied == 2
     assert res.model == {1: True, 2: True}
@@ -38,27 +40,25 @@ def test_worked_example_hard_unit():
 
 
 def test_complementary_soft_units():
-    res = solve_partial_maxsat(MaxSatInstance.of([], [(1,), (-1,)]))
+    res = _solve(1, [(1,), (-1,)])
     assert res.status == OPTIMAL
     assert res.num_satisfied == 1
 
 
 def test_hard_unsatisfiable():
-    inst = MaxSatInstance.of([(1,), (-1,)], [(2,)])
-    for res in _every_way(inst):
+    for res in _every_way(2, [(2,)], [(1,), (-1,)]):
         assert res.status == HARD_UNSAT
         assert res.model is None
 
 
 def test_no_softs():
-    res = solve_partial_maxsat(MaxSatInstance.of([(1, 2)], []))
+    res = _solve(2, [], [(1, 2)])
     assert res.status == OPTIMAL
     assert res.satisfied_soft == frozenset()
 
 
 def test_empty_soft_clause_never_satisfied():
-    inst = MaxSatInstance.of([], [(), (1,)])
-    for res in _every_way(inst):
+    for res in _every_way(1, [(), (1,)]):
         assert res.status == OPTIMAL
         assert res.satisfied_soft == frozenset({1})
 
@@ -84,23 +84,23 @@ def _random_instance(rng, max_vars=10, max_soft=10):
     for _ in range(rng.randint(1, max_soft)):
         vs = rng.sample(range(1, n + 1), rng.randint(1, min(3, n)))
         soft.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
-    return n, MaxSatInstance.of(hard, soft)
+    return n, soft, hard
 
 
 def test_exactness_against_brute_force():
     rng = random.Random(71)
     for _ in range(500):
-        n, inst = _random_instance(rng)
-        feasible, best = oracles.maxsat_optimum(inst.hard, inst.soft, range(1, n + 1))
-        res = solve_partial_maxsat(inst)
-        if not feasible:
-            assert res.status == HARD_UNSAT
-        else:
+        n, soft, hard = _random_instance(rng)
+        feasible, best = oracles.maxsat_optimum(hard, soft, range(1, n + 1))
+        for res in _every_way(n, soft, hard):
+            if not feasible:
+                assert res.status == HARD_UNSAT
+                continue
             assert res.status == OPTIMAL
             assert res.num_satisfied == best
-            assert all(oracles.clause_sat(c, res.model) for c in inst.hard)
+            assert all(oracles.clause_sat(c, res.model) for c in hard)
             assert res.satisfied_soft == frozenset(
-                i for i, c in enumerate(inst.soft) if oracles.clause_sat(c, res.model)
+                i for i, c in enumerate(soft) if oracles.clause_sat(c, res.model)
             )
 
 
@@ -108,23 +108,23 @@ def test_maximality_of_satisfied_set():
     # no excluded soft is satisfiable together with hard and the chosen set
     rng = random.Random(73)
     for _ in range(100):
-        n, inst = _random_instance(rng, max_vars=6, max_soft=8)
-        res = solve_partial_maxsat(inst)
+        n, soft, hard = _random_instance(rng, max_vars=6, max_soft=8)
+        res = _solve(n, soft, hard)
         if res.status != OPTIMAL:
             continue
-        chosen = [inst.soft[i] for i in res.satisfied_soft]
-        for i, c in enumerate(inst.soft):
+        chosen = [soft[i] for i in res.satisfied_soft]
+        for i, c in enumerate(soft):
             if i in res.satisfied_soft:
                 continue
-            joint = list(inst.hard) + chosen + [c]
+            joint = list(hard) + chosen + [c]
             assert oracles.cnf_model(joint, range(1, n + 1)) is None
 
 
 def test_determinism():
     rng = random.Random(83)
     for _ in range(50):
-        _, inst = _random_instance(rng)
-        for a, b in zip(_every_way(inst), _every_way(inst)):
+        n, soft, hard = _random_instance(rng)
+        for a, b in zip(_every_way(n, soft, hard), _every_way(n, soft, hard)):
             assert a.model == b.model and a.satisfied_soft == b.satisfied_soft
 
 
@@ -140,15 +140,15 @@ def _one_session_answers_like_fresh_solves(kind):
     rng = random.Random(89)
     unsat = bounded = 0
     for _ in range(80):
-        n, inst = _random_instance(rng, max_soft=8)
-        session = kind(range(1, n + 1), inst.soft, inst.hard)
-        k = len(inst.soft)
+        n, inst_soft, inst_hard = _random_instance(rng, max_soft=8)
+        session = kind(range(1, n + 1), inst_soft, inst_hard)
+        k = len(inst_soft)
         queries = [frozenset(rng.sample(range(k), rng.randint(0, k))) for _ in range(6)]
         queries += rng.choices(queries, k=3)
         rng.shuffle(queries)
         for q in queries:
-            hard = [*inst.hard, *(inst.soft[j] for j in sorted(q))]
-            soft = [c for j, c in enumerate(inst.soft) if j not in q]
+            hard = [*inst_hard, *(inst_soft[j] for j in sorted(q))]
+            soft = [c for j, c in enumerate(inst_soft) if j not in q]
             feasible, best = oracles.maxsat_optimum(hard, soft, range(1, n + 1))
             got = solve_partial_maxsat(session, q)
             fresh = kind(range(1, n + 1), soft, hard).solve()
@@ -159,9 +159,9 @@ def _one_session_answers_like_fresh_solves(kind):
             assert q <= got.satisfied_soft
             assert got.num_satisfied == fresh.num_satisfied + len(q) == best + len(q)
             assert set(got.model) == set(range(1, n + 1))
-            assert all(oracles.clause_sat(c, got.model) for c in inst.hard)
+            assert all(oracles.clause_sat(c, got.model) for c in inst_hard)
             assert got.satisfied_soft == frozenset(
-                i for i, c in enumerate(inst.soft) if oracles.clause_sat(c, got.model)
+                i for i, c in enumerate(inst_soft) if oracles.clause_sat(c, got.model)
             )
             bounded += got.num_satisfied < k  # the optimum falsifies a soft
     assert unsat > 50 and bounded > 100
@@ -179,13 +179,13 @@ def test_table_and_cdcl_sessions_agree_with_brute_force():
     rng = random.Random(97)
     unsat = 0
     for _ in range(150):
-        n, inst = _random_instance(rng, max_vars=8, max_soft=10)
+        n, inst_soft, inst_hard = _random_instance(rng, max_vars=8, max_soft=10)
         ids = rng.sample(range(1, 60), n)
 
         def rename(c):
             return tuple(ids[l - 1] if l > 0 else -ids[-l - 1] for l in c)
 
-        soft, hard = [rename(c) for c in inst.soft], [rename(c) for c in inst.hard]
+        soft, hard = [rename(c) for c in inst_soft], [rename(c) for c in inst_hard]
         variables = rng.sample(ids, n)
         table, cdcl = TableSession(variables, soft, hard), MaxSatSession(variables, soft, hard)
         k = len(soft)

@@ -377,6 +377,21 @@ def test_partition_disjoint_outputs():
     assert len(parts) == 2
 
 
+def test_partition_puts_unconstrained_outputs_last():
+    # outputs 5 and 7 are in no clause: one clause-free component, last
+    spec = parse_qdimacs("p cnf 7 2\na 1 2 0\ne 3 4 5 6 7 0\n1 6 0\n2 4 0\n")
+    parts = partition_by_output_variables(spec)
+    assert [p.outputs for p in parts] == [(6,), (4,), (3, 5, 7)]
+    assert [p.num_clauses for p in parts] == [1, 1, 0]
+    assert parts[-1].inputs == spec.inputs
+    out = back_and_forth(parts[-1])
+    assert out.realizable
+    assert [d.output for d in out.decision_list.decisions] == [{3: False, 5: False, 7: False}]
+    # a specification without clauses is one clause-free component
+    (only,) = partition_by_output_variables(parse_qdimacs("p cnf 3 0\na 1 0\ne 2 3 0\n"))
+    assert only.outputs == (2, 3) and only.num_clauses == 0
+
+
 def test_partition_rejects_empty_ypart():
     spec = parse_qdimacs("p cnf 2 1\na 1 2 0\ne 0\n1 2 0\n")
     with pytest.raises(ValueError, match="empty y-part"):
