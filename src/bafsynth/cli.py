@@ -16,7 +16,6 @@ import os
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -152,9 +151,10 @@ def _failure(key: str, index: int, report: _verify.VerificationReport) -> dict:
 
 
 # the Stats counters: reported per component and summed into the run totals,
-# like the decisions of the component's list; wall_time is reported per
-# component in ms
+# like the decisions of the component's list, and a `bench` record copies
+# those totals; wall_time is reported per component in ms
 _STATS_COUNTERS = tuple(f.name for f in fields(_synth.Stats) if f.name != "wall_time")
+_REPORT_COUNTERS = (*_STATS_COUNTERS, "decisions")
 
 
 def _unrealizable(result: dict, t0: float, spec: Specification, component: int, mfs, x) -> dict:
@@ -181,7 +181,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         "partition": cfg.partition,
         "status": _synth.REALIZABLE,
         "partitions": 1,
-        **dict.fromkeys((*_STATS_COUNTERS, "decisions"), 0),
+        **dict.fromkeys(_REPORT_COUNTERS, 0),
         "verify": cfg.verify,
         "verified": False,
         "components": [],
@@ -328,8 +328,7 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
-    for di, dl in enumerate(docs, 1):
+    for di, dl in enumerate(docs, 1):  # every check that needs no solver comes first
         if dl.spec is None:
             print(
                 f"error: document {di} digest matches neither the specification "
@@ -338,17 +337,20 @@ def cmd_verify(args) -> int:
             )
             return EXIT_USAGE
         try:
-            report = _verify.verify_decision_list(dl.spec, dl)
+            _verify.check_decision_list(dl.spec, dl)
         except ValueError as exc:
             print(f"error: document {di}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if not report.verified:
-            failures.append(_failure("document", di, report))
     try:
         _dlist.combine(docs, spec)  # every output in exactly one document
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    failures = []
+    for di, dl in enumerate(docs, 1):
+        report = _verify.verify_decision_list(dl.spec, dl)
+        if not report.verified:
+            failures.append(_failure("document", di, report))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.spec).name,
@@ -424,10 +426,7 @@ def _bench_one(path_str: str, cfg: RunConfig) -> dict:
         "instance": Path(path_str).name,
         "mode": cfg.mode,
         "status": "error",
-        "decisions": 0,
-        "iterations": 0,
-        "sat_calls": 0,
-        "maxsat_calls": 0,
+        **dict.fromkeys(_REPORT_COUNTERS, 0),
         "time_ms": 0.0,
     }
     t0 = time.perf_counter()
@@ -445,7 +444,7 @@ def _bench_one(path_str: str, cfg: RunConfig) -> dict:
         with time_limit(cfg.timeout):
             result = run_pipeline(spec, cfg)
         record["status"] = result["status"]
-        for key in ("decisions", "iterations", "sat_calls", "maxsat_calls"):
+        for key in _REPORT_COUNTERS:
             record[key] = result[key]
         if cfg.verify and result["status"] == _synth.REALIZABLE and not result["verified"]:
             record["status"] = "verification-failed"
@@ -478,6 +477,8 @@ def cmd_bench(args) -> int:
     if cfg.json_path and not _write(cfg.json_path, ""):  # before hours of runs
         return EXIT_USAGE
     if cfg.jobs > 1 and paths:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(_bench_one, paths, [cfg] * len(paths)))
     else:

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .model import Assignment, Specification
+from .model import Assignment, Specification, true_literals
 
 FORMAT_VERSION = 1
 
@@ -62,8 +62,9 @@ def build_decision_list(
             raise ValueError("index set out of range")
         if set(wit) != set(spec.outputs):
             raise ValueError("witness is not total over the outputs")
+        true = true_literals(wit)
         for j in sel:
-            if not spec.y_part(j).evaluate(wit):
+            if true.isdisjoint(spec.y_part(j).lits):
                 raise ValueError(f"witness does not satisfy the y-part of clause {j}")
         decisions.append(Decision(every - sel, dict(wit)))
     return DecisionList(

@@ -7,17 +7,31 @@ Maximal independent sets of the conflict graph are therefore the maximal
 falsifiable subsets (MFS), and equal the maximal cliques of the complement
 (the consensus graph); only `analyze` and MFS enumeration build the graphs.
 
+Both the enumeration and the analysis split the conflict graph into its
+connected components.  A clause whose x-part conflicts with no other is an
+isolated vertex and belongs to every MFS.  Every other component is
+searched on its own, and the MFS are the Cartesian product of the
+components' maximal independent sets (with every isolated vertex added),
+so their count is the product of the components' counts.  The consensus
+graph is the join of the components' complements, and a join is chordal
+exactly when every part is and at most one part is not complete: so it is
+not chordal when two or more components have an edge, and otherwise it is
+chordal exactly when the one component with edges has a chordal
+complement.
+
 The conflict graph keeps sparse adjacency sets.  The clique search and the
-chordality test run on the consensus graph as Python ints used as bitsets:
-bit v of a mask stands for vertex v (bit 0 is never set), and vertex v's
-consensus neighbours are one mask, every vertex but v and its conflicts.
+chordality test run on a component's consensus graph as Python ints used
+as bitsets: bit t of a mask stands for the component's t-th vertex in
+ascending order (bit 0 is never set), and a vertex's consensus neighbours
+are one mask, every vertex of the component but itself and its conflicts.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import islice, product
+from typing import Iterable, Iterator, Sequence
 
 from .model import Specification
 
@@ -86,12 +100,40 @@ def _vertices(n: int) -> int:
     return (1 << (n + 1)) - 2
 
 
-def _consensus_masks(g: ConflictGraph) -> list[int]:
-    """nb[v]: the consensus neighbours of vertex v as a mask; nb[0] = 0."""
-    everything = _vertices(g.n)
+def _consensus_masks(g: ConflictGraph, vertices: Sequence[int]) -> list[int]:
+    """nb[t]: the consensus neighbours, within `vertices` (ascending, closed
+    under conflicts), of its t-th vertex as a mask over their positions
+    1..len(vertices); nb[0] = 0."""
+    pos = {v: t for t, v in enumerate(vertices, 1)}
+    everything = _vertices(len(vertices))
     return [0] + [
-        everything ^ sum(1 << u for u in g.adj[v]) ^ (1 << v) for v in range(1, g.n + 1)
+        everything ^ sum(1 << pos[u] for u in g.adj[v]) ^ (1 << t)
+        for t, v in enumerate(vertices, 1)
     ]
+
+
+def _components(g: ConflictGraph) -> tuple[frozenset[int], list[list[int]]]:
+    """The isolated vertices, and the vertices (ascending) of each connected
+    component with an edge, the components in order of their least vertex."""
+    seen = [False] * (g.n + 1)
+    isolated: list[int] = []
+    parts: list[list[int]] = []
+    for v in range(1, g.n + 1):
+        if seen[v]:
+            continue
+        if not g.adj[v]:
+            isolated.append(v)
+            continue
+        seen[v] = True
+        part, todo = [v], [v]
+        while todo:
+            for u in g.adj[todo.pop()]:
+                if not seen[u]:
+                    seen[u] = True
+                    part.append(u)
+                    todo.append(u)
+        parts.append(sorted(part))
+    return frozenset(isolated), parts
 
 
 def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]], bool]:
@@ -137,26 +179,43 @@ def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]
 
 def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     """All maximal independent sets, in lexicographic order of their sorted
-    index tuples; truncated with overflow=True when more than `limit` exist."""
+    index tuples.  When more than `limit` exist, overflow=True and `sets`
+    holds `limit` of them, in the same order."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    found, overflow = _max_cliques(_consensus_masks(g), g.n, limit)
-    found.sort(key=sorted)
-    return MisEnumeration(tuple(found), overflow)
+    isolated, parts = _components(g)
+    per_part: list[list[frozenset[int]]] = []
+    overflow, total = False, 1
+    for vertices in parts:
+        # past the limit, one set of each later component completes `limit` sets
+        nb = _consensus_masks(g, vertices)
+        found, over = _max_cliques(nb, len(vertices), 1 if overflow else limit)
+        per_part.append([frozenset(vertices[t - 1] for t in c) for c in found])
+        total *= len(found)
+        overflow = overflow or over or total > limit
+    sets = [isolated.union(*combo) for combo in islice(product(*per_part), limit)]
+    sets.sort(key=sorted)
+    return MisEnumeration(tuple(sets), overflow)
 
 
 def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
     """Count maximal cliques of the consensus graph (equivalently, the MFS
-    count) up to `budget`, and test the consensus graph for chordality."""
+    count) up to `budget`, and test the consensus graph for chordality;
+    both by the component rules of the module docstring."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    nb = _consensus_masks(g)
-    found, overflow = _max_cliques(nb, g.n, budget)
-    return CliqueCountReport(
-        count=None if overflow else len(found),
-        budget=budget,
-        chordal=_is_chordal(nb, g.n),
-    )
+    _, parts = _components(g)
+    count: int | None = 1
+    chordal = len(parts) < 2
+    for vertices in parts:
+        nb = _consensus_masks(g, vertices)
+        found, overflow = _max_cliques(nb, len(vertices), budget)
+        count = None if overflow or count * len(found) > budget else count * len(found)
+        if chordal:  # the only component with an edge
+            chordal = _is_chordal(nb, len(vertices))
+        if count is None:
+            break  # chordality is settled: tested above, or false by the join rule
+    return CliqueCountReport(count=count, budget=budget, chordal=chordal)
 
 
 def _is_chordal(nb: list[int], n: int) -> bool:

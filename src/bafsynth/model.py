@@ -141,6 +141,12 @@ class Specification:
         return hashlib.sha256(self.to_qdimacs().encode("utf-8")).hexdigest()
 
 
+def true_literals(assignment: Mapping[int, bool]) -> set[int]:
+    """The literals `assignment` makes true: a clause over its variables is
+    true exactly when the clause shares a literal with this set."""
+    return {v if b else -v for v, b in assignment.items()}
+
+
 def fals(spec: Specification, x: Mapping[int, bool]) -> frozenset[int]:
     """Indices of clauses whose x-part is falsified by the input assignment."""
     _require_total(x, spec.inputs, "input")

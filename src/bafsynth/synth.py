@@ -214,8 +214,8 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     witnesses = []
     for m in enum.sets:
         s = Solver()
-        for i in sorted(m):
-            s.add_clause(spec.y_part(i).lits)
+        for lits in dict.fromkeys(spec.y_part(i).lits for i in sorted(m)):
+            s.add_clause(lits)  # each distinct y-part once, in first-occurrence order
         res = s.solve()
         stats.sat_calls += 1
         stats.iterations += 1

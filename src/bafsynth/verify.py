@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dlist import DecisionList
-from .model import Assignment, Specification
+from .model import Assignment, Specification, true_literals
 from .sat import Solver
 
 VERIFIED = "verified"
@@ -50,31 +50,37 @@ class VerificationReport:
         return self.status == VERIFIED
 
 
-def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationReport:
-    """Check soundness (any firing decision satisfies the CNF) and coverage
-    (some decision fires on every input); see the module docstring.
-
-    Raises ValueError, before any solving, when the list was built against
-    another specification, names other input or output variables, has a
-    decision output that is not total over the outputs, or has a guard
-    index that is not a clause of the specification."""
+def check_decision_list(spec: Specification, dl: DecisionList) -> None:
+    """Raise ValueError when the list was built against another
+    specification, names other input or output variables, has a decision
+    output that is not total over the outputs, or has a guard index that
+    is not a clause of the specification.  These checks need no solver."""
     if dl.spec_digest != spec.digest:
         raise ValueError("decision list was built against a different specification")
     outputs = set(spec.outputs)
     if set(dl.inputs) != set(spec.inputs) or set(dl.outputs) != outputs:
         raise ValueError("decision list variables differ from the specification's")
     every = frozenset(spec.indices)
-    used: set[int] = set()
     for di, dec in enumerate(dl.decisions, 1):
         if not dec.guard <= every:
             raise ValueError(f"decision {di} guards a clause index out of range")
         if set(dec.output) != outputs:
             raise ValueError(f"decision {di} output is not total over the outputs")
-        used |= dec.guard
 
+
+def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationReport:
+    """Check soundness (any firing decision satisfies the CNF) and coverage
+    (some decision fires on every input); see the module docstring.
+
+    Raises ValueError, before any solving, when `check_decision_list`
+    rejects the list."""
+    check_decision_list(spec, dl)
+    used: set[int] = set()
     for di, dec in enumerate(dl.decisions, 1):
+        used |= dec.guard
+        true = true_literals(dec.output)
         for j in spec.indices:
-            if j in dec.guard or spec.y_part(j).evaluate(dec.output):
+            if j in dec.guard or not true.isdisjoint(spec.y_part(j).lits):
                 continue  # j in the guard: the query holds x-part j and its negation
             s = Solver()
             for g in sorted(dec.guard):

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from bafsynth import cli, graph, synth
+from bafsynth import cli, graph, sat, synth
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
@@ -355,6 +359,38 @@ def test_verify_rejects_documents_that_do_not_cover_each_output_once(
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "which, error",
+    [
+        ("twice", "error: decision lists overlap on outputs 3\n"),
+        (
+            "second-malformed",
+            "error: document 2: decision list variables differ from the specification's\n",
+        ),
+    ],
+    ids=["twice", "second-malformed"],
+)
+def test_verify_rejects_before_constructing_a_solver(tmp_path, capsys, monkeypatch, which, error):
+    f = _write(tmp_path, "two.qdimacs", TWO_OUTPUTS_TEXT)
+    dl = tmp_path / "two.dl"
+    assert main(["synth", f, "--dl", str(dl)]) == 0
+    text = dl.read_text()
+    second = text.index("dl 1", 1)
+    bodies = {
+        "twice": text + text,
+        "second-malformed": text[:second] + text[second:].replace("in 1 2\n", "in 1\n"),
+    }
+    bad = _write(tmp_path, "bad.dl", bodies[which])
+    capsys.readouterr()
+    made = []
+    init = sat.Solver.__init__
+    monkeypatch.setattr(sat.Solver, "__init__", lambda self: made.append(self) or init(self))
+    assert main(["verify", f, bad]) == 2
+    assert made == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == error
+
+
 # {spec}: example1, {dl}: its synthesized list, {dir}: a directory holding
 # the spec, {missing}: a path in a directory that does not exist
 @pytest.mark.parametrize(
@@ -575,3 +611,27 @@ def test_bench_records_a_non_utf8_file_as_parse_error(tmp_path, capsys):
         ("b_latin1.qdimacs", "parse-error"),
     ]
     assert "not UTF-8" in records[1]["warning"]
+
+
+def test_bench_records_every_report_counter(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    _write(d, "a_ex1.qdimacs", EXAMPLE1_TEXT)
+    _write(d, "b_junk.qdimacs", "not a qdimacs file\n")
+    out = tmp_path / "records.jsonl"
+    assert main(["bench", str(d), "--json", str(out)]) == 0
+    ok, junk = [json.loads(line) for line in out.read_text().splitlines()]
+    report = cli.run_pipeline(parse_qdimacs(EXAMPLE1_TEXT), cli.RunConfig())
+    counters = [f.name for f in dataclasses.fields(synth.Stats) if f.name != "wall_time"]
+    assert "mss_recorded" in counters
+    for key in (*counters, "decisions"):
+        assert ok[key] == report[key]
+        assert junk[key] == 0
+    assert ok["mss_recorded"] > 0
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    probe = "import sys, bafsynth.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == "False\n"

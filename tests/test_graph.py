@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from bafsynth import graph
 from bafsynth.graph import (
     ConflictGraph,
     _consensus_masks,
@@ -252,7 +253,7 @@ def _consensus_sets(g):
 
 
 def _assert_cliques_match_reference(g):
-    nb = _consensus_masks(g)
+    nb = _consensus_masks(g, range(1, g.n + 1))
     cons = _consensus_sets(g)
     for limit in (1, 3, 10**6):
         assert _max_cliques(nb, g.n, limit) == oracles.max_cliques_reference(cons, g.n, limit)
@@ -299,3 +300,58 @@ def test_clique_search_matches_set_based_reference_on_chain_matching_specs():
         assert len(g.edges()) == pairs
         _assert_cliques_match_reference(g)
         assert len(enumerate_mis(g, 10**6).sets) == 2**pairs
+
+
+def _disjoint_union_graph(rng):
+    """Several small random graphs with at least one edge each, plus
+    isolated vertices, on shuffled vertex ids so the components interleave."""
+    pieces, n = [], 0
+    for _ in range(rng.randint(0, 4)):
+        size = rng.randint(2, 6)
+        edges = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.5]
+        edges = edges or [(0, 1)]
+        pieces.append((n, edges))
+        n += size
+    n += rng.randint(0, 5)  # isolated vertices
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    return _graph(n, [(label[base + i], label[base + j]) for base, edges in pieces for i, j in edges])
+
+
+def test_component_factoring_matches_the_whole_graph_search():
+    rng = random.Random(79)
+    overflowed = 0
+    for _ in range(300):
+        g = _disjoint_union_graph(rng)
+        whole, overflow = _max_cliques(_consensus_masks(g, range(1, g.n + 1)), g.n, 10**9)
+        assert not overflow
+        whole.sort(key=sorted)
+        count = len(whole)
+        enum = enumerate_mis(g, count)
+        assert list(enum.sets) == whole and not enum.overflow
+        assert analyze_structure(g, count).count == count
+        chordal = not oracles.has_chordless_cycle(_consensus_sets(g), g.n)
+        assert analyze_structure(g, count).chordal == chordal
+        if count > 1:
+            assert analyze_structure(g, count - 1).count is None
+            limit = rng.randint(1, count - 1)
+            enum = enumerate_mis(g, limit)
+            assert enum.overflow and len(enum.sets) == limit
+            assert list(enum.sets) == sorted(enum.sets, key=sorted)
+            assert set(enum.sets) <= set(whole)
+            overflowed += 1
+    assert overflowed > 200
+
+
+def test_independent_conflicts_are_searched_one_pair_at_a_time(monkeypatch):
+    sizes = []
+
+    def recording(nb, n, limit):
+        sizes.append(n)
+        return _max_cliques(nb, n, limit)
+
+    monkeypatch.setattr(graph, "_max_cliques", recording)
+    g = build_conflict_graph(parse_qdimacs(identity_qdimacs(60)))
+    report = analyze_structure(g, 10000)
+    assert report.count is None and report.chordal is False
+    assert sizes and max(sizes) <= 2

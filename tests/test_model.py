@@ -3,7 +3,14 @@ import random
 import pytest
 
 from bafsynth.errors import ParseError
-from bafsynth.model import Clause, Specification, SplitClause, fals, parse_qdimacs
+from bafsynth.model import (
+    Clause,
+    Specification,
+    SplitClause,
+    fals,
+    parse_qdimacs,
+    true_literals,
+)
 
 from .conftest import random_spec_text
 from . import oracles
@@ -182,3 +189,14 @@ def test_empty_quantifier_blocks_allowed():
     assert spec.inputs == ()
     assert spec.num_clauses == 2
     assert fals(spec, {}) == frozenset({1, 2})
+
+
+def test_true_literals_agree_with_clause_evaluation():
+    rng = random.Random(83)
+    for _ in range(500):
+        variables = range(1, rng.randint(1, 6) + 1)
+        chosen = rng.sample(variables, rng.randint(0, len(variables)))
+        clause = Clause(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        assignment = {v: rng.random() < 0.5 for v in variables}
+        true = true_literals(assignment)
+        assert (not true.isdisjoint(clause.lits)) == clause.evaluate(assignment)

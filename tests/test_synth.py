@@ -292,6 +292,38 @@ def test_mfs_enumeration_identity():
     assert len(out.decision_list) == 4
 
 
+def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
+    # clauses 1, 3 and 5 share y-part (5), clauses 2 and 4 share (6); four
+    # MFS (1 or 2, 3 or 6, with 4 and 5) of four clauses each
+    spec = parse_qdimacs(
+        "p cnf 6 6\na 1 2 3 4 0\ne 5 6 0\n1 5 0\n-1 6 0\n2 5 0\n4 6 0\n3 5 0\n-2 -5 6 0\n"
+    )
+    added = []
+
+    class Recording(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            added.append([])
+
+        def add_clause(self, lits):
+            added[-1].append(tuple(lits))
+            super().add_clause(lits)
+
+    monkeypatch.setattr(synth, "Solver", Recording)
+    out = synth_by_mfs_enumeration(spec)
+    assert out.realizable
+    guards = [d.guard for d in out.decision_list.decisions]
+    assert len(added) == len(guards) == 4
+    for guard, clauses in zip(guards, added):
+        expected = []
+        for i in spec.indices:
+            if i not in guard and spec.y_part(i).lits not in expected:
+                expected.append(spec.y_part(i).lits)
+        assert clauses == expected
+    assert [len(c) for c in added] == [2, 3, 2, 3]
+    assert verify_decision_list(spec, out.decision_list).verified
+
+
 def test_mfs_enumeration_unrealizable(unrealizable4):
     out = synth_by_mfs_enumeration(unrealizable4)
     assert not out.realizable
