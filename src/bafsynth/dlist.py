@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .model import Assignment, Specification, true_literals
+from .model import Assignment, Specification, index_mask, mask_indices, true_literals
 
 FORMAT_VERSION = 1
 
@@ -52,21 +52,28 @@ def build_decision_list(
     witnesses: list[Assignment],
 ) -> DecisionList:
     """One decision per index set: guard = complement of the set, output =
-    the witness assignment, which must satisfy every y-part in the set."""
+    the witness assignment, which must satisfy every y-part in the set.
+    Each distinct y-part is checked once; the error names the smallest
+    clause of the set whose y-part the witness falsifies."""
     if len(index_sets) != len(witnesses):
         raise ValueError("index sets and witnesses differ in length")
-    every = frozenset(spec.indices)
+    every, full = frozenset(spec.indices), spec.full_mask
     decisions = []
     for sel, wit in zip(index_sets, witnesses):
         if not sel <= every:
             raise ValueError("index set out of range")
         if set(wit) != set(spec.outputs):
             raise ValueError("witness is not total over the outputs")
-        true = true_literals(wit)
-        for j in sel:
-            if true.isdisjoint(spec.y_part(j).lits):
-                raise ValueError(f"witness does not satisfy the y-part of clause {j}")
-        decisions.append(Decision(every - sel, dict(wit)))
+        guard = every - sel
+        mask = full ^ index_mask(guard)  # sel, from the smaller guard
+        true, bad = true_literals(wit), 0
+        for lits, ys in spec.ypart_groups:
+            if true.isdisjoint(lits):
+                bad |= ys & mask
+        if bad:
+            j = next(mask_indices(bad))
+            raise ValueError(f"witness does not satisfy the y-part of clause {j}")
+        decisions.append(Decision(guard, dict(wit)))
     return DecisionList(
         spec.inputs, spec.outputs, tuple(decisions), spec.digest, spec
     )

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .model import Specification
+from .model import Specification, mask_indices
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,22 @@ class ConflictGraph:
 
 @dataclass(frozen=True)
 class MisEnumeration:
-    sets: tuple[frozenset[int], ...]
+    """Maximal independent sets as the product of the components' sets:
+    each set is `isolated` plus one set of every part.  `overflow` is True
+    when more than `limit` exist.  `sets` is built on first use, so an
+    overflow can be rejected before any set is built."""
+
+    isolated: frozenset[int]
+    parts: tuple[tuple[frozenset[int], ...], ...]
+    limit: int
     overflow: bool
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The sets in lexicographic order of their sorted index tuples;
+        `limit` of them, in the same order, on overflow."""
+        combos = islice(product(*self.parts), self.limit)
+        return tuple(sorted((self.isolated.union(*c) for c in combos), key=sorted))
 
 
 @dataclass(frozen=True)
@@ -85,14 +100,6 @@ def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
             chosen.add(i)
             true.update(-l for l in clause.x_part.lits)
     return frozenset(chosen)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The vertices of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _vertices(n: int) -> int:
@@ -152,13 +159,13 @@ def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]
         r, p, x, todo = frame
         if todo is None:  # entering the call
             if not p and not x:
-                found.append(frozenset(_bits(r)))
+                found.append(frozenset(mask_indices(r)))
                 if len(found) > limit:
                     return found[:limit], True
                 stack.pop()
                 continue
             size, pivot, best = p.bit_count(), 0, -1
-            for u in _bits(p | x):
+            for u in mask_indices(p | x):
                 score = (p & nb[u]).bit_count()
                 if score > best:
                     pivot, best = u, score
@@ -184,18 +191,16 @@ def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     if limit < 1:
         raise ValueError("limit must be positive")
     isolated, parts = _components(g)
-    per_part: list[list[frozenset[int]]] = []
+    per_part: list[tuple[frozenset[int], ...]] = []
     overflow, total = False, 1
     for vertices in parts:
         # past the limit, one set of each later component completes `limit` sets
         nb = _consensus_masks(g, vertices)
         found, over = _max_cliques(nb, len(vertices), 1 if overflow else limit)
-        per_part.append([frozenset(vertices[t - 1] for t in c) for c in found])
+        per_part.append(tuple(frozenset(vertices[t - 1] for t in c) for c in found))
         total *= len(found)
         overflow = overflow or over or total > limit
-    sets = [isolated.union(*combo) for combo in islice(product(*per_part), limit)]
-    sets.sort(key=sorted)
-    return MisEnumeration(tuple(sets), overflow)
+    return MisEnumeration(isolated, tuple(per_part), limit, overflow)
 
 
 def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:

@@ -164,8 +164,7 @@ class TableSession:
                 sat |= t if l > 0 else full ^ t
             return sat
 
-        self._clauses = [tuple(c) for c in soft]
-        self._soft = [mask(c) for c in self._clauses]
+        self._soft = [mask(c) for c in soft]
         self._base = full
         for c in hard:
             self._base &= mask(c)
@@ -201,9 +200,7 @@ class TableSession:
                 cand = most
         a = (cand & -cand).bit_length() - 1
         model = {v: bool(a >> i & 1) for i, v in enumerate(self.variables)}
-        satisfied = frozenset(
-            j for j, c in enumerate(self._clauses) if _clause_sat(c, model)
-        )
+        satisfied = frozenset(j for j, sat in enumerate(self._soft) if sat >> a & 1)
         return MaxSatResult(OPTIMAL, model, satisfied)
 
 

@@ -4,7 +4,8 @@ Each clause is stored split into its input part (literals over universal
 variables) and output part (literals over existential variables).  All
 derived clause sets (falsified sets, must-satisfy sets, MFS, MSS) are plain
 frozensets of 1-based clause indices, so the input-to-output correspondence
-is the identity on indices.
+is the identity on indices.  Checks that test many clauses at once read an
+index set as an int mask instead (`index_mask`, `mask_indices`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -59,7 +60,10 @@ class SplitClause:
     y_part: Clause
 
     def all_lits(self) -> tuple[int, ...]:
-        return _canonical(self.x_part.lits + self.y_part.lits)
+        """The clause's literals in canonical order.  Both parts are
+        canonical and, in a Specification, over disjoint variables, so
+        sorting by variable merges them."""
+        return tuple(sorted(self.x_part.lits + self.y_part.lits, key=abs))
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         return self.x_part.evaluate(assignment) or self.y_part.evaluate(assignment)
@@ -69,7 +73,11 @@ class SplitClause:
 class Specification:
     """A 2QBF CNF specification: forall inputs, exists outputs, clauses hold.
 
-    Clause indices are 1-based throughout the public API.
+    Clause indices are 1-based throughout the public API.  A set of clause
+    indices can also be an int mask (`index_mask`): bit i stands for clause
+    i, and bit 0 is never set.  `ypart_groups` indexes the clauses by output
+    part, so a check that needs only a clause's y-part and its membership in
+    an index set tests each distinct y-part once.
     """
 
     inputs: tuple[int, ...]
@@ -86,9 +94,9 @@ class Specification:
             raise ValueError("variable ids must be positive")
         seen = set()
         for sc in self.clauses:
-            if not sc.x_part.variables() <= ins:
+            if not ins.issuperset(map(abs, sc.x_part.lits)):
                 raise ValueError("x-part uses a non-input variable")
-            if not sc.y_part.variables() <= outs:
+            if not outs.issuperset(map(abs, sc.y_part.lits)):
                 raise ValueError("y-part uses a non-output variable")
             key = (sc.x_part.lits, sc.y_part.lits)
             if key in seen:
@@ -120,6 +128,21 @@ class Specification:
         post-normalization)."""
         return tuple(i for i in self.indices if self.y_part(i).is_empty)
 
+    @cached_property
+    def ypart_groups(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each distinct y-part's literals, in order of first occurrence,
+        with the mask of the clauses that carry it."""
+        groups: dict[tuple[int, ...], int] = {}
+        for i, sc in enumerate(self.clauses, 1):
+            lits = sc.y_part.lits
+            groups[lits] = groups.get(lits, 0) | 1 << i
+        return tuple(groups.items())
+
+    @property
+    def full_mask(self) -> int:
+        """The mask of every clause index."""
+        return (1 << (len(self.clauses) + 1)) - 2
+
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         """Truth value of the whole CNF under a total assignment."""
         return all(sc.evaluate(assignment) for sc in self.clauses)
@@ -133,12 +156,29 @@ class Specification:
             "e " + " ".join(str(v) for v in self.outputs) + " 0" if self.outputs else "e 0",
         ]
         for sc in self.clauses:
-            lines.append(" ".join(str(l) for l in sc.all_lits()) + " 0" if sc.all_lits() else "0")
+            lits = sc.all_lits()
+            lines.append(" ".join(map(str, lits)) + " 0" if lits else "0")
         return "\n".join(lines) + "\n"
 
     @cached_property
     def digest(self) -> str:
         return hashlib.sha256(self.to_qdimacs().encode("utf-8")).hexdigest()
+
+
+def index_mask(indices: Iterable[int]) -> int:
+    """The mask of a set of clause indices: bit i stands for clause i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
+def mask_indices(mask: int) -> Iterator[int]:
+    """The indices in `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def true_literals(assignment: Mapping[int, bool]) -> set[int]:

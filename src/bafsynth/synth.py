@@ -32,7 +32,7 @@ from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat
-from .model import Assignment, Specification
+from .model import Assignment, Specification, index_mask
 from .sat import Solver
 
 REALIZABLE = "realizable"
@@ -204,18 +204,24 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
 
 def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> SynthesisOutcome:
     """One decision per MFS, enumerated via the conflict graph; fails with
-    the offending MFS as witness when its output clauses are unsatisfiable."""
+    the offending MFS as witness when its output clauses are unsatisfiable.
+    Raises LimitError, before any MFS is built, when more than `mis_limit`
+    exist."""
     t0 = time.perf_counter()
     stats = Stats()
     g = build_conflict_graph(spec)
     enum = enumerate_mis(g, mis_limit)
     if enum.overflow:
         raise LimitError(f"more than {mis_limit} maximal falsifiable subsets")
+    every, full = frozenset(spec.indices), spec.full_mask
     witnesses = []
     for m in enum.sets:
+        mask = full ^ index_mask(every - m)
+        # each distinct y-part of m once, ordered by its first clause in m
+        hits = sorted((hit & -hit, lits) for lits, ys in spec.ypart_groups if (hit := ys & mask))
         s = Solver()
-        for lits in dict.fromkeys(spec.y_part(i).lits for i in sorted(m)):
-            s.add_clause(lits)  # each distinct y-part once, in first-occurrence order
+        for _, lits in hits:
+            s.add_clause(lits)
         res = s.solve()
         stats.sat_calls += 1
         stats.iterations += 1
@@ -291,7 +297,7 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
 
     first_with_var: dict[int, int] = {}
     for i in spec.indices:
-        for v in spec.y_part(i).variables():
+        for v in map(abs, spec.y_part(i).lits):
             if v in first_with_var:
                 union(i, first_with_var[v])
             else:
@@ -304,7 +310,7 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     components = []
     for root in sorted(groups):
         members = groups[root]
-        outs = sorted({v for i in members for v in spec.y_part(i).variables()})
+        outs = sorted({abs(l) for i in members for l in spec.y_part(i).lits})
         clauses = tuple(spec.clause(i) for i in members)
         components.append(Specification(spec.inputs, tuple(outs), clauses))
     leftover = tuple(v for v in spec.outputs if v not in first_with_var)

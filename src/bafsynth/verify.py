@@ -12,6 +12,11 @@ is unsatisfiable without a solver.  Lists whose guards are complements of
 MSS always have this shape: a clause whose y-part the output falsifies is
 outside the MSS, hence in the guard.  Only pairs with j outside the guard,
 which hand-written or corrupted lists can have, get a fresh SAT query.
+The pairs are picked per decision from the specification's y-part index
+(`Specification.ypart_groups`): the output is tested once against each
+distinct y-part, the clause masks of the falsified ones are ORed together,
+the guard's clauses are cleared, and the clauses left are queried in
+ascending index order.
 
 Coverage asks whether some input fires no guard, in one SAT query with one
 selector variable per clause index that occurs in a guard: the selector
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dlist import DecisionList
-from .model import Assignment, Specification, true_literals
+from .model import Assignment, Specification, index_mask, mask_indices, true_literals
 from .sat import Solver
 
 VERIFIED = "verified"
@@ -78,10 +83,12 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     used: set[int] = set()
     for di, dec in enumerate(dl.decisions, 1):
         used |= dec.guard
-        true = true_literals(dec.output)
-        for j in spec.indices:
-            if j in dec.guard or not true.isdisjoint(spec.y_part(j).lits):
-                continue  # j in the guard: the query holds x-part j and its negation
+        true, falsified = true_literals(dec.output), 0
+        for lits, ys in spec.ypart_groups:
+            if true.isdisjoint(lits):
+                falsified |= ys
+        # a guard clause needs no query: it would hold its x-part and the negation
+        for j in mask_indices(falsified & ~index_mask(dec.guard)):
             s = Solver()
             for g in sorted(dec.guard):
                 s.add_clause(spec.x_part(g).lits)

@@ -89,6 +89,28 @@ def random_synth_spec_text(rng: random.Random, max_in=6, max_out=6, max_clauses=
     return "\n".join(lines) + "\n"
 
 
+def repeated_ypart_spec_text(rng: random.Random, max_in=5, max_out=4, max_clauses=24) -> str:
+    """Random specs whose y-parts come from a pool of at most four, so most
+    y-parts are shared by several clauses; the pool sometimes holds the
+    empty y-part."""
+    m = rng.randint(1, max_in)
+    n = rng.randint(1, max_out)
+    outs = range(m + 1, m + n + 1)
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        ys = rng.sample(outs, rng.randint(0 if rng.random() < 0.1 else 1, min(2, n)))
+        pool.append([v if rng.random() < 0.6 else -v for v in ys])
+    k = rng.randint(1, max_clauses)
+    lines = [f"p cnf {m + n} {k}"]
+    lines.append("a " + " ".join(str(v) for v in range(1, m + 1)) + " 0")
+    lines.append("e " + " ".join(str(v) for v in outs) + " 0")
+    for _ in range(k):
+        xs = rng.sample(range(1, m + 1), rng.randint(0, min(3, m)))
+        lits = [v if rng.random() < 0.5 else -v for v in xs] + rng.choice(pool)
+        lines.append(" ".join(str(l) for l in lits) + " 0")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def example1():
     return parse_qdimacs(EXAMPLE1_TEXT)

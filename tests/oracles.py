@@ -41,6 +41,43 @@ def all_falsifiable(lits_list):
     return not any(-l in negated for l in negated)
 
 
+def soundness_pairs(spec, dl):
+    """The (decision, clause) pairs of a per-clause soundness scan, in scan
+    order: for each decision, every clause in ascending index order that is
+    outside the guard and whose y-part the decision output falsifies."""
+    return [
+        (di, j)
+        for di, dec in enumerate(dl.decisions, 1)
+        for j in spec.indices
+        if j not in dec.guard and not clause_sat(spec.y_part(j).lits, dec.output)
+    ]
+
+
+def first_unsound_pair(spec, dl):
+    """The first of `soundness_pairs` for which some input fires the guard
+    and falsifies the clause's x-part, by exhaustive search; else None."""
+    inputs = list(assignments(spec.inputs))
+    for di, j in soundness_pairs(spec, dl):
+        guard = sorted(dl.decisions[di - 1].guard)
+        for x in inputs:
+            if all(clause_sat(spec.x_part(g).lits, x) for g in guard) and not clause_sat(
+                spec.x_part(j).lits, x
+            ):
+                return di, j
+    return None
+
+
+def first_unsatisfied_ypart(spec, index_sets, witnesses):
+    """Witness validation clause by clause: the first (set, clause) pair,
+    sets in order (1-based) and clauses ascending, whose y-part the set's
+    witness falsifies; None when every witness satisfies its set."""
+    for di, (sel, wit) in enumerate(zip(index_sets, witnesses), 1):
+        for j in sorted(sel):
+            if not clause_sat(spec.y_part(j).lits, wit):
+                return di, j
+    return None
+
+
 def maximal_sets(family):
     family = set(family)
     return sorted((s for s in family if not any(s < t for t in family)), key=sorted)

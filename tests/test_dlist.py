@@ -16,7 +16,7 @@ from bafsynth.errors import ParseError
 from bafsynth.model import Specification, parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
 
-from .conftest import identity_qdimacs, random_spec_text
+from .conftest import identity_qdimacs, random_spec_text, repeated_ypart_spec_text
 from . import oracles
 
 
@@ -55,6 +55,36 @@ def test_build_example2_list_keeps_redundant_decision(example1):
 def test_build_rejects_bad_witness(example1):
     with pytest.raises(ValueError, match="witness"):
         build_decision_list(example1, [frozenset({1})], [{3: False, 4: False}])
+
+
+def test_grouped_witness_check_matches_the_per_clause_reference():
+    # specs whose clauses share few y-parts; each index set holds clauses
+    # whose y-part its witness satisfies and, now and then, one it falsifies
+    rng = random.Random(467)
+    rejected = 0
+    for _ in range(400):
+        spec = parse_qdimacs(repeated_ypart_spec_text(rng))
+        index_sets, witnesses = [], []
+        for _ in range(rng.randint(1, 5)):
+            wit = {v: rng.random() < 0.5 for v in spec.outputs}
+            sat = [j for j in spec.indices if spec.y_part(j).evaluate(wit)]
+            sel = {j for j in sat if rng.random() < 0.8}
+            if rng.random() < 0.25:
+                sel |= set(rng.sample(spec.indices, min(spec.num_clauses, rng.randint(1, 3))))
+            index_sets.append(frozenset(sel))
+            witnesses.append(wit)
+        first = oracles.first_unsatisfied_ypart(spec, index_sets, witnesses)
+        if first is None:
+            dl = build_decision_list(spec, index_sets, witnesses)
+            every = frozenset(spec.indices)
+            assert [d.guard for d in dl.decisions] == [every - s for s in index_sets]
+            continue
+        di, j = first
+        build_decision_list(spec, index_sets[: di - 1], witnesses[: di - 1])
+        with pytest.raises(ValueError, match=rf"y-part of clause {j}$"):
+            build_decision_list(spec, index_sets, witnesses)
+        rejected += 1
+    assert 100 <= rejected <= 300, rejected
 
 
 def test_evaluate_first_match(example1):

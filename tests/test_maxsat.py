@@ -222,6 +222,30 @@ def test_table_and_cdcl_sessions_agree_with_brute_force():
     assert unsat > 30
 
 
+def test_table_satisfied_softs_agree_with_clause_evaluation():
+    # the table reads the satisfied softs off their masks at the model's
+    # index; evaluating each soft on the model must give the same set
+    rng = random.Random(101)
+    answered = 0
+    for _ in range(300):
+        n, soft, hard = _random_instance(rng, max_vars=12, max_soft=30)
+        soft += [()] * rng.randint(0, 2)
+        variables = rng.sample(range(1, n + 1), n)
+        session = TableSession(variables, soft, hard)
+        for _ in range(4):
+            k = len(soft)
+            if rng.random() < 0.25:
+                session.require_any(rng.sample(range(k), rng.randint(1, min(3, k))))
+            q = rng.sample(range(k), rng.randint(0, min(2, k)))
+            res = session.solve(q)
+            if res.optimal:
+                assert res.satisfied_soft == frozenset(
+                    j for j, c in enumerate(soft) if oracles.clause_sat(c, res.model)
+                )
+                answered += 1
+    assert answered > 500
+
+
 def test_few_outputs_get_the_table_and_many_the_solver():
     for k, kind in ((8, TableSession), (25, MaxSatSession)):
         (comp,) = partition_by_output_variables(parse_qdimacs(output_chain_qdimacs(k)))

@@ -8,11 +8,13 @@ from bafsynth.model import (
     Specification,
     SplitClause,
     fals,
+    index_mask,
+    mask_indices,
     parse_qdimacs,
     true_literals,
 )
 
-from .conftest import random_spec_text
+from .conftest import random_spec_text, repeated_ypart_spec_text
 from . import oracles
 
 
@@ -120,6 +122,7 @@ def test_split_roundtrip_and_disjointness():
         spec = parse_qdimacs(random_spec_text(rng))
         for sc in spec.clauses:
             assert set(sc.all_lits()) == set(sc.x_part.lits) | set(sc.y_part.lits)
+            assert sc.all_lits() == tuple(sorted(sc.all_lits(), key=lambda l: (abs(l), l)))
             assert not sc.x_part.variables() & sc.y_part.variables()
 
 
@@ -189,6 +192,24 @@ def test_empty_quantifier_blocks_allowed():
     assert spec.inputs == ()
     assert spec.num_clauses == 2
     assert fals(spec, {}) == frozenset({1, 2})
+
+
+def test_ypart_groups_index_the_clauses_by_output_part():
+    rng = random.Random(89)
+    for _ in range(300):
+        spec = parse_qdimacs(repeated_ypart_spec_text(rng))
+        groups = spec.ypart_groups
+        assert [lits for lits, _ in groups] == list(
+            dict.fromkeys(spec.y_part(i).lits for i in spec.indices)
+        )
+        for lits, mask in groups:
+            assert sorted(mask_indices(mask)) == list(mask_indices(mask))
+            assert list(mask_indices(mask)) == [
+                i for i in spec.indices if spec.y_part(i).lits == lits
+            ]
+            assert index_mask(mask_indices(mask)) == mask
+        assert sum(mask for _, mask in groups) == spec.full_mask
+        assert list(mask_indices(spec.full_mask)) == list(spec.indices)
 
 
 def test_true_literals_agree_with_clause_evaluation():

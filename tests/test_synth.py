@@ -1,10 +1,13 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
-from bafsynth import dlist, sat, synth
-from bafsynth.graph import build_conflict_graph
+from bafsynth import dlist, graph, sat, synth
+from bafsynth.cli import RunConfig, run_pipeline
+from bafsynth.errors import LimitError
+from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.maxsat import MaxSatSession, TableSession
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import (
@@ -25,6 +28,7 @@ from .conftest import (
     output_chain_qdimacs,
     random_spec_text,
     random_synth_spec_text,
+    repeated_ypart_spec_text,
 )
 from . import oracles
 from .oracles import brute_force_mfs_mss, brute_force_synthesize
@@ -322,6 +326,62 @@ def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
         assert clauses == expected
     assert [len(c) for c in added] == [2, 3, 2, 3]
     assert verify_decision_list(spec, out.decision_list).verified
+
+
+def test_mfs_witness_solvers_match_the_per_clause_reference(monkeypatch):
+    # each witness solver gets the MFS's distinct y-parts in order of their
+    # first clause in the MFS, on specs whose clauses share few y-parts
+    added = []
+
+    class Recording(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            added.append([])
+
+        def add_clause(self, lits):
+            added[-1].append(tuple(lits))
+            super().add_clause(lits)
+
+    monkeypatch.setattr(synth, "Solver", Recording)
+    rng = random.Random(463)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        spec = parse_qdimacs(repeated_ypart_spec_text(rng, max_clauses=12))
+        added.clear()
+        out = synth_by_mfs_enumeration(spec)
+        mfs = enumerate_mis(build_conflict_graph(spec), 100000).sets[: len(added)]
+        assert added == [
+            list(dict.fromkeys(spec.y_part(i).lits for i in sorted(m))) for m in mfs
+        ]
+        if out.realizable:
+            assert len(added) == len(out.decision_list)
+        else:
+            assert mfs[-1] == out.witness_mfs
+        outcomes[out.realizable] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_mfs_enumeration_over_the_limit_builds_no_set(monkeypatch):
+    spec = parse_qdimacs(identity_qdimacs(17))  # 17 components, 2^17 MFS
+    monkeypatch.setattr(graph, "product", None)  # building any MFS raises TypeError
+    t0 = time.perf_counter()
+    with pytest.raises(LimitError, match="more than 100000"):
+        run_pipeline(spec, RunConfig(mode="mfs-enum", partition=False))
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_mfs_enumeration_searches_each_component_once(monkeypatch):
+    searched, search = [], graph._max_cliques
+
+    def recording(nb, n, limit):
+        searched.append(n)
+        return search(nb, n, limit)
+
+    spec = parse_qdimacs(identity_qdimacs(6))
+    monkeypatch.setattr(graph, "_max_cliques", recording)
+    report = run_pipeline(spec, RunConfig(mode="mfs-enum", partition=False))
+    assert report["decisions"] == 64
+    assert searched == [2] * 6
 
 
 def test_mfs_enumeration_unrealizable(unrealizable4):

@@ -12,7 +12,7 @@ from bafsynth.sat import Solver
 from bafsynth.synth import back_and_forth, covering_mss, synth_by_mfs_enumeration
 from bafsynth.verify import COVERAGE, SOUNDNESS, verify_decision_list, witness_has_no_output
 
-from .conftest import identity_qdimacs, random_spec_text
+from .conftest import identity_qdimacs, random_spec_text, repeated_ypart_spec_text
 from . import oracles
 from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
@@ -131,19 +131,13 @@ def test_verifier_agrees_with_brute_force_on_arbitrary_lists():
         spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=4, max_clauses=8))
         dl = _random_list(rng, spec)
         inputs = list(oracles.assignments(spec.inputs))
-        unsound = [
-            (di, j)
-            for di, dec in enumerate(dl.decisions, 1)
-            for j in spec.indices
-            if not spec.y_part(j).evaluate(dec.output)
-            and any(_fires(spec, dec.guard, x) and not spec.x_part(j).evaluate(x) for x in inputs)
-        ]
+        unsound = oracles.first_unsound_pair(spec, dl)
         gap = any(not any(_fires(spec, d.guard, x) for d in dl.decisions) for x in inputs)
         report = verify_decision_list(spec, dl)
         x = report.witness_input
         if unsound:
             assert report.failure_kind == SOUNDNESS
-            di, j = unsound[0]
+            di, j = unsound
             assert (report.decision_index, report.clause_index) == (di, j)
             dec = dl.decisions[di - 1]
             assert _fires(spec, dec.guard, x)
@@ -186,6 +180,79 @@ def _record_solvers(monkeypatch) -> list:
 
     monkeypatch.setattr(verify, "Solver", Recording)
     return made
+
+
+def _corrupted(rng, dl):
+    """`dl` with one random change: an output bit flipped, a guard index
+    dropped or added, or a decision deleted."""
+    decisions = list(dl.decisions)
+    if not decisions:
+        return dl
+    di = rng.randrange(len(decisions))
+    guard, output = set(decisions[di].guard), dict(decisions[di].output)
+    change = rng.randrange(4)
+    if change == 0 and output:
+        v = rng.choice(sorted(output))
+        output[v] = not output[v]
+    elif change == 1 and guard:
+        guard.discard(rng.choice(sorted(guard)))
+    elif change == 2:
+        guard.add(rng.choice(range(1, dl.spec.num_clauses + 1)))
+    else:
+        del decisions[di]
+        return dataclasses.replace(dl, decisions=tuple(decisions))
+    decisions[di] = Decision(frozenset(guard), output)
+    return dataclasses.replace(dl, decisions=tuple(decisions))
+
+
+def test_grouped_soundness_scan_matches_the_per_clause_reference(monkeypatch):
+    # specs whose clauses share few y-parts; synthesized lists, corrupted
+    # ones and random ones.  The verifier must query exactly the reference
+    # scan's pairs, in its order, up to and including the first unsound one.
+    queries = []
+
+    class Recording(Solver):
+        def __init__(self):
+            super().__init__()
+            queries.append([])
+
+        def add_clause(self, lits):
+            queries[-1].append(tuple(lits))
+            super().add_clause(lits)
+
+    monkeypatch.setattr(verify, "Solver", Recording)
+    rng = random.Random(461)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    for _ in range(300):
+        spec = parse_qdimacs(repeated_ypart_spec_text(rng))
+        out = back_and_forth(spec)
+        if out.realizable and rng.random() < 0.7:
+            dl = out.decision_list
+            for _ in range(rng.randint(0, 2)):
+                dl = _corrupted(rng, dl)
+        else:
+            dl = _random_list(rng, spec)
+        pairs = oracles.soundness_pairs(spec, dl)
+        first = oracles.first_unsound_pair(spec, dl)
+        expected = pairs[: pairs.index(first) + 1] if first else pairs
+        queries.clear()
+        report = verify_decision_list(spec, dl)
+        assert queries[: len(expected)] == [
+            [
+                *(spec.x_part(g).lits for g in sorted(dl.decisions[di - 1].guard)),
+                *((-l,) for l in spec.x_part(j).lits),
+            ]
+            for di, j in expected
+        ]
+        if first:
+            assert report.failure_kind == SOUNDNESS
+            assert (report.decision_index, report.clause_index) == first
+            assert len(queries) == len(expected)
+        else:
+            assert report.failure_kind != SOUNDNESS
+            assert len(queries) == len(expected) + 1  # and the coverage query
+        kinds[report.failure_kind] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_verifying_a_synthesized_list_builds_one_solver(monkeypatch):
