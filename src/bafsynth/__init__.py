@@ -45,10 +45,9 @@ from .maxsat import (
 )
 from .model import (
     Assignment,
-    Clause,
     Specification,
-    SplitClause,
     fals,
+    holds,
     parse_qdimacs,
 )
 from .sat import SatResult, Solver

@@ -413,7 +413,7 @@ def _stage1_dimacs(spec: Specification, pair) -> str:
         f"c inputs: {' '.join(str(v) for v in spec.inputs)}",
         f"p cnf {max_var} {len(pair.f1_clauses)}",
     ]
-    lines.extend(" ".join(str(l) for l in c.lits) + " 0" for c in pair.f1_clauses)
+    lines.extend(" ".join(map(str, c)) + " 0" for c in pair.f1_clauses)
     return "\n".join(lines) + "\n"
 
 
@@ -610,9 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="directory for the stage files")
     p.add_argument(
         "--limit",
-        type=int,
+        type=_positive(int),
         default=_env("BF_LIMIT", 16),
-        help="brute-force variable budget for the property checks",
+        help="brute-force variable budget for the property checks (env BAFSYNTH_BF_LIMIT)",
     )
     p.add_argument("--no-check", action="store_true", help="skip the brute-force checks")
     p.add_argument("--json", metavar="PATH", default=None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import LimitError
-from .model import Assignment, Clause, Specification, SplitClause
+from .model import Assignment, Specification, holds
 from .synth import back_and_forth
 from . import dlist as _dlist
 
@@ -29,7 +29,7 @@ COUNTEREXAMPLE = "counterexample"
 
 @dataclass(frozen=True)
 class DecomposedPair:
-    f1_clauses: tuple[Clause, ...]  # over inputs and intermediates
+    f1_clauses: tuple[tuple[int, ...], ...]  # over inputs and intermediates
     f2_spec: Specification  # intermediates as inputs, original outputs
     z_vars: tuple[int, ...]
     spec_digest: str
@@ -64,15 +64,14 @@ def cnf_decompose(spec: Specification) -> DecomposedPair:
     degenerates to the unit (z_i).  Stage 2 per clause: (-z_i, y-part)."""
     base = max((*spec.inputs, *spec.outputs), default=0)
     z = tuple(base + i for i in spec.indices)
-    f1: list[Clause] = []
-    f2: list[SplitClause] = []
+    f1: list[tuple[int, ...]] = []
+    f2: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for i in spec.indices:
-        zi = z[i - 1]
-        xlits = spec.x_part(i).lits
-        for l in xlits:
-            f1.append(Clause((-zi, -l)))
-        f1.append(Clause((zi, *xlits)))
-        f2.append(SplitClause(Clause((-zi,)), spec.y_part(i)))
+        zi = z[i - 1]  # above every input, so last in canonical order
+        xlits = spec.x_part(i)
+        f1.extend((-l, -zi) for l in xlits)
+        f1.append((*xlits, zi))
+        f2.append(((-zi,), spec.y_part(i)))
     f2_spec = Specification(z, spec.outputs, tuple(f2))
     return DecomposedPair(tuple(f1), f2_spec, z, spec.digest)
 
@@ -95,7 +94,7 @@ def check_good_decomposition(
 
     def f1_holds(x, zv):
         merged = {**x, **zv}
-        return all(c.evaluate(merged) for c in pair.f1_clauses)
+        return all(holds(c, merged) for c in pair.f1_clauses)
 
     def f2_holds(zv, y):
         return pair.f2_spec.evaluate({**zv, **y})
@@ -138,7 +137,7 @@ def stage1_evaluate(spec: Specification, pair: DecomposedPair, x: Assignment) ->
     """The direct stage-1 implementation: z_i is the negation of clause i's
     x-part under the given input."""
     return {
-        pair.z_vars[i - 1]: not spec.x_part(i).evaluate(x) for i in spec.indices
+        pair.z_vars[i - 1]: not holds(spec.x_part(i), x) for i in spec.indices
     }
 
 

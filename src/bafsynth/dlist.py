@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .model import Assignment, Specification, index_mask, mask_indices, true_literals
+from .model import Assignment, Specification, holds, index_mask, mask_indices, true_literals
 
 FORMAT_VERSION = 1
 
@@ -89,7 +89,7 @@ def evaluate(dl: DecisionList, x: Assignment, spec: Specification | None = None)
     if set(x) != set(dl.inputs):
         raise ValueError("assignment is not total over the inputs")
     for dec in dl.decisions:
-        if all(sp.x_part(g).evaluate(x) for g in dec.guard):
+        if all(holds(sp.x_part(g), x) for g in dec.guard):
             return dict(dec.output)
     return None
 

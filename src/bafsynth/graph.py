@@ -80,11 +80,11 @@ def build_conflict_graph(spec: Specification) -> ConflictGraph:
     `l` of its own; an x-part never holds both `l` and `-l`, so no loops."""
     holders: defaultdict[int, list[int]] = defaultdict(list)
     for i in spec.indices:
-        for l in spec.x_part(i).lits:
+        for l in spec.x_part(i):
             holders[l].append(i)
     adj: list[frozenset[int]] = [frozenset()]
     for i in spec.indices:
-        adj.append(frozenset(j for l in spec.x_part(i).lits for j in holders.get(-l, ())))
+        adj.append(frozenset(j for l in spec.x_part(i) for j in holders.get(-l, ())))
     return ConflictGraph(spec.num_clauses, tuple(adj))
 
 
@@ -92,13 +92,13 @@ def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
     """Grow a jointly falsifiable seed to an MFS in ascending index order: a
     clause joins when no literal of its x-part is made true by the chosen ones."""
     chosen = set(seed)
-    true = {-l for i in chosen for l in spec.x_part(i).lits}
+    true = {-l for i in chosen for l in spec.x_part(i)}
     if any(-l in true for l in true):
         raise ValueError("seed is not independent in the conflict graph")
-    for i, clause in enumerate(spec.clauses, 1):
-        if i not in chosen and true.isdisjoint(clause.x_part.lits):
+    for i, (x_lits, _) in enumerate(spec.clauses, 1):
+        if i not in chosen and true.isdisjoint(x_lits):
             chosen.add(i)
-            true.update(-l for l in clause.x_part.lits)
+            true.update(-l for l in x_lits)
     return frozenset(chosen)
 
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .model import holds
 from .sat import Solver
 
 OPTIMAL = "optimal"
@@ -74,10 +75,6 @@ class MaxSatResult:
     @property
     def num_satisfied(self) -> int:
         return len(self.satisfied_soft)
-
-
-def _clause_sat(clause: Sequence[int], model: dict[int, bool]) -> bool:
-    return any(model[abs(l)] == (l > 0) for l in clause)
 
 
 class MaxSatSession:
@@ -127,7 +124,7 @@ class MaxSatSession:
         return MaxSatResult(OPTIMAL, named, satisfied)
 
     def _satisfied(self, model) -> frozenset[int]:
-        return frozenset(j for j, c in enumerate(self._soft) if _clause_sat(c, model))
+        return frozenset(j for j, c in enumerate(self._soft) if holds(c, model))
 
     def _at_least(self, f: int) -> int:
         """A totalizer output implied true once f relaxation variables are."""

@@ -1,11 +1,16 @@
 """Relational CNF specifications over disjoint input/output variable blocks.
 
 Each clause is stored split into its input part (literals over universal
-variables) and output part (literals over existential variables).  All
-derived clause sets (falsified sets, must-satisfy sets, MFS, MSS) are plain
-frozensets of 1-based clause indices, so the input-to-output correspondence
-is the identity on indices.  Checks that test many clauses at once read an
-index set as an int mask instead (`index_mask`, `mask_indices`).
+variables) and output part (literals over existential variables).  A part
+is a tuple of literals in canonical order: variables strictly ascending, so
+no literal repeats and no complementary pair occurs.  `parse_qdimacs` is the
+only place that sorts literals; `Specification` checks the parts it is given
+once, and the components `Specification.restrict` cuts from a checked
+specification are not checked again.  All derived clause sets (falsified
+sets, must-satisfy sets, MFS, MSS) are plain frozensets of 1-based clause
+indices, so the input-to-output correspondence is the identity on indices.
+Checks that test many clauses at once read an index set as an int mask
+instead (`index_mask`, `mask_indices`).
 """
 
 from __future__ import annotations
@@ -22,56 +27,41 @@ from .errors import ParseError
 Assignment = dict[int, bool]
 
 
-def _canonical(lits: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(lits), key=lambda l: (abs(l), l)))
+def holds(lits: Iterable[int], assignment: Mapping[int, bool]) -> bool:
+    """Whether the disjunction `lits` is true under an assignment of its
+    variables; the empty disjunction is false."""
+    return any(assignment[abs(l)] == (l > 0) for l in lits)
 
 
-@dataclass(frozen=True)
-class Clause:
-    """Disjunction of literals; empty clause is constant false."""
-
-    lits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lits", _canonical(self.lits))
-        for lit in self.lits:
-            if lit == 0:
+def _check_part(lits: tuple[int, ...], block: set[int], name: str, kind: str) -> None:
+    """Raise ValueError unless `lits` is a canonical part over `block`, the
+    `kind` variables, in one pass: strictly ascending variables rule out a
+    repeated literal and a complementary pair, and a variable of `block`
+    is never 0."""
+    prev = last = 0
+    for l in lits:
+        v = abs(l)
+        if v not in block:
+            if l == 0:
                 raise ValueError("literal 0 is not allowed")
-            if -lit in self.lits:
+            raise ValueError(f"{name} uses a non-{kind} variable")
+        if v <= prev:
+            if l == -last:
                 raise ValueError("clause contains a complementary literal pair")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.lits
-
-    def variables(self) -> frozenset[int]:
-        return frozenset(abs(l) for l in self.lits)
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        """Value under a total assignment of the clause's variables."""
-        return any(assignment[abs(l)] == (l > 0) for l in self.lits)
-
-
-@dataclass(frozen=True)
-class SplitClause:
-    """One original clause, split into input and output parts."""
-
-    x_part: Clause
-    y_part: Clause
-
-    def all_lits(self) -> tuple[int, ...]:
-        """The clause's literals in canonical order.  Both parts are
-        canonical and, in a Specification, over disjoint variables, so
-        sorting by variable merges them."""
-        return tuple(sorted(self.x_part.lits + self.y_part.lits, key=abs))
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return self.x_part.evaluate(assignment) or self.y_part.evaluate(assignment)
+            if l == last:
+                raise ValueError(f"{name} repeats literal {l}")
+            raise ValueError(f"{name} is not sorted by variable")
+        prev, last = v, l
 
 
 @dataclass(frozen=True)
 class Specification:
     """A 2QBF CNF specification: forall inputs, exists outputs, clauses hold.
+
+    `clauses` holds one `(x-part, y-part)` pair of canonical literal tuples
+    per clause.  Construction checks the quantifier blocks and every part
+    (canonical order, variables of the right block, no duplicate clause);
+    it is the one place that checks data from outside the program.
 
     Clause indices are 1-based throughout the public API.  A set of clause
     indices can also be an int mask (`index_mask`): bit i stands for clause
@@ -82,7 +72,7 @@ class Specification:
 
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
-    clauses: tuple[SplitClause, ...]
+    clauses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self):
         ins, outs = set(self.inputs), set(self.outputs)
@@ -92,16 +82,11 @@ class Specification:
             raise ValueError("inputs and outputs overlap")
         if any(v < 1 for v in ins | outs):
             raise ValueError("variable ids must be positive")
-        seen = set()
-        for sc in self.clauses:
-            if not ins.issuperset(map(abs, sc.x_part.lits)):
-                raise ValueError("x-part uses a non-input variable")
-            if not outs.issuperset(map(abs, sc.y_part.lits)):
-                raise ValueError("y-part uses a non-output variable")
-            key = (sc.x_part.lits, sc.y_part.lits)
-            if key in seen:
-                raise ValueError("duplicate clause")
-            seen.add(key)
+        for x_lits, y_lits in self.clauses:
+            _check_part(x_lits, ins, "x-part", "input")
+            _check_part(y_lits, outs, "y-part", "output")
+        if len(set(self.clauses)) != len(self.clauses):
+            raise ValueError("duplicate clause")
 
     @property
     def num_clauses(self) -> int:
@@ -112,29 +97,36 @@ class Specification:
         """1-based clause indices."""
         return range(1, len(self.clauses) + 1)
 
-    def clause(self, i: int) -> SplitClause:
-        return self.clauses[i - 1]
+    def x_part(self, i: int) -> tuple[int, ...]:
+        return self.clauses[i - 1][0]
 
-    def x_part(self, i: int) -> Clause:
-        return self.clauses[i - 1].x_part
+    def y_part(self, i: int) -> tuple[int, ...]:
+        return self.clauses[i - 1][1]
 
-    def y_part(self, i: int) -> Clause:
-        return self.clauses[i - 1].y_part
+    def restrict(self, indices: Iterable[int]) -> Specification:
+        """The specification of the distinct clauses `indices`, in the given
+        order, over the same inputs and the outputs their y-parts use.  Its
+        clauses are this specification's checked ones, so it is built
+        without checking them again."""
+        clauses = tuple(self.clauses[i - 1] for i in indices)
+        outputs = tuple(sorted({abs(l) for _, y_lits in clauses for l in y_lits}))
+        part = object.__new__(Specification)
+        part.__dict__.update(inputs=self.inputs, outputs=outputs, clauses=clauses)
+        return part
 
     @cached_property
     def empty_ypart_indices(self) -> tuple[int, ...]:
         """Clauses with no output literals; they make the specification
         unrealizable whenever their x-part can be falsified (always,
         post-normalization)."""
-        return tuple(i for i in self.indices if self.y_part(i).is_empty)
+        return tuple(i for i in self.indices if not self.y_part(i))
 
     @cached_property
     def ypart_groups(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each distinct y-part's literals, in order of first occurrence,
         with the mask of the clauses that carry it."""
         groups: dict[tuple[int, ...], int] = {}
-        for i, sc in enumerate(self.clauses, 1):
-            lits = sc.y_part.lits
+        for i, (_, lits) in enumerate(self.clauses, 1):
             groups[lits] = groups.get(lits, 0) | 1 << i
         return tuple(groups.items())
 
@@ -145,7 +137,7 @@ class Specification:
 
     def evaluate(self, assignment: Mapping[int, bool]) -> bool:
         """Truth value of the whole CNF under a total assignment."""
-        return all(sc.evaluate(assignment) for sc in self.clauses)
+        return all(holds(x, assignment) or holds(y, assignment) for x, y in self.clauses)
 
     def to_qdimacs(self) -> str:
         """Canonical QDIMACS text (sorted literals, normalized clause set)."""
@@ -155,8 +147,8 @@ class Specification:
             "a " + " ".join(str(v) for v in self.inputs) + " 0" if self.inputs else "a 0",
             "e " + " ".join(str(v) for v in self.outputs) + " 0" if self.outputs else "e 0",
         ]
-        for sc in self.clauses:
-            lits = sc.all_lits()
+        for x_lits, y_lits in self.clauses:
+            lits = sorted(x_lits + y_lits, key=abs)  # the parts' variables are disjoint
             lines.append(" ".join(map(str, lits)) + " 0" if lits else "0")
         return "\n".join(lines) + "\n"
 
@@ -190,7 +182,7 @@ def true_literals(assignment: Mapping[int, bool]) -> set[int]:
 def fals(spec: Specification, x: Mapping[int, bool]) -> frozenset[int]:
     """Indices of clauses whose x-part is falsified by the input assignment."""
     _require_total(x, spec.inputs, "input")
-    return frozenset(i for i in spec.indices if not spec.x_part(i).evaluate(x))
+    return frozenset(i for i in spec.indices if not holds(spec.x_part(i), x))
 
 
 def _require_total(assignment: Mapping[int, bool], variables: tuple[int, ...], kind: str):
@@ -283,26 +275,20 @@ def parse_qdimacs(text: str | bytes) -> Specification:
         if v > num_vars:
             raise ParseError(f"declared variable {v} exceeds header variable count")
 
-    raw_clauses = _split_on_zero(clause_tokens)
-    split_clauses: list[SplitClause] = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    clauses: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
     in_set, out_set = set(inputs), set(outputs)
-    for lits in raw_clauses:
-        lits = _canonical(lits)
-        if any(-l in lits for l in lits):
+    for raw in _split_on_zero(clause_tokens):
+        lits = sorted(set(raw), key=abs)  # the one sort of each clause's literals
+        if any(a == -b for a, b in zip(lits, lits[1:])):
             continue  # tautology, always satisfied
         for l in lits:
             if abs(l) not in declared:
                 raise ParseError(f"literal {l} references undeclared variable {abs(l)}")
         x_lits = tuple(l for l in lits if abs(l) in in_set)
         y_lits = tuple(l for l in lits if abs(l) in out_set)
-        key = (x_lits, y_lits)
-        if key in seen:
-            continue
-        seen.add(key)
-        split_clauses.append(SplitClause(Clause(x_lits), Clause(y_lits)))
+        clauses[x_lits, y_lits] = None  # a duplicate clause is kept once
 
-    return Specification(inputs, outputs, tuple(split_clauses))
+    return Specification(inputs, outputs, tuple(clauses))
 
 
 def _parse_quant_line(line: str, lineno: int) -> list[int]:

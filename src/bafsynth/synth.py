@@ -69,12 +69,12 @@ class CoverageQueryState:
 
     def __init__(self, spec: Specification):
         self.spec, k = spec, spec.num_clauses
-        xs = sorted({abs(l) for i in spec.indices for l in spec.x_part(i).lits})
+        xs = sorted({abs(l) for i in spec.indices for l in spec.x_part(i)})
         var = {v: k + n for n, v in enumerate(xs, 1)}
         self.solver = Solver()
         self.solver.ensure_var(k)
         for i in spec.indices:
-            for lit in spec.x_part(i).lits:
+            for lit in spec.x_part(i):
                 self.solver.add_clause((-i, -var[lit] if lit > 0 else var[-lit]))
 
 
@@ -102,7 +102,7 @@ def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
 def output_session(spec: Specification) -> MaxSatSession | TableSession:
     """The component's MaxSAT session: y-part i is soft clause i-1, over
     the component's output variables, shared by all its MaxSAT queries."""
-    return new_session(spec.outputs, [spec.y_part(i).lits for i in spec.indices])
+    return new_session(spec.outputs, [spec.y_part(i) for i in spec.indices])
 
 
 def covering_mss(
@@ -129,7 +129,7 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     index set; unconstrained inputs default to false."""
     x = {v: False for v in spec.inputs}
     for i in sorted(indices):
-        for lit in spec.x_part(i).lits:
+        for lit in spec.x_part(i):
             x[abs(lit)] = lit < 0
     return x
 
@@ -274,7 +274,8 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
 def partition_by_output_variables(spec: Specification) -> list[Specification]:
     """Split into components of clauses connected through shared output
     variables; inputs are kept whole, outputs are restricted per component.
-    Components are ordered by their smallest original clause index.  The
+    Components are ordered by their smallest original clause index and
+    share the parent's checked clauses (`Specification.restrict`).  The
     outputs no clause mentions, if any, form one last component without
     clauses, whose list sets them all false."""
     if spec.empty_ypart_indices:
@@ -297,7 +298,7 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
 
     first_with_var: dict[int, int] = {}
     for i in spec.indices:
-        for v in map(abs, spec.y_part(i).lits):
+        for v in map(abs, spec.y_part(i)):
             if v in first_with_var:
                 union(i, first_with_var[v])
             else:
@@ -307,12 +308,7 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     for i in spec.indices:
         groups.setdefault(find(i), []).append(i)
 
-    components = []
-    for root in sorted(groups):
-        members = groups[root]
-        outs = sorted({abs(l) for i in members for l in spec.y_part(i).lits})
-        clauses = tuple(spec.clause(i) for i in members)
-        components.append(Specification(spec.inputs, tuple(outs), clauses))
+    components = [spec.restrict(groups[root]) for root in sorted(groups)]
     leftover = tuple(v for v in spec.outputs if v not in first_with_var)
     if leftover:
         components.append(Specification(spec.inputs, leftover, ()))

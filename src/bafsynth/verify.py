@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dlist import DecisionList
-from .model import Assignment, Specification, index_mask, mask_indices, true_literals
+from .model import Assignment, Specification, holds, index_mask, mask_indices, true_literals
 from .sat import Solver
 
 VERIFIED = "verified"
@@ -91,8 +91,8 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
         for j in mask_indices(falsified & ~index_mask(dec.guard)):
             s = Solver()
             for g in sorted(dec.guard):
-                s.add_clause(spec.x_part(g).lits)
-            for lit in spec.x_part(j).lits:
+                s.add_clause(spec.x_part(g))
+            for lit in spec.x_part(j):
                 s.add_clause((-lit,))
             res = s.solve()
             if res.satisfiable:
@@ -102,7 +102,7 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     s = Solver()
     base = max((*spec.inputs, *spec.outputs), default=0)
     for g in sorted(used):
-        for lit in spec.x_part(g).lits:
+        for lit in spec.x_part(g):
             s.add_clause((-(base + g), -lit))
     for dec in dl.decisions:
         s.add_clause([base + g for g in sorted(dec.guard)])  # empty guard: empty clause
@@ -117,6 +117,6 @@ def witness_has_no_output(spec: Specification, x: Assignment) -> bool:
     """True when no output satisfies `spec` under the total input `x`."""
     s = Solver()
     for i in spec.indices:
-        if not spec.x_part(i).evaluate(x):
-            s.add_clause(spec.y_part(i).lits)
+        if not holds(spec.x_part(i), x):
+            s.add_clause(spec.y_part(i))
     return not s.solve().satisfiable

@@ -49,7 +49,7 @@ def soundness_pairs(spec, dl):
         (di, j)
         for di, dec in enumerate(dl.decisions, 1)
         for j in spec.indices
-        if j not in dec.guard and not clause_sat(spec.y_part(j).lits, dec.output)
+        if j not in dec.guard and not clause_sat(spec.y_part(j), dec.output)
     ]
 
 
@@ -60,8 +60,8 @@ def first_unsound_pair(spec, dl):
     for di, j in soundness_pairs(spec, dl):
         guard = sorted(dl.decisions[di - 1].guard)
         for x in inputs:
-            if all(clause_sat(spec.x_part(g).lits, x) for g in guard) and not clause_sat(
-                spec.x_part(j).lits, x
+            if all(clause_sat(spec.x_part(g), x) for g in guard) and not clause_sat(
+                spec.x_part(j), x
             ):
                 return di, j
     return None
@@ -73,7 +73,7 @@ def first_unsatisfied_ypart(spec, index_sets, witnesses):
     witness falsifies; None when every witness satisfies its set."""
     for di, (sel, wit) in enumerate(zip(index_sets, witnesses), 1):
         for j in sorted(sel):
-            if not clause_sat(spec.y_part(j).lits, wit):
+            if not clause_sat(spec.y_part(j), wit):
                 return di, j
     return None
 
@@ -128,10 +128,10 @@ def brute_force_mfs_mss(spec, clause_limit=20, var_limit=16):
         raise LimitError(f"variable block larger than the limit {var_limit}")
     fals_sets = set()
     for x in assignments(spec.inputs):
-        fals_sets.add(frozenset(i for i in spec.indices if not spec.x_part(i).evaluate(x)))
+        fals_sets.add(frozenset(i for i in spec.indices if not clause_sat(spec.x_part(i), x)))
     sat_sets = set()
     for y in assignments(spec.outputs):
-        sat_sets.add(frozenset(i for i in spec.indices if spec.y_part(i).evaluate(y)))
+        sat_sets.add(frozenset(i for i in spec.indices if clause_sat(spec.y_part(i), y)))
     return maximal_sets(fals_sets), maximal_sets(sat_sets)
 
 

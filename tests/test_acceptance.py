@@ -55,13 +55,13 @@ def corpus():
 def test_criterion_1_worked_example_exactness():
     t0 = time.perf_counter()
     spec = parse_qdimacs(EXAMPLE1_TEXT)
-    assert [spec.x_part(i).lits for i in spec.indices] == [
+    assert [spec.x_part(i) for i in spec.indices] == [
         (1, -2),
         (1, 2),
         (2,),
         (-1, 2),
     ]
-    assert [spec.y_part(i).lits for i in spec.indices] == [
+    assert [spec.y_part(i) for i in spec.indices] == [
         (3,),
         (-3,),
         (3, -4),
@@ -101,7 +101,7 @@ def test_criterion_2_oracle_equivalence(corpus):
                 assert spec.evaluate({**x, **y})
         else:
             unrealizable += 1
-            witness_parts = [spec.y_part(i).lits for i in out.witness_mfs]
+            witness_parts = [spec.y_part(i) for i in out.witness_mfs]
             assert oracles.cnf_model(witness_parts, spec.outputs) is None
     elapsed = time.perf_counter() - t0
     assert realizable and unrealizable  # the corpus exercises both outcomes
@@ -232,7 +232,7 @@ def test_criterion_7_decomposition():
         result = compose_and_verify(spec, limit=16)
         if result.status == DECOMP_UNREALIZABLE:
             # only legitimate when the y-parts are jointly unsatisfiable
-            all_parts = [spec.y_part(i).lits for i in spec.indices]
+            all_parts = [spec.y_part(i) for i in spec.indices]
             assert oracles.cnf_model(all_parts, spec.outputs) is None
             skipped += 1
             continue

@@ -553,6 +553,8 @@ def test_determinism_of_artifacts(tmp_path, capsys):
         ("decompose {latin1} --out-dir {dir}", {}),
         ("verify {latin1} {dl}", {}),
         ("verify {spec} {latin1_dl}", {}),
+        ("decompose {spec} --out-dir {dir} --limit 0", {}),
+        ("decompose {spec} --out-dir {dir}", {"BAFSYNTH_BF_LIMIT": "-1"}),
     ],
 )
 def test_bad_arguments_and_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, env):

@@ -13,7 +13,7 @@ from bafsynth.decomp import (
     stage1_evaluate,
 )
 from bafsynth.errors import LimitError
-from bafsynth.model import Clause, parse_qdimacs
+from bafsynth.model import holds, parse_qdimacs
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
@@ -24,11 +24,10 @@ def test_decompose_example1(example1):
     pair = cnf_decompose(example1)
     assert pair.z_vars == (5, 6, 7, 8)
     # clause 3 has x-part (x2): biconditional clauses plus the stage-2 guard
-    assert Clause((-7, -2)) in pair.f1_clauses
-    assert Clause((7, 2)) in pair.f1_clauses
-    sc = pair.f2_spec.clause(3)
-    assert sc.x_part.lits == (-7,)
-    assert sc.y_part.lits == (3, -4)
+    assert (-2, -7) in pair.f1_clauses
+    assert (2, 7) in pair.f1_clauses
+    assert pair.f2_spec.x_part(3) == (-7,)
+    assert pair.f2_spec.y_part(3) == (3, -4)
     assert pair.f2_spec.inputs == (5, 6, 7, 8)
     assert pair.f2_spec.outputs == (3, 4)
 
@@ -36,7 +35,7 @@ def test_decompose_example1(example1):
 def test_decompose_empty_xpart_forces_unit():
     spec = parse_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n2 0\n")
     pair = cnf_decompose(spec)
-    assert Clause((3,)) in pair.f1_clauses  # z forced true
+    assert (3,) in pair.f1_clauses  # z forced true
 
 
 def test_decompose_zero_clauses():
@@ -54,12 +53,12 @@ def test_stage1_is_total_and_functional():
         for x in oracles.assignments(spec.inputs):
             z = stage1_evaluate(spec, pair, x)
             merged = {**x, **z}
-            assert all(c.evaluate(merged) for c in pair.f1_clauses)
+            assert all(holds(c, merged) for c in pair.f1_clauses)
             # no other intermediate assignment satisfies stage 1
             count = sum(
                 1
                 for zv in oracles.assignments(pair.z_vars)
-                if all(c.evaluate({**x, **zv}) for c in pair.f1_clauses)
+                if all(holds(c, {**x, **zv}) for c in pair.f1_clauses)
             )
             assert count == 1
 
@@ -74,7 +73,7 @@ def test_corrupted_pair_violates_equivalence(example1):
     # drop the clause forcing the first intermediate true when clause 1's
     # x-part fails; the projection then admits pairs outside the original CNF
     pair = cnf_decompose(example1)
-    dropped = Clause((5, 1, -2))
+    dropped = (1, -2, 5)
     assert dropped in pair.f1_clauses
     kept = tuple(c for c in pair.f1_clauses if c != dropped)
     broken = DecomposedPair(kept, pair.f2_spec, pair.z_vars, pair.spec_digest)
@@ -85,7 +84,7 @@ def test_corrupted_pair_violates_equivalence(example1):
     w = report.equivalence_witness
     lhs = example1.evaluate(w)
     rhs = any(
-        all(c.evaluate({**w, **zv}) for c in kept)
+        all(holds(c, {**w, **zv}) for c in kept)
         and broken.f2_spec.evaluate({**zv, **w})
         for zv in oracles.assignments(pair.z_vars)
     )

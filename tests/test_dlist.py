@@ -13,7 +13,7 @@ from bafsynth.dlist import (
     to_json_dict,
 )
 from bafsynth.errors import ParseError
-from bafsynth.model import Specification, parse_qdimacs
+from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
 
 from .conftest import identity_qdimacs, random_spec_text, repeated_ypart_spec_text
@@ -67,7 +67,7 @@ def test_grouped_witness_check_matches_the_per_clause_reference():
         index_sets, witnesses = [], []
         for _ in range(rng.randint(1, 5)):
             wit = {v: rng.random() < 0.5 for v in spec.outputs}
-            sat = [j for j in spec.indices if spec.y_part(j).evaluate(wit)]
+            sat = [j for j in spec.indices if holds(spec.y_part(j), wit)]
             sel = {j for j in sat if rng.random() < 0.8}
             if rng.random() < 0.25:
                 sel |= set(rng.sample(spec.indices, min(spec.num_clauses, rng.randint(1, 3))))
@@ -117,7 +117,7 @@ def test_guard_fires_iff_no_guard_clause_falsified(example1):
     dl = _example3_list(example1)
     for x in oracles.assignments(example1.inputs):
         for dec in dl.decisions:
-            fires = all(example1.x_part(g).evaluate(x) for g in dec.guard)
+            fires = all(holds(example1.x_part(g), x) for g in dec.guard)
             assert fires == (not (fals(example1, x) & dec.guard))
 
 

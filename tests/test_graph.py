@@ -125,7 +125,7 @@ def test_mis_matches_subset_enumeration_oracle():
         expected = [
             set(s)
             for s in oracles.subset_enum_mfs(
-                [spec.x_part(i).lits for i in spec.indices]
+                [spec.x_part(i) for i in spec.indices]
             )
         ]
         assert got == expected
@@ -239,7 +239,7 @@ def test_conflict_graph_equals_pairwise_definition():
     for _ in range(300):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=30))
         g = build_conflict_graph(spec)
-        expected = oracles.pairwise_conflict_adj([spec.x_part(i).lits for i in spec.indices])
+        expected = oracles.pairwise_conflict_adj([spec.x_part(i) for i in spec.indices])
         assert g.n == spec.num_clauses
         assert [set(a) for a in g.adj] == expected
         assert all(v not in g.adj[v] for v in range(g.n + 1))

@@ -4,10 +4,9 @@ import pytest
 
 from bafsynth.errors import ParseError
 from bafsynth.model import (
-    Clause,
     Specification,
-    SplitClause,
     fals,
+    holds,
     index_mask,
     mask_indices,
     parse_qdimacs,
@@ -23,18 +22,18 @@ def test_single_clause_split():
     assert spec.inputs == (1,)
     assert spec.outputs == (2,)
     assert spec.num_clauses == 1
-    assert spec.x_part(1).lits == (1,)
-    assert spec.y_part(1).lits == (2,)
+    assert spec.x_part(1) == (1,)
+    assert spec.y_part(1) == (2,)
 
 
 def test_example1_split_parts(example1):
-    assert [example1.x_part(i).lits for i in example1.indices] == [
+    assert [example1.x_part(i) for i in example1.indices] == [
         (1, -2),
         (1, 2),
         (2,),
         (-1, 2),
     ]
-    assert [example1.y_part(i).lits for i in example1.indices] == [
+    assert [example1.y_part(i) for i in example1.indices] == [
         (3,),
         (-3,),
         (3, -4),
@@ -84,7 +83,7 @@ def test_tautologies_dropped_and_duplicates_merged():
         "p cnf 2 4\na 1 0\ne 2 0\n1 -1 2 0\n1 2 0\n1 2 0\n2 -2 0\n"
     )
     assert spec.num_clauses == 1
-    assert spec.clause(1) == SplitClause(Clause((1,)), Clause((2,)))
+    assert spec.clauses == (((1,), (2,)),)
 
 
 def test_bytes_input_accepted():
@@ -95,7 +94,7 @@ def test_bytes_input_accepted():
 def test_empty_clause_retained_and_flagged():
     spec = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n0\n1 2 0\n")
     assert spec.num_clauses == 2
-    assert spec.clause(1).x_part.is_empty and spec.clause(1).y_part.is_empty
+    assert spec.clauses[0] == ((), ())
     assert spec.empty_ypart_indices == (1,)
 
 
@@ -120,10 +119,14 @@ def test_split_roundtrip_and_disjointness():
     rng = random.Random(7)
     for _ in range(50):
         spec = parse_qdimacs(random_spec_text(rng))
-        for sc in spec.clauses:
-            assert set(sc.all_lits()) == set(sc.x_part.lits) | set(sc.y_part.lits)
-            assert sc.all_lits() == tuple(sorted(sc.all_lits(), key=lambda l: (abs(l), l)))
-            assert not sc.x_part.variables() & sc.y_part.variables()
+        for x_lits, y_lits in spec.clauses:
+            for part, block in ((x_lits, spec.inputs), (y_lits, spec.outputs)):
+                variables = [abs(l) for l in part]
+                assert variables == sorted(set(variables))  # canonical: strictly ascending
+                assert set(variables) <= set(block)
+        for line, (x_lits, y_lits) in zip(spec.to_qdimacs().splitlines()[3:], spec.clauses):
+            merged = sorted(x_lits + y_lits, key=lambda l: (abs(l), l))
+            assert [int(t) for t in line.split()[:-1]] == merged
 
 
 def test_fals_monotonicity_implies_mustsat_monotonicity():
@@ -170,10 +173,36 @@ def test_specification_validation():
     with pytest.raises(ValueError, match="overlap"):
         Specification((1,), (1,), ())
     with pytest.raises(ValueError, match="duplicate clause"):
-        sc = SplitClause(Clause((1,)), Clause((2,)))
-        Specification((1,), (2,), (sc, sc))
+        clause = ((1,), (2,))
+        Specification((1,), (2,), (clause, clause))
     with pytest.raises(ValueError, match="non-input"):
-        Specification((1,), (2,), (SplitClause(Clause((2,)), Clause(())),))
+        Specification((1,), (2,), (((2,), ()),))
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        (((0,), (3,)), "literal 0"),
+        (((), (3, 0)), "literal 0"),
+        (((-1, 1), (3,)), "complementary"),
+        (((1,), (3, -3)), "complementary"),
+        (((1, 1), (3,)), "repeats literal 1"),
+        (((1,), (-4, -4)), "repeats literal -4"),
+        (((2, 1), (3,)), "x-part is not sorted"),
+        (((1,), (4, -3)), "y-part is not sorted"),
+        (((1, 3), (4,)), "x-part uses a non-input variable"),
+        (((1,), (2,)), "y-part uses a non-output variable"),
+    ],
+)
+def test_specification_checks_each_part(clause, message):
+    with pytest.raises(ValueError, match=message):
+        Specification((1, 2), (3, 4), (((2,), (3,)), clause))
+
+
+def test_specification_accepts_canonical_parts():
+    spec = Specification((1, 2), (3, 4), (((-1, 2), (3, -4)), ((), (4,)), ((1,), ())))
+    assert spec.x_part(1) == (-1, 2) and spec.y_part(3) == ()
+    assert parse_qdimacs(spec.to_qdimacs()) == spec
 
 
 def test_unused_declared_variables_are_retained():
@@ -200,12 +229,12 @@ def test_ypart_groups_index_the_clauses_by_output_part():
         spec = parse_qdimacs(repeated_ypart_spec_text(rng))
         groups = spec.ypart_groups
         assert [lits for lits, _ in groups] == list(
-            dict.fromkeys(spec.y_part(i).lits for i in spec.indices)
+            dict.fromkeys(spec.y_part(i) for i in spec.indices)
         )
         for lits, mask in groups:
             assert sorted(mask_indices(mask)) == list(mask_indices(mask))
             assert list(mask_indices(mask)) == [
-                i for i in spec.indices if spec.y_part(i).lits == lits
+                i for i in spec.indices if spec.y_part(i) == lits
             ]
             assert index_mask(mask_indices(mask)) == mask
         assert sum(mask for _, mask in groups) == spec.full_mask
@@ -217,7 +246,7 @@ def test_true_literals_agree_with_clause_evaluation():
     for _ in range(500):
         variables = range(1, rng.randint(1, 6) + 1)
         chosen = rng.sample(variables, rng.randint(0, len(variables)))
-        clause = Clause(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        clause = tuple(v if rng.random() < 0.5 else -v for v in chosen)
         assignment = {v: rng.random() < 0.5 for v in variables}
         true = true_literals(assignment)
-        assert (not true.isdisjoint(clause.lits)) == clause.evaluate(assignment)
+        assert (not true.isdisjoint(clause)) == holds(clause, assignment)

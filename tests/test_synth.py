@@ -9,7 +9,7 @@ from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.maxsat import MaxSatSession, TableSession
-from bafsynth.model import parse_qdimacs
+from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth.synth import (
     CoverageQueryState,
     back_and_forth,
@@ -147,7 +147,7 @@ def test_one_session_grows_every_mfs_like_a_fresh_one():
                 continue
             assert got[0] in above and mfs <= got[0]
             assert len(got[0]) == len(fresh[0]) == max(map(len, above))
-            assert frozenset(i for i in spec.indices if spec.y_part(i).evaluate(got[1])) == got[0]
+            assert frozenset(i for i in spec.indices if holds(spec.y_part(i), got[1])) == got[0]
     assert unsat > 20
 
 
@@ -168,7 +168,7 @@ def test_output_session_is_sized_by_the_component(monkeypatch):
     assert [type(s) for _, s in made] == [TableSession, TableSession]
     assert [s.variables for _, s in made] == [(800,), (2,)]
     wide = [
-        MaxSatSession(c.outputs, [c.y_part(i).lits for i in c.indices]) for c, _ in made
+        MaxSatSession(c.outputs, [c.y_part(i) for i in c.indices]) for c, _ in made
     ]
     assert wide[0].solver.nvars == wide[1].solver.nvars <= 5
 
@@ -321,8 +321,8 @@ def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
     for guard, clauses in zip(guards, added):
         expected = []
         for i in spec.indices:
-            if i not in guard and spec.y_part(i).lits not in expected:
-                expected.append(spec.y_part(i).lits)
+            if i not in guard and spec.y_part(i) not in expected:
+                expected.append(spec.y_part(i))
         assert clauses == expected
     assert [len(c) for c in added] == [2, 3, 2, 3]
     assert verify_decision_list(spec, out.decision_list).verified
@@ -351,7 +351,7 @@ def test_mfs_witness_solvers_match_the_per_clause_reference(monkeypatch):
         out = synth_by_mfs_enumeration(spec)
         mfs = enumerate_mis(build_conflict_graph(spec), 100000).sets[: len(added)]
         assert added == [
-            list(dict.fromkeys(spec.y_part(i).lits for i in sorted(m))) for m in mfs
+            list(dict.fromkeys(spec.y_part(i) for i in sorted(m))) for m in mfs
         ]
         if out.realizable:
             assert len(added) == len(out.decision_list)
@@ -497,10 +497,23 @@ def test_partition_preserves_clauses():
         if spec.empty_ypart_indices:
             continue
         parts = partition_by_output_variables(spec)
-        pooled = [sc for p in parts for sc in p.clauses]
-        assert sorted(
-            (sc.x_part.lits, sc.y_part.lits) for sc in pooled
-        ) == sorted((sc.x_part.lits, sc.y_part.lits) for sc in spec.clauses)
+        pooled = [c for p in parts for c in p.clauses]
+        assert sorted(pooled) == sorted(spec.clauses)
+
+
+def test_partition_components_pass_the_specification_checks():
+    # components skip the constructor's checks; building each one again
+    # through the checking constructor must give an equal specification
+    rng = random.Random(103)
+    for n in range(200):
+        make = random_spec_text if n % 2 else repeated_ypart_spec_text
+        spec = parse_qdimacs(make(rng))
+        if spec.empty_ypart_indices:
+            continue
+        for c in partition_by_output_variables(spec):
+            checked = Specification(c.inputs, c.outputs, c.clauses)
+            assert checked == c
+            assert checked.digest == c.digest
 
 
 # ----------------------------------------------------------------------
@@ -565,7 +578,7 @@ def test_any_firing_decision_is_sound():
             continue
         for x in oracles.assignments(spec.inputs):
             for dec in out.decision_list.decisions:
-                fires = all(spec.x_part(g).evaluate(x) for g in dec.guard)
+                fires = all(holds(spec.x_part(g), x) for g in dec.guard)
                 if fires:
                     assert spec.evaluate({**x, **dec.output})
 

@@ -6,7 +6,7 @@ import pytest
 from bafsynth.dlist import Decision, DecisionList, build_decision_list
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
-from bafsynth.model import parse_qdimacs
+from bafsynth.model import holds, parse_qdimacs
 from bafsynth import verify
 from bafsynth.sat import Solver
 from bafsynth.synth import back_and_forth, covering_mss, synth_by_mfs_enumeration
@@ -45,10 +45,10 @@ def test_flipped_output_is_soundness_counterexample(example1):
     # replay: the guard fires at the witness and the clause is violated
     x = report.witness_input
     dec = broken.decisions[1]
-    assert all(example1.x_part(g).evaluate(x) for g in dec.guard)
+    assert all(holds(example1.x_part(g), x) for g in dec.guard)
     j = report.clause_index
-    assert not example1.x_part(j).evaluate(x)
-    assert not example1.y_part(j).evaluate(dec.output)
+    assert not holds(example1.x_part(j), x)
+    assert not holds(example1.y_part(j), dec.output)
 
 
 def test_deleted_decision_is_coverage_gap(example1):
@@ -61,12 +61,12 @@ def test_deleted_decision_is_coverage_gap(example1):
     assert report.failure_kind == COVERAGE
     x = report.witness_input
     for dec in broken.decisions:
-        assert not all(example1.x_part(g).evaluate(x) for g in dec.guard)
+        assert not all(holds(example1.x_part(g), x) for g in dec.guard)
     # brute force: the surviving guard fails exactly on these two inputs
     uncovered = [
         xa
         for xa in oracles.assignments(example1.inputs)
-        if not all(example1.x_part(g).evaluate(xa) for g in broken.decisions[0].guard)
+        if not all(holds(example1.x_part(g), xa) for g in broken.decisions[0].guard)
     ]
     assert uncovered == [{1: False, 2: True}, {1: True, 2: False}]
     assert x in uncovered
@@ -92,7 +92,7 @@ def test_verifier_agrees_with_exhaustive_evaluation():
         for x in oracles.assignments(spec.inputs):
             fired = None
             for dec in dl.decisions:
-                if all(spec.x_part(g).evaluate(x) for g in dec.guard):
+                if all(holds(spec.x_part(g), x) for g in dec.guard):
                     fired = dec
                     break
             if fired is None or not spec.evaluate({**x, **fired.output}):
@@ -101,7 +101,7 @@ def test_verifier_agrees_with_exhaustive_evaluation():
 
 
 def _fires(spec, guard, x):
-    return all(spec.x_part(g).evaluate(x) for g in guard)
+    return all(holds(spec.x_part(g), x) for g in guard)
 
 
 def _random_list(rng, spec):
@@ -114,7 +114,7 @@ def _random_list(rng, spec):
         guard = {i for i in spec.indices if rng.random() < 0.2}
         shape = rng.random()
         if shape < 0.7:
-            falsified = [i for i in spec.indices if not spec.y_part(i).evaluate(output)]
+            falsified = [i for i in spec.indices if not holds(spec.y_part(i), output)]
             guard |= set(falsified)
             if falsified and shape < 0.1:
                 guard.discard(rng.choice(falsified))
@@ -141,8 +141,8 @@ def test_verifier_agrees_with_brute_force_on_arbitrary_lists():
             assert (report.decision_index, report.clause_index) == (di, j)
             dec = dl.decisions[di - 1]
             assert _fires(spec, dec.guard, x)
-            assert not spec.x_part(j).evaluate(x)
-            assert not spec.y_part(j).evaluate(dec.output)
+            assert not holds(spec.x_part(j), x)
+            assert not holds(spec.y_part(j), dec.output)
         elif gap:
             assert report.failure_kind == COVERAGE
             assert not any(_fires(spec, d.guard, x) for d in dl.decisions)
@@ -239,8 +239,8 @@ def test_grouped_soundness_scan_matches_the_per_clause_reference(monkeypatch):
         report = verify_decision_list(spec, dl)
         assert queries[: len(expected)] == [
             [
-                *(spec.x_part(g).lits for g in sorted(dl.decisions[di - 1].guard)),
-                *((-l,) for l in spec.x_part(j).lits),
+                *(spec.x_part(g) for g in sorted(dl.decisions[di - 1].guard)),
+                *((-l,) for l in spec.x_part(j)),
             ]
             for di, j in expected
         ]
@@ -340,8 +340,8 @@ def test_brute_force_agrees_with_subset_enumeration():
     for _ in range(40):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=9))
         mfs, mss = brute_force_mfs_mss(spec)
-        x_parts = [spec.x_part(i).lits for i in spec.indices]
-        y_parts = [spec.y_part(i).lits for i in spec.indices]
+        x_parts = [spec.x_part(i) for i in spec.indices]
+        y_parts = [spec.y_part(i) for i in spec.indices]
         assert mfs == oracles.subset_enum_mfs(x_parts)
         assert mss == oracles.subset_enum_mss(y_parts, spec.outputs)
 

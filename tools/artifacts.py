@@ -10,7 +10,9 @@ conflict_edges, consensus_chordal, max_cliques, p_np_fragment), and then, in
 modes back-and-forth, mfs-enum and mss-enum, one JSON line each holds the
 `run_pipeline` report without its timing (`*_ms`) fields, with the
 decision-list text, and the `verify_decision_list` verdict of every
-document of that text.  All of
+document of that text.  One more line holds the two stage texts that
+`bafsynth decompose` writes: stage 1 (`cli._stage1_dimacs`) and stage 2
+(the QDIMACS of `decomp.cnf_decompose`'s second-stage specification).  All of
 it is deterministic, so diffing the output of two checkouts shows whether a
 change keeps behaviour byte for byte; the tool uses only names that earlier
 checkouts also have, so it can run over either checkout's `src/`.
@@ -35,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
-from bafsynth import cli, dlist, verify  # noqa: E402
+from bafsynth import cli, decomp, dlist, verify  # noqa: E402
 from bafsynth.model import parse_qdimacs  # noqa: E402
 from tests.test_golden_pipeline import _strip_ms  # noqa: E402
 
@@ -82,6 +84,12 @@ def main(argv=None) -> int:
                 head = {"workload": workload, "seed": seed, "instance": f"{k:02d}-{inst.name}"}
                 print(json.dumps({**head, "analyze": analyze(text)}, sort_keys=True), flush=True)
                 spec = parse_qdimacs(text)
+                pair = decomp.cnf_decompose(spec)
+                stages = {
+                    "stage1": cli._stage1_dimacs(spec, pair),
+                    "stage2": pair.f2_spec.to_qdimacs(),
+                }
+                print(json.dumps({**head, "decompose": stages}, sort_keys=True), flush=True)
                 for mode in MODES:
                     cfg = cli.RunConfig(mode=mode, partition=args.partition)
                     report = _strip_ms(cli.run_pipeline(spec, cfg))
