@@ -133,10 +133,17 @@ def evaluate_combined(ci: CombinedImplementation, x: Assignment):
 
 
 def serialize(dl: DecisionList) -> str:
+    """The list's text; the `in` line is the bound specification's
+    `input_ids` when the list's inputs are that specification's."""
+    sp = dl.spec
+    if sp is not None and dl.inputs == sp.inputs:
+        ids = sp.input_ids
+    else:
+        ids = " ".join(map(str, dl.inputs))
     lines = [
         f"dl {FORMAT_VERSION}",
         f"spec {dl.spec_digest}",
-        "in " + " ".join(str(v) for v in dl.inputs),
+        "in " + ids,
         "out " + " ".join(str(v) for v in dl.outputs),
     ]
     for dec in dl.decisions:

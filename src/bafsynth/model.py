@@ -6,7 +6,11 @@ is a tuple of literals in canonical order: variables strictly ascending, so
 no literal repeats and no complementary pair occurs.  `parse_qdimacs` is the
 only place that sorts literals; `Specification` checks the parts it is given
 once, and the components `Specification.restrict` cuts from a checked
-specification are not checked again.  All derived clause sets (falsified
+specification are not checked again.  Every component shares its parent's
+inputs, so `restrict` also hands each one the parent's rendering of the input
+ids (`input_ids`) and its largest input id (`max_input`): the QDIMACS text
+and the `.dl` `in` line of a component cost its own size plus one copy of
+that string, not one `str()` per input.  All derived clause sets (falsified
 sets, must-satisfy sets, MFS, MSS) are plain frozensets of 1-based clause
 indices, so the input-to-output correspondence is the identity on indices.
 Checks that test many clauses at once read an index set as an int mask
@@ -38,6 +42,8 @@ def _check_part(lits: tuple[int, ...], block: set[int], name: str, kind: str) ->
     `kind` variables, in one pass: strictly ascending variables rule out a
     repeated literal and a complementary pair, and a variable of `block`
     is never 0."""
+    if not isinstance(lits, tuple):
+        raise ValueError(f"{name} is not a tuple of literals")
     prev = last = 0
     for l in lits:
         v = abs(l)
@@ -60,8 +66,9 @@ class Specification:
 
     `clauses` holds one `(x-part, y-part)` pair of canonical literal tuples
     per clause.  Construction checks the quantifier blocks and every part
-    (canonical order, variables of the right block, no duplicate clause);
-    it is the one place that checks data from outside the program.
+    (a tuple pair of tuples, canonical order, variables of the right block,
+    no duplicate clause); it is the one place that checks data from outside
+    the program.
 
     Clause indices are 1-based throughout the public API.  A set of clause
     indices can also be an int mask (`index_mask`): bit i stands for clause
@@ -82,7 +89,10 @@ class Specification:
             raise ValueError("inputs and outputs overlap")
         if any(v < 1 for v in ins | outs):
             raise ValueError("variable ids must be positive")
-        for x_lits, y_lits in self.clauses:
+        for clause in self.clauses:
+            if not isinstance(clause, tuple) or len(clause) != 2:
+                raise ValueError("clause is not an (x-part, y-part) pair")
+            x_lits, y_lits = clause
             _check_part(x_lits, ins, "x-part", "input")
             _check_part(y_lits, outs, "y-part", "output")
         if len(set(self.clauses)) != len(self.clauses):
@@ -103,16 +113,38 @@ class Specification:
     def y_part(self, i: int) -> tuple[int, ...]:
         return self.clauses[i - 1][1]
 
-    def restrict(self, indices: Iterable[int]) -> Specification:
+    def restrict(
+        self, indices: Iterable[int], outputs: tuple[int, ...] | None = None
+    ) -> Specification:
         """The specification of the distinct clauses `indices`, in the given
-        order, over the same inputs and the outputs their y-parts use.  Its
-        clauses are this specification's checked ones, so it is built
-        without checking them again."""
+        order, over the same inputs and `outputs`, which default to the
+        outputs the clauses' y-parts use, ascending; given ones must include
+        those.  Its clauses are this specification's checked ones, so it is
+        built without checking them again, and it shares this
+        specification's `inputs`, `input_ids` and `max_input`."""
         clauses = tuple(self.clauses[i - 1] for i in indices)
-        outputs = tuple(sorted({abs(l) for _, y_lits in clauses for l in y_lits}))
+        if outputs is None:
+            outputs = tuple(sorted({abs(l) for _, y_lits in clauses for l in y_lits}))
         part = object.__new__(Specification)
-        part.__dict__.update(inputs=self.inputs, outputs=outputs, clauses=clauses)
+        part.__dict__.update(
+            inputs=self.inputs,
+            outputs=outputs,
+            clauses=clauses,
+            input_ids=self.input_ids,
+            max_input=self.max_input,
+        )
         return part
+
+    @cached_property
+    def input_ids(self) -> str:
+        """The input ids in block order, separated by single spaces: the
+        body of the QDIMACS `a` line and of the `.dl` `in` line."""
+        return " ".join(map(str, self.inputs))
+
+    @cached_property
+    def max_input(self) -> int:
+        """The largest input id, 0 without inputs."""
+        return max(self.inputs, default=0)
 
     @cached_property
     def empty_ypart_indices(self) -> tuple[int, ...]:
@@ -141,10 +173,10 @@ class Specification:
 
     def to_qdimacs(self) -> str:
         """Canonical QDIMACS text (sorted literals, normalized clause set)."""
-        max_var = max((*self.inputs, *self.outputs), default=0)
+        max_var = max(self.max_input, max(self.outputs, default=0))
         lines = [
             f"p cnf {max_var} {len(self.clauses)}",
-            "a " + " ".join(str(v) for v in self.inputs) + " 0" if self.inputs else "a 0",
+            f"a {self.input_ids} 0" if self.inputs else "a 0",
             "e " + " ".join(str(v) for v in self.outputs) + " 0" if self.outputs else "e 0",
         ]
         for x_lits, y_lits in self.clauses:

@@ -214,11 +214,18 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     if enum.overflow:
         raise LimitError(f"more than {mis_limit} maximal falsifiable subsets")
     every, full = frozenset(spec.indices), spec.full_mask
+    # the witness solvers number the component's outputs 1..m in ascending
+    # id, which keeps their order, so they are sized to the component
+    num = {v: n for n, v in enumerate(sorted(spec.outputs), 1)}
+    groups = [
+        (ys, tuple(num[l] if l > 0 else -num[-l] for l in lits))
+        for lits, ys in spec.ypart_groups
+    ]
     witnesses = []
     for m in enum.sets:
         mask = full ^ index_mask(every - m)
         # each distinct y-part of m once, ordered by its first clause in m
-        hits = sorted((hit & -hit, lits) for lits, ys in spec.ypart_groups if (hit := ys & mask))
+        hits = sorted((hit & -hit, lits) for ys, lits in groups if (hit := ys & mask))
         s = Solver()
         for _, lits in hits:
             s.add_clause(lits)
@@ -227,7 +234,7 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         stats.iterations += 1
         if not res.satisfiable:
             return _unrealizable(spec, t0, stats, m)
-        witnesses.append({v: res.model.get(v, False) for v in spec.outputs})
+        witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
     return _realizable(spec, t0, stats, list(enum.sets), witnesses)
 
 
@@ -275,9 +282,10 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     """Split into components of clauses connected through shared output
     variables; inputs are kept whole, outputs are restricted per component.
     Components are ordered by their smallest original clause index and
-    share the parent's checked clauses (`Specification.restrict`).  The
-    outputs no clause mentions, if any, form one last component without
-    clauses, whose list sets them all false."""
+    share the parent's checked clauses and input rendering
+    (`Specification.restrict`).  The outputs no clause mentions, if any,
+    form one last component without clauses, whose list sets them all
+    false."""
     if spec.empty_ypart_indices:
         raise ValueError(
             "specification has a clause with an empty y-part; "
@@ -311,5 +319,5 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     components = [spec.restrict(groups[root]) for root in sorted(groups)]
     leftover = tuple(v for v in spec.outputs if v not in first_with_var)
     if leftover:
-        components.append(Specification(spec.inputs, leftover, ()))
+        components.append(spec.restrict((), leftover))
     return components

@@ -21,7 +21,14 @@ ascending index order.
 Coverage asks whether some input fires no guard, in one SAT query with one
 selector variable per clause index that occurs in a guard: the selector
 implies that the clause's x-part is false, and every decision needs one of
-its guard's selectors.
+its guard's selectors.  The query is numbered compactly, so its size does
+not depend on how many variables the specification has: the inputs that
+the guarded x-parts use are 1..n in ascending id, and the selectors of the
+guarded clauses are n+1.. in ascending clause index.  Inputs come before
+selectors and each block keeps its order, as with the inputs' own ids and
+selectors above every id of the specification; the SAT engine reads ids
+only through their order, so both numberings make the same decisions and
+conflicts and find the same input.
 
 A witness input is confirmed by one SAT query: the y-parts of the clauses
 whose x-part the input falsifies must be jointly unsatisfiable.
@@ -63,7 +70,8 @@ def check_decision_list(spec: Specification, dl: DecisionList) -> None:
     if dl.spec_digest != spec.digest:
         raise ValueError("decision list was built against a different specification")
     outputs = set(spec.outputs)
-    if set(dl.inputs) != set(spec.inputs) or set(dl.outputs) != outputs:
+    same_inputs = dl.inputs == spec.inputs or set(dl.inputs) == set(spec.inputs)
+    if not same_inputs or set(dl.outputs) != outputs:
         raise ValueError("decision list variables differ from the specification's")
     every = frozenset(spec.indices)
     for di, dec in enumerate(dl.decisions, 1):
@@ -99,16 +107,19 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 x = {v: res.model.get(v, False) for v in spec.inputs}
                 return VerificationReport(COUNTEREXAMPLE, SOUNDNESS, di, j, x)
 
+    guarded = sorted(used)
+    xs = sorted({abs(l) for g in guarded for l in spec.x_part(g)})
+    var = {v: n for n, v in enumerate(xs, 1)}
+    sel = {g: n for n, g in enumerate(guarded, len(xs) + 1)}
     s = Solver()
-    base = max((*spec.inputs, *spec.outputs), default=0)
-    for g in sorted(used):
+    for g in guarded:
         for lit in spec.x_part(g):
-            s.add_clause((-(base + g), -lit))
+            s.add_clause((-sel[g], -var[lit] if lit > 0 else var[-lit]))
     for dec in dl.decisions:
-        s.add_clause([base + g for g in sorted(dec.guard)])  # empty guard: empty clause
+        s.add_clause([sel[g] for g in sorted(dec.guard)])  # empty guard: empty clause
     res = s.solve()
     if res.satisfiable:
-        x = {v: res.model.get(v, False) for v in spec.inputs}
+        x = {v: v in var and res.model[var[v]] for v in spec.inputs}
         return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
     return VerificationReport(VERIFIED)
 

@@ -111,6 +111,27 @@ def repeated_ypart_spec_text(rng: random.Random, max_in=5, max_out=4, max_clause
     return "\n".join(lines) + "\n"
 
 
+def planted_spec_text(rng: random.Random, m: int, n: int, k: int) -> str:
+    """k distinct clauses over inputs 1..m and outputs m+1..m+n that hold
+    when each output copies a random literal of one input: one or two
+    output literals, up to two input literals, and the negation of the
+    first output literal's planted value.  Realizable by construction."""
+    image = {y: rng.choice((1, -1)) * rng.randint(1, m) for y in range(m + 1, m + n + 1)}
+    clauses: dict[frozenset[int], None] = {}
+    sign = lambda v: rng.choice((1, -1)) * v  # noqa: E731
+    while len(clauses) < k:
+        ys = [sign(y) for y in rng.sample(sorted(image), rng.randint(1, min(2, n)))]
+        xs = {sign(x) for x in rng.sample(range(1, m + 1), rng.randint(0, min(2, m)))}
+        first = image[abs(ys[0])] if ys[0] > 0 else -image[abs(ys[0])]
+        if first not in xs:
+            clauses[frozenset(xs | {-first, *ys})] = None
+    lines = [f"p cnf {m + n} {k}"]
+    lines.append("a " + " ".join(str(v) for v in range(1, m + 1)) + " 0")
+    lines.append("e " + " ".join(str(v) for v in range(m + 1, m + n + 1)) + " 0")
+    lines += [" ".join(map(str, sorted(c, key=abs))) + " 0" for c in clauses]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def example1():
     return parse_qdimacs(EXAMPLE1_TEXT)

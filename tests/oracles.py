@@ -3,13 +3,17 @@
 Everything here works directly on literal tuples, specification clauses,
 plain Python sets and exhaustive enumeration, and deliberately avoids the
 package's solver, graph, and synthesis code.  The set-based graph routines
-are the references the package's bitset versions must match exactly.
+are the references the package's bitset versions must match exactly.  The
+one exception is `whole_id_verification`, the verifier's queries numbered by
+the specification's own ids on the package's SAT engine: the reference that
+the compactly numbered verifier must match decision for decision.
 """
 
 from dataclasses import dataclass
 from itertools import product
 
 from bafsynth.errors import LimitError
+from bafsynth.sat import Solver
 
 
 def assignments(variables):
@@ -65,6 +69,37 @@ def first_unsound_pair(spec, dl):
             ):
                 return di, j
     return None
+
+
+def whole_id_verification(spec, dl):
+    """The verifier's queries over the specification's own variable ids:
+    a fresh solver per `soundness_pairs` pair, then one coverage query whose
+    selector for guarded clause g is base + g, base the largest id of the
+    specification.  Returns the report's (status, kind, decision, clause,
+    witness input) and the coverage query's solver, None when a soundness
+    pair fails first.  Expects a list that passes `check_decision_list`."""
+    for di, j in soundness_pairs(spec, dl):
+        s = Solver()
+        for g in sorted(dl.decisions[di - 1].guard):
+            s.add_clause(spec.x_part(g))
+        for lit in spec.x_part(j):
+            s.add_clause((-lit,))
+        res = s.solve()
+        if res.satisfiable:
+            x = {v: res.model.get(v, False) for v in spec.inputs}
+            return ("counterexample", "soundness", di, j, x), None
+    s = Solver()
+    base = max((*spec.inputs, *spec.outputs), default=0)
+    for g in sorted(set().union(*(dec.guard for dec in dl.decisions))):
+        for lit in spec.x_part(g):
+            s.add_clause((-(base + g), -lit))
+    for dec in dl.decisions:
+        s.add_clause([base + g for g in sorted(dec.guard)])
+    res = s.solve()
+    if res.satisfiable:
+        x = {v: res.model.get(v, False) for v in spec.inputs}
+        return ("counterexample", "coverage-gap", None, None, x), s
+    return ("verified", None, None, None, None), s
 
 
 def first_unsatisfied_ypart(spec, index_sets, witnesses):

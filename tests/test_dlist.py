@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -145,6 +146,52 @@ def test_serialize_roundtrip_random():
             continue
         dl = out.decision_list
         assert parse(serialize(dl), spec) == dl
+
+
+def _unshared(dl):
+    """`dl` unbound, over a copy of its inputs, so `serialize` renders them."""
+    return dataclasses.replace(dl, inputs=tuple(list(dl.inputs)), spec=None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        identity_qdimacs(12),
+        "p cnf 6 2\na 3 1 0\ne 6 2 5 4 0\n-1 2 0\n1 3 -4 0\n",
+        "p cnf 2 2\na 0\ne 1 2 0\n1 2 0\n-1 -2 0\n",
+    ],
+    ids=["equiv-chain", "unconstrained-outputs", "no-inputs"],
+)
+def test_components_render_with_the_parents_input_ids(text):
+    spec = parse_qdimacs(text)
+    for comp in partition_by_output_variables(spec):
+        assert comp.inputs is spec.inputs and comp.input_ids is spec.input_ids
+        assert comp.max_input == spec.max_input
+        fresh = Specification(tuple(list(comp.inputs)), comp.outputs, comp.clauses)
+        assert comp.to_qdimacs() == fresh.to_qdimacs()
+        dl = back_and_forth(comp).decision_list
+        assert serialize(dl) == serialize(_unshared(dl))
+
+
+def test_rendering_without_inputs_or_outputs():
+    no_inputs = parse_qdimacs("p cnf 2 2\na 0\ne 1 2 0\n1 2 0\n-1 -2 0\n")
+    assert no_inputs.to_qdimacs() == "p cnf 2 2\na 0\ne 1 2 0\n1 2 0\n-1 -2 0\n"
+    (comp,) = partition_by_output_variables(no_inputs)
+    dl = back_and_forth(comp).decision_list
+    assert serialize(dl).splitlines()[2] == "in "
+    assert serialize(dl) == serialize(_unshared(dl))
+
+    no_outputs = Specification((2, 1), (), ())
+    assert no_outputs.to_qdimacs() == "p cnf 2 0\na 2 1 0\ne 0\n"
+    dl = back_and_forth(no_outputs).decision_list
+    assert serialize(dl).splitlines()[2:] == ["in 2 1", "out ", "d |"]
+    assert serialize(dl) == serialize(_unshared(dl))
+
+
+def test_serialize_renders_inputs_that_differ_from_the_bound_spec(example1):
+    dl = dataclasses.replace(_example3_list(example1), inputs=(2, 1))
+    assert dl.spec is example1
+    assert serialize(dl).splitlines()[2] == "in 2 1"
 
 
 def test_parse_empty_outputs_document():

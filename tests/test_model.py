@@ -199,6 +199,21 @@ def test_specification_checks_each_part(clause, message):
         Specification((1, 2), (3, 4), (((2,), (3,)), clause))
 
 
+@pytest.mark.parametrize(
+    "clause, message",
+    [
+        (([1], [3]), "x-part is not a tuple"),
+        (((1,), [3]), "y-part is not a tuple"),
+        ([(1,), (3,)], r"not an \(x-part, y-part\) pair"),
+        (((1,), (3,), ()), r"not an \(x-part, y-part\) pair"),
+    ],
+    ids=["x-list", "y-list", "clause-list", "triple"],
+)
+def test_specification_names_a_part_that_is_not_a_tuple(clause, message):
+    with pytest.raises(ValueError, match=message):
+        Specification((1, 2), (3, 4), (((2,), (3,)), clause))
+
+
 def test_specification_accepts_canonical_parts():
     spec = Specification((1, 2), (3, 4), (((-1, 2), (3, -4)), ((), (4,)), ((1,), ())))
     assert spec.x_part(1) == (-1, 2) and spec.y_part(3) == ()

@@ -296,6 +296,13 @@ def test_mfs_enumeration_identity():
     assert len(out.decision_list) == 4
 
 
+def _original_ids(spec, clauses):
+    """`clauses` of a witness solver, which numbers the outputs 1..m in
+    ascending id, over the outputs' own ids."""
+    ids = sorted(spec.outputs)
+    return [tuple(ids[l - 1] if l > 0 else -ids[-l - 1] for l in lits) for lits in clauses]
+
+
 def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
     # clauses 1, 3 and 5 share y-part (5), clauses 2 and 4 share (6); four
     # MFS (1 or 2, 3 or 6, with 4 and 5) of four clauses each
@@ -318,6 +325,7 @@ def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
     assert out.realizable
     guards = [d.guard for d in out.decision_list.decisions]
     assert len(added) == len(guards) == 4
+    added = [_original_ids(spec, clauses) for clauses in added]
     for guard, clauses in zip(guards, added):
         expected = []
         for i in spec.indices:
@@ -350,7 +358,7 @@ def test_mfs_witness_solvers_match_the_per_clause_reference(monkeypatch):
         added.clear()
         out = synth_by_mfs_enumeration(spec)
         mfs = enumerate_mis(build_conflict_graph(spec), 100000).sets[: len(added)]
-        assert added == [
+        assert [_original_ids(spec, clauses) for clauses in added] == [
             list(dict.fromkeys(spec.y_part(i) for i in sorted(m))) for m in mfs
         ]
         if out.realizable:

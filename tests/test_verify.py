@@ -9,10 +9,21 @@ from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.model import holds, parse_qdimacs
 from bafsynth import verify
 from bafsynth.sat import Solver
-from bafsynth.synth import back_and_forth, covering_mss, synth_by_mfs_enumeration
+from bafsynth.synth import (
+    back_and_forth,
+    covering_mss,
+    partition_by_output_variables,
+    synth_by_mfs_enumeration,
+)
 from bafsynth.verify import COVERAGE, SOUNDNESS, verify_decision_list, witness_has_no_output
 
-from .conftest import identity_qdimacs, random_spec_text, repeated_ypart_spec_text
+from .conftest import (
+    identity_qdimacs,
+    planted_spec_text,
+    random_spec_text,
+    random_synth_spec_text,
+    repeated_ypart_spec_text,
+)
 from . import oracles
 from .oracles import brute_force_mfs_mss, brute_force_synthesize
 
@@ -279,6 +290,81 @@ def test_coverage_query_has_one_selector_per_clause(monkeypatch):
     assert verify_decision_list(spec, dl).verified
     assert len(made) == 1
     assert made[0].nvars <= max(*spec.inputs, *spec.outputs) + spec.num_clauses
+
+
+def _scattered(rng, spec):
+    """`spec` with its variables renamed to random ids in a range four times
+    as wide, inputs and outputs interleaved, so the inputs' own ids are far
+    from 1..n and selectors sit well above them."""
+    old = (*spec.inputs, *spec.outputs)
+    new = dict(zip(old, rng.sample(range(1, 4 * len(old) + 1), len(old))))
+    lines = [
+        f"p cnf {max(new.values())} {spec.num_clauses}",
+        " ".join(["a", *(str(new[v]) for v in spec.inputs), "0"]),
+        " ".join(["e", *(str(new[v]) for v in spec.outputs), "0"]),
+    ]
+    for x_lits, y_lits in spec.clauses:
+        lits = (new[l] if l > 0 else -new[-l] for l in x_lits + y_lits)
+        lines.append(" ".join([*map(str, lits), "0"]))
+    return parse_qdimacs("\n".join(lines) + "\n")
+
+
+def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
+    # synthesized, corrupted and random lists on specs with scattered ids and
+    # on their components, which keep every input: same report, and the
+    # coverage query makes the same decisions and conflicts in fewer variables
+    made = _record_solvers(monkeypatch)
+    rng = random.Random(467)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    work = {"decisions": 0, "conflicts": 0}
+    for _ in range(300):
+        if rng.random() < 0.5:
+            text = planted_spec_text(rng, 6, 4, 20)
+        else:
+            text = random_synth_spec_text(rng, max_clauses=14)
+        spec = _scattered(rng, parse_qdimacs(text))
+        if rng.random() < 0.3 and not spec.empty_ypart_indices:
+            spec = rng.choice([c for c in partition_by_output_variables(spec) if c.clauses])
+        out = back_and_forth(spec)
+        if out.realizable and rng.random() < 0.7:
+            dl = out.decision_list
+            for _ in range(rng.randint(0, 2)):
+                dl = _corrupted(rng, dl)
+        else:
+            dl = _random_list(rng, spec)
+        made.clear()
+        report = verify_decision_list(spec, dl)
+        expected, reference = oracles.whole_id_verification(spec, dl)
+        assert (
+            report.status,
+            report.failure_kind,
+            report.decision_index,
+            report.clause_index,
+            report.witness_input,
+        ) == expected
+        if reference is not None:
+            coverage = made[-1]
+            assert (coverage.decisions, coverage.conflicts) == (
+                reference.decisions,
+                reference.conflicts,
+            )
+            assert coverage.nvars <= reference.nvars
+            work["decisions"] += coverage.decisions
+            work["conflicts"] += coverage.conflicts
+        kinds[report.failure_kind] += 1
+    assert min(kinds.values()) >= 30, kinds
+    assert min(work.values()) >= 100, work
+
+
+def test_coverage_query_is_sized_to_the_component(monkeypatch):
+    # each component of the width-40 chain keeps all 40 inputs, but its
+    # coverage query has its one input and its two selectors
+    made = _record_solvers(monkeypatch)
+    spec = parse_qdimacs(identity_qdimacs(40))
+    for comp in partition_by_output_variables(spec):
+        made.clear()
+        assert verify_decision_list(comp, back_and_forth(comp).decision_list).verified
+        assert [s.nvars for s in made] == [3]
 
 
 def test_brute_force_synthesize_example1(example1):

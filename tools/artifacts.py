@@ -15,7 +15,11 @@ document of that text.  One more line holds the two stage texts that
 (the QDIMACS of `decomp.cnf_decompose`'s second-stage specification).  All of
 it is deterministic, so diffing the output of two checkouts shows whether a
 change keeps behaviour byte for byte; the tool uses only names that earlier
-checkouts also have, so it can run over either checkout's `src/`.
+checkouts also have, so it can run over either checkout's `src/`.  After
+the corpora come the same lines for a few fixed specifications
+(workload `inline`, seed 0) whose rendering has edge cases: no inputs (the
+`a 0` line and an `in ` line with nothing after the space), no outputs,
+outputs that no clause mentions, and a clause with an empty y-part.
 `--no-partition` is practical on planted-synth and graph-structure only: an
 unpartitioned equivalence chain of width w has 2^w MFS.
 """
@@ -72,6 +76,38 @@ def analyze(text: str) -> dict:
     return {key: doc[key] for key in ANALYZE_FIELDS}
 
 
+def emit(head: dict, text: str, partition: bool) -> None:
+    """Print the artifact lines of the QDIMACS `text`, each tagged `head`."""
+    print(json.dumps({**head, "analyze": analyze(text)}, sort_keys=True), flush=True)
+    spec = parse_qdimacs(text)
+    pair = decomp.cnf_decompose(spec)
+    stages = {
+        "stage1": cli._stage1_dimacs(spec, pair),
+        "stage2": pair.f2_spec.to_qdimacs(),
+    }
+    print(json.dumps({**head, "decompose": stages}, sort_keys=True), flush=True)
+    for mode in MODES:
+        cfg = cli.RunConfig(mode=mode, partition=partition)
+        report = _strip_ms(cli.run_pipeline(spec, cfg))
+        record = {
+            **head,
+            "mode": mode,
+            "partition": partition,
+            "report": report,
+            "verdicts": verdicts(spec, report["dl_text"]),
+        }
+        print(json.dumps(record, sort_keys=True), flush=True)
+
+
+# fixed specifications whose texts and lists have rendering edge cases
+INLINE = {
+    "no-inputs": "p cnf 2 2\na 0\ne 1 2 0\n1 2 0\n-1 -2 0\n",
+    "no-outputs": "p cnf 2 0\na 2 1 0\ne 0\n",
+    "unconstrained-outputs": "p cnf 6 2\na 3 1 0\ne 6 2 5 4 0\n-1 2 0\n1 3 -4 0\n",
+    "empty-ypart": "p cnf 3 2\na 1 2 0\ne 3 0\n1 -2 0\n-1 3 0\n",
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=sorted(gen.WORKLOADS))
@@ -80,27 +116,10 @@ def main(argv=None) -> int:
     for workload in args.workload or sorted(gen.WORKLOADS):
         for seed in SEEDS:
             for k, inst in enumerate(gen.WORKLOADS[workload](seed)):
-                text = inst.qdimacs()
                 head = {"workload": workload, "seed": seed, "instance": f"{k:02d}-{inst.name}"}
-                print(json.dumps({**head, "analyze": analyze(text)}, sort_keys=True), flush=True)
-                spec = parse_qdimacs(text)
-                pair = decomp.cnf_decompose(spec)
-                stages = {
-                    "stage1": cli._stage1_dimacs(spec, pair),
-                    "stage2": pair.f2_spec.to_qdimacs(),
-                }
-                print(json.dumps({**head, "decompose": stages}, sort_keys=True), flush=True)
-                for mode in MODES:
-                    cfg = cli.RunConfig(mode=mode, partition=args.partition)
-                    report = _strip_ms(cli.run_pipeline(spec, cfg))
-                    record = {
-                        **head,
-                        "mode": mode,
-                        "partition": args.partition,
-                        "report": report,
-                        "verdicts": verdicts(spec, report["dl_text"]),
-                    }
-                    print(json.dumps(record, sort_keys=True), flush=True)
+                emit(head, inst.qdimacs(), args.partition)
+    for name, text in INLINE.items():
+        emit({"workload": "inline", "seed": 0, "instance": name}, text, args.partition)
     return 0
 
 
