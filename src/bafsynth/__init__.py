@@ -15,7 +15,6 @@ from .decomp import (
     compose_and_verify,
 )
 from .dlist import (
-    CombinedImplementation,
     Decision,
     DecisionList,
     build_decision_list,

@@ -5,6 +5,9 @@ Exit codes: 0 success (realizable and, when enabled, verified);
 4 verification failure; 5 internal error (an unexpected exception, reported
 as one line on stderr).  Every flag default can be overridden through a
 BAFSYNTH_* environment variable (see --help per command).
+
+`RunConfig` holds what `run_pipeline` reads; a command's own settings (the
+timeout, output paths, bench's jobs and families) come from its arguments.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import signal
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import decomp as _decomp
@@ -43,13 +46,8 @@ class RunConfig:
     mode: str = "back-and-forth"
     partition: bool = True
     verify: bool = True
-    timeout: float = 3600.0
     mis_limit: int = 100000
     mss_limit: int = 100000
-    jobs: int = 1
-    json_path: str | None = None
-    dl_path: str | None = None
-    families: dict[str, str] = field(default_factory=dict)  # name -> filename prefix
 
 
 def _env(name: str, default):
@@ -138,16 +136,23 @@ def _specs_by_digest(spec: Specification) -> dict[str, Specification]:
     return by_digest
 
 
-def _failure(key: str, index: int, report: _verify.VerificationReport) -> dict:
-    """The report's record of a list that failed verification; `key` names
-    what `index` counts."""
-    return {
-        key: index,
-        "kind": report.failure_kind,
-        "decision": report.decision_index,
-        "clause": report.clause_index,
-        "input": _input_json(report.witness_input),
-    }
+def _failures(key: str, pairs) -> list[dict]:
+    """Verify each (specification, list) pair; the records of the lists
+    that fail, each numbered from 1 under `key`."""
+    failures = []
+    for index, (spec, dl) in enumerate(pairs, 1):
+        report = _verify.verify_decision_list(spec, dl)
+        if not report.verified:
+            failures.append(
+                {
+                    key: index,
+                    "kind": report.failure_kind,
+                    "decision": report.decision_index,
+                    "clause": report.clause_index,
+                    "input": _input_json(report.witness_input),
+                }
+            )
+    return failures
 
 
 # the Stats counters: reported per component and summed into the run totals,
@@ -218,16 +223,12 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
             return _unrealizable(result, t0, spec, ci, outcome.witness_mfs, outcome.witness_input)
         parts.append(outcome.decision_list)
 
-    combined = _dlist.combine(parts, spec)
-    result["dl_text"] = "".join(_dlist.serialize(dl) for dl in combined.parts)
-    result["decision_lists"] = [_dlist.to_json_dict(dl) for dl in combined.parts]
+    _dlist.combine(parts, spec)  # every output in exactly one list
+    result["dl_text"] = "".join(_dlist.serialize(dl) for dl in parts)
+    result["decision_lists"] = [_dlist.to_json_dict(dl) for dl in parts]
 
     if cfg.verify:
-        failures = []
-        for ci, (comp, dl) in enumerate(zip(components, parts), 1):
-            report = _verify.verify_decision_list(comp, dl)
-            if not report.verified:
-                failures.append(_failure("component", ci, report))
+        failures = _failures("component", zip(components, parts))
         result["verified"] = not failures
         result["verification"] = {"verified": not failures, "failures": failures}
     result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -281,7 +282,7 @@ def cmd_synth(args) -> int:
     if spec is None:
         return EXIT_USAGE
     try:
-        with time_limit(cfg.timeout):
+        with time_limit(args.timeout):
             result = run_pipeline(spec, cfg)
     except (TimeoutError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -290,12 +291,12 @@ def cmd_synth(args) -> int:
     dl_text = result.pop("dl_text")
     code = _pipeline_exit_code(result, cfg)
     result["dl_path"] = None
-    if cfg.dl_path and dl_text is not None:
-        if _write(cfg.dl_path, dl_text):
-            result["dl_path"] = cfg.dl_path
+    if args.dl and dl_text is not None:
+        if _write(args.dl, dl_text):
+            result["dl_path"] = args.dl
         else:
             code = EXIT_USAGE
-    return _emit_json(result, cfg.json_path, code)
+    return _emit_json(result, args.json, code)
 
 
 def cmd_analyze(args) -> int:
@@ -346,11 +347,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
-    for di, dl in enumerate(docs, 1):
-        report = _verify.verify_decision_list(dl.spec, dl)
-        if not report.verified:
-            failures.append(_failure("document", di, report))
+    failures = _failures("document", ((dl.spec, dl) for dl in docs))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.spec).name,
@@ -421,7 +418,7 @@ def _stage1_dimacs(spec: Specification, pair) -> str:
 # bench harness
 
 
-def _bench_one(path_str: str, cfg: RunConfig) -> dict:
+def _bench_one(path_str: str, cfg: RunConfig, timeout: float) -> dict:
     record = {
         "instance": Path(path_str).name,
         "mode": cfg.mode,
@@ -441,7 +438,7 @@ def _bench_one(path_str: str, cfg: RunConfig) -> dict:
         record["warning"] = str(exc)
         return record
     try:
-        with time_limit(cfg.timeout):
+        with time_limit(timeout):
             result = run_pipeline(spec, cfg)
         record["status"] = result["status"]
         for key in _REPORT_COUNTERS:
@@ -474,25 +471,27 @@ def cmd_bench(args) -> int:
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return EXIT_USAGE
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
-    if cfg.json_path and not _write(cfg.json_path, ""):  # before hours of runs
+    if args.json and not _write(args.json, ""):  # before hours of runs
         return EXIT_USAGE
-    if cfg.jobs > 1 and paths:
+    if args.jobs > 1 and paths:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(_bench_one, paths, [cfg] * len(paths)))
+        n = len(paths)
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(_bench_one, paths, [cfg] * n, [args.timeout] * n))
     else:
-        records = [_bench_one(p, cfg) for p in paths]
+        records = [_bench_one(p, cfg, args.timeout) for p in paths]
     records.sort(key=lambda r: r["instance"])
 
     code = EXIT_OK
-    if cfg.json_path:
+    if args.json:
         jsonl = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        code = EXIT_OK if _write(cfg.json_path, jsonl) else EXIT_USAGE
+        code = EXIT_OK if _write(args.json, jsonl) else EXIT_USAGE
 
+    families = dict(args.family or [])  # name -> filename prefix
     per_family: dict[str, dict[str, int]] = {}
     for rec in records:
-        fam = _family_of(rec["instance"], cfg.families)
+        fam = _family_of(rec["instance"], families)
         counts = per_family.setdefault(fam, {})
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1
     width = max((len(f) for f in per_family), default=6)
@@ -515,13 +514,8 @@ def _config_from_args(args) -> RunConfig:
         mode=args.mode,
         partition=not args.no_partition,
         verify=not args.no_verify,
-        timeout=args.timeout,
         mis_limit=args.mis_limit,
         mss_limit=args.mss_limit,
-        jobs=getattr(args, "jobs", 1),
-        json_path=args.json,
-        dl_path=getattr(args, "dl", None),
-        families=dict(getattr(args, "family", None) or []),
     )
 
 
@@ -530,7 +524,7 @@ def _add_synth_flags(p: argparse.ArgumentParser):
         "--mode",
         type=_mode,
         choices=MODES,
-        default=_env("MODE", "back-and-forth"),
+        default=_env("MODE", RunConfig.mode),
         help="synthesis procedure (env BAFSYNTH_MODE)",
     )
     p.add_argument(
@@ -555,13 +549,13 @@ def _add_synth_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--mis-limit",
         type=_positive(int),
-        default=_env("MIS_LIMIT", 100000),
+        default=_env("MIS_LIMIT", RunConfig.mis_limit),
         help=argparse.SUPPRESS,
     )
     p.add_argument(
         "--mss-limit",
         type=_positive(int),
-        default=_env("MSS_LIMIT", 100000),
+        default=_env("MSS_LIMIT", RunConfig.mss_limit),
         help=argparse.SUPPRESS,
     )
     p.add_argument("--json", metavar="PATH", default=None, help="also write the JSON report here")

@@ -36,16 +36,6 @@ class DecisionList:
         return len(self.decisions)
 
 
-@dataclass
-class CombinedImplementation:
-    """Per-component decision lists whose output blocks cover the
-    specification's outputs exactly once."""
-
-    parts: tuple[DecisionList, ...]
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-
-
 def build_decision_list(
     spec: Specification,
     index_sets: list[frozenset[int]],
@@ -79,25 +69,16 @@ def build_decision_list(
     )
 
 
-def evaluate(dl: DecisionList, x: Assignment, spec: Specification | None = None):
+def evaluate(dl: DecisionList, x: Assignment):
     """Output of the first decision whose guard fires; None when uncovered."""
-    sp = spec if spec is not None else dl.spec
-    if sp is None:
-        raise ValueError("decision list is not bound to a specification")
-    if sp.digest != dl.spec_digest:
-        raise ValueError("decision list was built against a different specification")
-    if set(x) != set(dl.inputs):
-        raise ValueError("assignment is not total over the inputs")
-    for dec in dl.decisions:
-        if all(holds(sp.x_part(g), x) for g in dec.guard):
-            return dict(dec.output)
-    return None
+    return evaluate_combined((dl,), x)
 
 
-def combine(parts: list[DecisionList], spec: Specification) -> CombinedImplementation:
-    """Stitch component lists into an implementation of the full spec.
-    Raises ValueError unless every output of `spec` is an output of exactly
-    one list and the lists have no other outputs."""
+def combine(parts: list[DecisionList], spec: Specification) -> tuple[DecisionList, ...]:
+    """The component lists as an implementation of the full spec, after
+    checking that they cover its outputs: raises ValueError unless every
+    output of `spec` is an output of exactly one list and the lists have no
+    other outputs."""
     covered: set[int] = set()
     for dl in parts:
         block = set(dl.outputs)
@@ -109,22 +90,35 @@ def combine(parts: list[DecisionList], spec: Specification) -> CombinedImplement
         raise ValueError(f"outputs {_ids(covered - outputs)} are not outputs of the specification")
     if outputs - covered:
         raise ValueError(f"no decision list covers outputs {_ids(outputs - covered)}")
-    return CombinedImplementation(tuple(parts), spec.inputs, spec.outputs)
+    return tuple(parts)
 
 
 def _ids(variables) -> str:
     return " ".join(str(v) for v in sorted(variables))
 
 
-def evaluate_combined(ci: CombinedImplementation, x: Assignment):
-    """Union of the component outputs; None if any component leaves the
-    input uncovered."""
-    out = {}
-    for dl in ci.parts:
-        part = evaluate(dl, x)
-        if part is None:
+def evaluate_combined(parts: tuple[DecisionList, ...], x: Assignment):
+    """Union of the outputs of the lists `combine` returned; None if any
+    list leaves the input uncovered.  Raises ValueError for an unbound list
+    or unless `x` assigns exactly the list's inputs, checked once per
+    distinct `inputs` tuple (the components of a partition share one)."""
+    out, checked = {}, set()
+    for dl in parts:
+        sp = dl.spec
+        if sp is None:
+            raise ValueError("decision list is not bound to a specification")
+        if sp.digest != dl.spec_digest:
+            raise ValueError("decision list was built against a different specification")
+        if id(dl.inputs) not in checked:
+            if x.keys() != set(dl.inputs):
+                raise ValueError("assignment is not total over the inputs")
+            checked.add(id(dl.inputs))
+        for dec in dl.decisions:
+            if all(holds(sp.x_part(g), x) for g in dec.guard):
+                out.update(dec.output)
+                break
+        else:
             return None
-        out.update(part)
     return out
 
 

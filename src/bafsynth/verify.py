@@ -21,14 +21,14 @@ ascending index order.
 Coverage asks whether some input fires no guard, in one SAT query with one
 selector variable per clause index that occurs in a guard: the selector
 implies that the clause's x-part is false, and every decision needs one of
-its guard's selectors.  The query is numbered compactly, so its size does
-not depend on how many variables the specification has: the inputs that
-the guarded x-parts use are 1..n in ascending id, and the selectors of the
-guarded clauses are n+1.. in ascending clause index.  Inputs come before
-selectors and each block keeps its order, as with the inputs' own ids and
-selectors above every id of the specification; the SAT engine reads ids
-only through their order, so both numberings make the same decisions and
-conflicts and find the same input.
+its guard's selectors.  Every query is numbered compactly, so its size
+does not depend on how many variables the specification has: the inputs
+that its x-parts use are 1..n in ascending id (the others read false), and
+the coverage selectors are n+1.. in ascending clause index.  Inputs come
+before selectors and each block keeps its order, as with the inputs' own
+ids and selectors above every id of the specification; the SAT engine
+reads ids only through their order, so both numberings make the same
+decisions and conflicts and find the same input.
 
 A witness input is confirmed by one SAT query: the y-parts of the clauses
 whose x-part the input falsifies must be jointly unsatisfiable.
@@ -97,24 +97,24 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 falsified |= ys
         # a guard clause needs no query: it would hold its x-part and the negation
         for j in mask_indices(falsified & ~index_mask(dec.guard)):
+            var = _numbering([*map(spec.x_part, dec.guard), spec.x_part(j)])
             s = Solver()
             for g in sorted(dec.guard):
-                s.add_clause(spec.x_part(g))
+                s.add_clause([var[lit] for lit in spec.x_part(g)])
             for lit in spec.x_part(j):
-                s.add_clause((-lit,))
+                s.add_clause((-var[lit],))
             res = s.solve()
             if res.satisfiable:
-                x = {v: res.model.get(v, False) for v in spec.inputs}
+                x = {v: v in var and res.model[var[v]] for v in spec.inputs}
                 return VerificationReport(COUNTEREXAMPLE, SOUNDNESS, di, j, x)
 
     guarded = sorted(used)
-    xs = sorted({abs(l) for g in guarded for l in spec.x_part(g)})
-    var = {v: n for n, v in enumerate(xs, 1)}
-    sel = {g: n for n, g in enumerate(guarded, len(xs) + 1)}
+    var = _numbering([spec.x_part(g) for g in guarded])
+    sel = {g: n for n, g in enumerate(guarded, len(var) // 2 + 1)}
     s = Solver()
     for g in guarded:
         for lit in spec.x_part(g):
-            s.add_clause((-sel[g], -var[lit] if lit > 0 else var[-lit]))
+            s.add_clause((-sel[g], -var[lit]))
     for dec in dl.decisions:
         s.add_clause([sel[g] for g in sorted(dec.guard)])  # empty guard: empty clause
     res = s.solve()
@@ -122,6 +122,12 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
         x = {v: v in var and res.model[var[v]] for v in spec.inputs}
         return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
     return VerificationReport(VERIFIED)
+
+
+def _numbering(parts) -> dict[int, int]:
+    """The literals of the x-parts `parts`, renumbered 1..n by ascending id."""
+    xs = sorted({abs(lit) for lits in parts for lit in lits})
+    return {sign * v: sign * n for n, v in enumerate(xs, 1) for sign in (1, -1)}
 
 
 def witness_has_no_output(spec: Specification, x: Assignment) -> bool:

@@ -76,10 +76,13 @@ def whole_id_verification(spec, dl):
     a fresh solver per `soundness_pairs` pair, then one coverage query whose
     selector for guarded clause g is base + g, base the largest id of the
     specification.  Returns the report's (status, kind, decision, clause,
-    witness input) and the coverage query's solver, None when a soundness
-    pair fails first.  Expects a list that passes `check_decision_list`."""
+    witness input) and every solver made, in order: one per soundness pair
+    queried, then the coverage query's unless a soundness pair fails first.
+    Expects a list that passes `check_decision_list`."""
+    solvers = []
     for di, j in soundness_pairs(spec, dl):
         s = Solver()
+        solvers.append(s)
         for g in sorted(dl.decisions[di - 1].guard):
             s.add_clause(spec.x_part(g))
         for lit in spec.x_part(j):
@@ -87,8 +90,9 @@ def whole_id_verification(spec, dl):
         res = s.solve()
         if res.satisfiable:
             x = {v: res.model.get(v, False) for v in spec.inputs}
-            return ("counterexample", "soundness", di, j, x), None
+            return ("counterexample", "soundness", di, j, x), solvers
     s = Solver()
+    solvers.append(s)
     base = max((*spec.inputs, *spec.outputs), default=0)
     for g in sorted(set().union(*(dec.guard for dec in dl.decisions))):
         for lit in spec.x_part(g):
@@ -98,8 +102,8 @@ def whole_id_verification(spec, dl):
     res = s.solve()
     if res.satisfiable:
         x = {v: res.model.get(v, False) for v in spec.inputs}
-        return ("counterexample", "coverage-gap", None, None, x), s
-    return ("verified", None, None, None, None), s
+        return ("counterexample", "coverage-gap", None, None, x), solvers
+    return ("verified", None, None, None, None), solvers
 
 
 def first_unsatisfied_ypart(spec, index_sets, witnesses):

@@ -238,18 +238,18 @@ def test_combine_identity_family():
     spec = parse_qdimacs(identity_qdimacs(2))
     parts = partition_by_output_variables(spec)
     outs = [back_and_forth(p) for p in parts]
-    ci = combine([o.decision_list for o in outs], spec)
+    lists = combine([o.decision_list for o in outs], spec)
     for x in oracles.assignments(spec.inputs):
-        y = evaluate_combined(ci, x)
+        y = evaluate_combined(lists, x)
         assert y == {3: x[1], 4: x[2]}  # the combined map is the identity
 
 
 def test_combine_single_component(example1):
     out = back_and_forth(example1)
-    ci = combine([out.decision_list], example1)
-    assert ci.parts == (out.decision_list,)
+    lists = combine([out.decision_list], example1)
+    assert lists == (out.decision_list,)
     for x in oracles.assignments(example1.inputs):
-        assert evaluate_combined(ci, x) == evaluate(out.decision_list, x)
+        assert evaluate_combined(lists, x) == evaluate(out.decision_list, x)
 
 
 def test_combine_defaults_unconstrained_output():
@@ -258,11 +258,23 @@ def test_combine_defaults_unconstrained_output():
     spec = parse_qdimacs("p cnf 5 2\na 1 2 0\ne 3 4 5 0\n1 3 0\n2 4 0\n")
     parts = partition_by_output_variables(spec)
     outs = [back_and_forth(p) for p in parts]
-    ci = combine([o.decision_list for o in outs], spec)
-    assert ci.parts[-1].outputs == (5,)
+    lists = combine([o.decision_list for o in outs], spec)
+    assert lists[-1].outputs == (5,)
     for x in oracles.assignments(spec.inputs):
-        y = evaluate_combined(ci, x)
+        y = evaluate_combined(lists, x)
         assert y is not None and set(y) == {3, 4, 5} and y[5] is False
+
+
+def test_evaluate_combined_requires_total_input():
+    spec = parse_qdimacs(identity_qdimacs(3))
+    lists = combine(
+        [back_and_forth(p).decision_list for p in partition_by_output_variables(spec)], spec
+    )
+    assert evaluate_combined(lists, {1: True, 2: False, 3: True}) == {4: True, 5: False, 6: True}
+    # one missing, one extra, and one of each
+    for x in ({1: True, 2: False}, {1: True, 2: True, 3: True, 7: True}, {1: True, 2: True, 7: True}):
+        with pytest.raises(ValueError, match="total"):
+            evaluate_combined(lists, x)
 
 
 def test_combine_rejects_missing_output():

@@ -216,10 +216,17 @@ def _corrupted(rng, dl):
     return dataclasses.replace(dl, decisions=tuple(decisions))
 
 
+def _compactly_numbered(clauses):
+    """`clauses` with their variables renamed 1..n in ascending id."""
+    var = {v: n for n, v in enumerate(sorted({abs(l) for c in clauses for l in c}), 1)}
+    return [tuple(var[l] if l > 0 else -var[-l] for l in c) for c in clauses]
+
+
 def test_grouped_soundness_scan_matches_the_per_clause_reference(monkeypatch):
     # specs whose clauses share few y-parts; synthesized lists, corrupted
     # ones and random ones.  The verifier must query exactly the reference
-    # scan's pairs, in its order, up to and including the first unsound one.
+    # scan's pairs, in its order, up to and including the first unsound one,
+    # each query numbered compactly.
     queries = []
 
     class Recording(Solver):
@@ -249,10 +256,12 @@ def test_grouped_soundness_scan_matches_the_per_clause_reference(monkeypatch):
         queries.clear()
         report = verify_decision_list(spec, dl)
         assert queries[: len(expected)] == [
-            [
-                *(spec.x_part(g) for g in sorted(dl.decisions[di - 1].guard)),
-                *((-l,) for l in spec.x_part(j)),
-            ]
+            _compactly_numbered(
+                [
+                    *(spec.x_part(g) for g in sorted(dl.decisions[di - 1].guard)),
+                    *((-l,) for l in spec.x_part(j)),
+                ]
+            )
             for di, j in expected
         ]
         if first:
@@ -311,12 +320,14 @@ def _scattered(rng, spec):
 
 def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
     # synthesized, corrupted and random lists on specs with scattered ids and
-    # on their components, which keep every input: same report, and the
-    # coverage query makes the same decisions and conflicts in fewer variables
+    # on their components, which keep every input: same report, and every
+    # soundness query and the coverage query make the same decisions and
+    # conflicts in no more variables
     made = _record_solvers(monkeypatch)
     rng = random.Random(467)
     kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
     work = {"decisions": 0, "conflicts": 0}
+    soundness_work = {"queries": 0, "decisions": 0, "conflicts": 0}
     for _ in range(300):
         if rng.random() < 0.5:
             text = planted_spec_text(rng, 6, 4, 20)
@@ -334,7 +345,7 @@ def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
             dl = _random_list(rng, spec)
         made.clear()
         report = verify_decision_list(spec, dl)
-        expected, reference = oracles.whole_id_verification(spec, dl)
+        expected, references = oracles.whole_id_verification(spec, dl)
         assert (
             report.status,
             report.failure_kind,
@@ -342,18 +353,25 @@ def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
             report.clause_index,
             report.witness_input,
         ) == expected
-        if reference is not None:
-            coverage = made[-1]
-            assert (coverage.decisions, coverage.conflicts) == (
+        assert len(made) == len(references)
+        for solver, reference in zip(made, references):
+            assert (solver.decisions, solver.conflicts) == (
                 reference.decisions,
                 reference.conflicts,
             )
-            assert coverage.nvars <= reference.nvars
-            work["decisions"] += coverage.decisions
-            work["conflicts"] += coverage.conflicts
+            assert solver.nvars <= reference.nvars
+        soundness = made if report.failure_kind == SOUNDNESS else made[:-1]
+        soundness_work["queries"] += len(soundness)
+        for solver in soundness:
+            soundness_work["decisions"] += solver.decisions
+            soundness_work["conflicts"] += solver.conflicts
+        if report.failure_kind != SOUNDNESS:
+            work["decisions"] += made[-1].decisions
+            work["conflicts"] += made[-1].conflicts
         kinds[report.failure_kind] += 1
     assert min(kinds.values()) >= 30, kinds
     assert min(work.values()) >= 100, work
+    assert soundness_work["queries"] >= 30, soundness_work
 
 
 def test_coverage_query_is_sized_to_the_component(monkeypatch):
@@ -365,6 +383,22 @@ def test_coverage_query_is_sized_to_the_component(monkeypatch):
         made.clear()
         assert verify_decision_list(comp, back_and_forth(comp).decision_list).verified
         assert [s.nvars for s in made] == [3]
+
+
+def test_soundness_query_is_sized_to_the_component(monkeypatch):
+    # the last component of the width-40 chain has the one input 40; with
+    # its first guard emptied, the first decision fires everywhere and its
+    # output falsifies a clause outside the guard, whose query has one input
+    made = _record_solvers(monkeypatch)
+    comp = partition_by_output_variables(parse_qdimacs(identity_qdimacs(40)))[-1]
+    assert comp.inputs[-1] == 40 and comp.outputs == (80,)
+    dl = back_and_forth(comp).decision_list
+    first, *rest = dl.decisions
+    dl = dataclasses.replace(dl, decisions=(Decision(frozenset(), first.output), *rest))
+    report = verify_decision_list(comp, dl)
+    assert (report.failure_kind, report.decision_index) == (SOUNDNESS, 1)
+    assert report.witness_input == {v: v == 40 and not first.output[80] for v in comp.inputs}
+    assert [s.nvars for s in made] == [1]
 
 
 def test_brute_force_synthesize_example1(example1):

@@ -19,7 +19,13 @@ checkouts also have, so it can run over either checkout's `src/`.  After
 the corpora come the same lines for a few fixed specifications
 (workload `inline`, seed 0) whose rendering has edge cases: no inputs (the
 `a 0` line and an `in ` line with nothing after the space), no outputs,
-outputs that no clause mentions, and a clause with an empty y-part.
+outputs that no clause mentions, and a clause with an empty y-part.  For
+these, more lines come from `cli.main` alone, run in a scratch directory:
+in each mode, `synth --dl --json` (the report without `*_ms` fields, the
+`.dl` text and the exit code) and `verify` of that `.dl` (its JSON and exit
+code); then `bench --json` with two `--family` classes over a directory of
+all of them, once with `--jobs 1` and once with `--jobs 2` (the records
+without `time_ms`, the summary and the exit code).  Every command also records its stderr.
 `--no-partition` is practical on planted-synth and graph-structure only: an
 unpartitioned equivalence chain of width w has 2^w MFS.
 """
@@ -31,6 +37,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -108,6 +115,66 @@ INLINE = {
 }
 
 
+@contextlib.contextmanager
+def _in_directory(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+def run_cli(argv: list[str]) -> dict:
+    """`cli.main(argv)`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _json_or_text(run: dict) -> dict:
+    """`run` with its stdout parsed as JSON and stripped of `*_ms` fields
+    when it is a JSON document."""
+    if run["stdout"].startswith("{"):
+        return {**run, "stdout": _strip_ms(json.loads(run["stdout"]))}
+    return run
+
+
+def emit_cli(partition: bool) -> None:
+    """Print the `cli.main` lines of the INLINE specifications."""
+    flags = [] if partition else ["--no-partition"]
+    head = {"workload": "inline", "seed": 0, "partition": partition}
+    with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
+        Path("specs").mkdir()
+        for name, text in INLINE.items():
+            spec = f"specs/{name}.qdimacs"
+            Path(spec).write_text(text, encoding="utf-8")
+            for mode in MODES:
+                dl, report = f"{name}.{mode}.dl", f"{name}.{mode}.json"
+                argv = ["synth", spec, "--mode", mode, "--dl", dl, "--json", report, *flags]
+                synth = run_cli(argv)
+                record = {
+                    **head,
+                    "instance": name,
+                    "mode": mode,
+                    "synth": _json_or_text(synth),
+                    "json_file_is_stdout": Path(report).read_text() == synth["stdout"],
+                    "dl": Path(dl).read_text() if Path(dl).exists() else None,
+                    "verify": _json_or_text(run_cli(["verify", spec, dl])),
+                }
+                print(json.dumps(record, sort_keys=True), flush=True)
+        for jobs in ("1", "2"):
+            families = ["--family", "none=no-", "--family", "empty=empty-"]
+            argv = ["bench", "specs", "--json", "records.jsonl", "--jobs", jobs, *families]
+            bench = run_cli([*argv, *flags])
+            records = [json.loads(line) for line in Path("records.jsonl").read_text().splitlines()]
+            for rec in records:
+                del rec["time_ms"]
+            record = {**head, "instance": "(all)", "bench": bench, "jobs": jobs, "records": records}
+            print(json.dumps(record, sort_keys=True), flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=sorted(gen.WORKLOADS))
@@ -120,6 +187,7 @@ def main(argv=None) -> int:
                 emit(head, inst.qdimacs(), args.partition)
     for name, text in INLINE.items():
         emit({"workload": "inline", "seed": 0, "instance": name}, text, args.partition)
+    emit_cli(args.partition)
     return 0
 
 
