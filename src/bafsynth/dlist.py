@@ -190,7 +190,11 @@ def parse(text: str, spec: Specification | None = None) -> DecisionList:
 
 
 def parse_many(text: str, spec_by_digest: dict[str, Specification] | None = None):
-    """Split a concatenation of decision-list documents and parse each one."""
+    """Split a concatenation of decision-list documents and parse each one.
+    A document whose digest names a specification in `spec_by_digest` is
+    bound to it, and takes that specification's `inputs` tuple when its
+    own inputs equal it, so the documents of one partition share one tuple
+    as the synthesized lists do."""
     blocks: list[list[str]] = []
     for line in text.splitlines():
         if line.startswith("dl "):
@@ -204,7 +208,9 @@ def parse_many(text: str, spec_by_digest: dict[str, Specification] | None = None
         doc = "\n".join(block) + "\n"
         dl = parse(doc)
         if spec_by_digest is not None and dl.spec_digest in spec_by_digest:
-            dl.spec = spec_by_digest[dl.spec_digest]
+            dl.spec = sp = spec_by_digest[dl.spec_digest]
+            if dl.inputs == sp.inputs:
+                dl.inputs = sp.inputs
         lists.append(dl)
     return lists
 

@@ -8,9 +8,7 @@ picks one from the input size:
   - a TableSession works on the truth table of its m variables.  A clause is
     one Python int of 2^m bits, the set of assignments that satisfy it;
     assignment a sets variable i (1-based, in the order given) to bit i-1 of
-    a.  The masks of the variables are built by doubling: each new
-    variable copies every earlier mask into the upper half of a table
-    twice as wide and takes that upper half as its own, with no division.
+    a, and `model.variable_masks` gives each variable's mask.
     The soft masks are summed once into a bit-sliced binary counter:
     plane b holds bit b of every assignment's count of satisfied softs.  A
     query ANDs the base mask (the hard clauses and every `require_any`) with
@@ -20,8 +18,8 @@ picks one from the input size:
     satisfied softs.  The lowest of them is the model, so ties go to the
     smallest assignment index;
   - a TableSession is used when its masks, `(len(soft) + m) << m` bits, fit
-    in TABLE_BITS (2^26 bits, 8 MB).  A wider problem gets a MaxSatSession,
-    described below.
+    in TABLE_BITS (2^26 bits, 8 MB; `table_fits`).  A wider problem gets a
+    MaxSatSession, described below.
 
 A MaxSatSession encodes its soft clauses once in one SAT solver:
 
@@ -54,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import holds
+from .model import holds, variable_masks
 from .sat import Solver
 
 OPTIMAL = "optimal"
@@ -147,12 +145,7 @@ class TableSession:
     ):
         self.variables = tuple(variables)
         local = {v: i for i, v in enumerate(self.variables)}
-        size, true = 1, []  # true[i]: the assignments that set variable i+1
-        for _ in self.variables:
-            true = [t | t << size for t in true]
-            true.append(((1 << size) - 1) << size)
-            size <<= 1
-        full = (1 << size) - 1
+        true, full = variable_masks(len(self.variables))
 
         def mask(clause) -> int:
             sat = 0
@@ -201,6 +194,12 @@ class TableSession:
         return MaxSatResult(OPTIMAL, model, satisfied)
 
 
+def table_fits(count: int, n: int) -> bool:
+    """Whether `count` masks over n variables, with the n variable masks,
+    fit in TABLE_BITS."""
+    return (count + n) << n <= TABLE_BITS
+
+
 def new_session(
     variables: Iterable[int],
     soft: Sequence[Sequence[int]],
@@ -208,7 +207,7 @@ def new_session(
 ) -> MaxSatSession | TableSession:
     """A TableSession when its masks fit in TABLE_BITS, else a MaxSatSession."""
     variables = tuple(variables)
-    if (len(soft) + len(variables)) << len(variables) <= TABLE_BITS:
+    if table_fits(len(soft), len(variables)):
         return TableSession(variables, soft, hard)
     return MaxSatSession(variables, soft, hard)
 

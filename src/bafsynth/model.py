@@ -14,7 +14,8 @@ that string, not one `str()` per input.  All derived clause sets (falsified
 sets, must-satisfy sets, MFS, MSS) are plain frozensets of 1-based clause
 indices, so the input-to-output correspondence is the identity on indices.
 Checks that test many clauses at once read an index set as an int mask
-instead (`index_mask`, `mask_indices`).
+instead (`index_mask`, `mask_indices`), and a truth table over a few
+variables keeps one int mask per variable (`variable_masks`).
 """
 
 from __future__ import annotations
@@ -195,6 +196,21 @@ def index_mask(indices: Iterable[int]) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
+
+
+def variable_masks(n: int) -> tuple[list[int], int]:
+    """The truth table of n variables: bit a of a mask stands for the
+    assignment that sets variable i (1-based) to bit i-1 of a.  Returns the
+    mask of each variable's true assignments, in order, and the mask of all
+    2^n assignments.  Built by doubling: each new variable copies every
+    earlier mask into the upper half of a table twice as wide and takes that
+    upper half as its own, with no division."""
+    size, true = 1, []
+    for _ in range(n):
+        true = [t | t << size for t in true]
+        true.append(((1 << size) - 1) << size)
+        size <<= 1
+    return true, (1 << size) - 1
 
 
 def mask_indices(mask: int) -> Iterator[int]:

@@ -11,6 +11,8 @@ Three ways to produce a decision list from a split specification:
     Both queries are incremental: one coverage solver and one MaxSAT
     session (`output_session`) per component, which is a truth table over
     the component's outputs when they are few and a SAT solver otherwise.
+    Each recorded MSS yields one decision, and `irredundant` then drops
+    every decision that the kept ones already cover.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
@@ -31,8 +33,8 @@ from dataclasses import dataclass, field
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
-from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat
-from .model import Assignment, Specification, index_mask
+from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat, table_fits
+from .model import Assignment, Specification, index_mask, variable_masks
 from .sat import Solver
 
 REALIZABLE = "realizable"
@@ -153,7 +155,6 @@ def _realizable(
     witnesses: list[Assignment],
 ) -> SynthesisOutcome:
     """The list with one decision per index set, timed from `t0`."""
-    stats.mss_recorded = len(index_sets)
     dl = build_decision_list(spec, index_sets, witnesses)
     stats.wall_time = time.perf_counter() - t0
     return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
@@ -172,7 +173,8 @@ def _unrealizable(
 def back_and_forth(spec: Specification) -> SynthesisOutcome:
     """Alternate uncovered-MFS generation with covering-MSS growth until
     every MFS is covered, then build the decision list from the recorded
-    MSS sequence.  Iteration count is bounded by min(#MFS, #MSS)."""
+    MSS sequence less the decisions `irredundant` drops.  Iteration count
+    is bounded by min(#MFS, #MSS)."""
     t0 = time.perf_counter()
     stats = Stats()
     bad = _empty_ypart_failure(spec)
@@ -180,6 +182,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         return _unrealizable(spec, t0, stats, bad)
     state = CoverageQueryState(spec)
     session = output_session(spec)
+    mfs_list: list[frozenset[int]] = []
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
     while True:
@@ -193,13 +196,69 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
             stats.iterations += 1
             return _unrealizable(spec, t0, stats, mfs)
         mss, witness = got
+        mfs_list.append(mfs)
         mss_list.append(mss)
         witnesses.append(witness)
         stats.iterations += 1
         if len(mss) == spec.num_clauses:
             break  # full cover: every MFS is a subset, nothing left to find
         record_mss(state, mss)
-    return _realizable(spec, t0, stats, mss_list, witnesses)
+    stats.mss_recorded = len(mss_list)
+    kept = irredundant(spec, mfs_list, mss_list)
+    return _realizable(
+        spec, t0, stats, [mss_list[i] for i in kept], [witnesses[i] for i in kept]
+    )
+
+
+def irredundant(
+    spec: Specification, mfs_list: list[frozenset[int]], mss_list: list[frozenset[int]]
+) -> list[int]:
+    """The positions, ascending, of the back-and-forth decisions to keep:
+    going from the last decision to the first, drop each one whose guard
+    fires only on inputs that fire some other decision still kept
+    (Espresso's IRREDUNDANT step on the guards).  A decision is sound
+    wherever its guard fires, so the kept ones still cover every input.
+
+    MSS i was recorded for MFS i, which no earlier MSS contains.  When no
+    later MSS contains it either, `falsifying_input(MFS i)` fires decision
+    i alone and it must stay; the last decision always does.  When every
+    decision is such a one, all are kept without a look at the inputs.
+    Otherwise the step runs on truth-table masks over the inputs of the
+    guards' x-parts, when these fit the MaxSAT table budget (`table_fits`),
+    and keeps every decision when they do not."""
+    if not any(
+        mfs <= later for i, mfs in enumerate(mfs_list, 1) for later in mss_list[i:]
+    ):
+        return list(range(len(mss_list)))
+    every = frozenset(spec.indices)
+    guards = [every - m for m in mss_list]
+    guarded = frozenset().union(*guards)
+    xs = sorted({abs(l) for g in guarded for l in spec.x_part(g)})
+    if not table_fits(len(guarded), len(xs)):
+        return list(range(len(mss_list)))
+    true, full = variable_masks(len(xs))
+    var = dict(zip(xs, true))
+    falsified = {}  # the inputs that falsify x-part g
+    for g in guarded:
+        sat = 0
+        for l in spec.x_part(g):
+            sat |= var[l] if l > 0 else full ^ var[-l]
+        falsified[g] = full ^ sat
+    fires = []
+    for guard in guards:
+        blocked = 0
+        for g in guard:
+            blocked |= falsified[g]
+        fires.append(full ^ blocked)
+    earlier = [0]  # earlier[i]: the inputs that fire a decision before i
+    for f in fires[:-1]:
+        earlier.append(earlier[-1] | f)
+    kept, later = [], 0
+    for i in reversed(range(len(fires))):
+        if fires[i] & ~(earlier[i] | later):
+            kept.append(i)
+            later |= fires[i]
+    return kept[::-1]
 
 
 def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> SynthesisOutcome:
@@ -235,6 +294,7 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         if not res.satisfiable:
             return _unrealizable(spec, t0, stats, m)
         witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
+    stats.mss_recorded = len(enum.sets)
     return _realizable(spec, t0, stats, list(enum.sets), witnesses)
 
 

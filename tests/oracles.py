@@ -117,6 +117,28 @@ def first_unsatisfied_ypart(spec, index_sets, witnesses):
     return None
 
 
+def irredundant_reference(spec, mss_list):
+    """The positions, ascending, of the decisions (guard: the complement of
+    each MSS) that a last-to-first greedy keeps when it drops each decision
+    whose guard fires on no input that no other kept decision's guard fires
+    on; every input is enumerated, and nothing is decided in advance."""
+    inputs = list(assignments(spec.inputs))
+    fires = [
+        {
+            n
+            for n, x in enumerate(inputs)
+            if all(clause_sat(spec.x_part(g), x) for g in spec.indices if g not in mss)
+        }
+        for mss in mss_list
+    ]
+    kept = set(range(len(mss_list)))
+    for i in reversed(range(len(mss_list))):
+        others = set().union(*(fires[j] for j in kept if j != i))
+        if fires[i] <= others:
+            kept.discard(i)
+    return sorted(kept)
+
+
 def maximal_sets(family):
     family = set(family)
     return sorted((s for s in family if not any(s < t for t in family)), key=sorted)

@@ -234,6 +234,25 @@ def test_parse_many_roundtrip():
     assert all(d.spec is not None for d in docs)
 
 
+def test_parsed_lists_of_one_partition_share_their_inputs():
+    spec = parse_qdimacs(identity_qdimacs(200))
+    parts = partition_by_output_variables(spec)
+    lists = combine([back_and_forth(p).decision_list for p in parts], spec)
+    blob = "".join(serialize(dl) for dl in lists)
+    docs = parse_many(blob, {p.digest: p for p in parts})
+    assert len(docs) == 200
+    assert all(d.inputs is spec.inputs for d in docs)
+    rng = random.Random(17)
+    for _ in range(5):
+        x = {v: rng.random() < 0.5 for v in spec.inputs}
+        y = evaluate_combined(tuple(docs), x)
+        assert y == evaluate_combined(lists, x) == {200 + v: x[v] for v in spec.inputs}
+    # a document whose `in` line differs from its specification's keeps its own
+    other = blob.split("dl ")[1].replace("in 1 2 ", "in 2 1 ", 1)
+    (doc,) = parse_many("dl " + other, {p.digest: p for p in parts})
+    assert doc.inputs[:2] == (2, 1) and doc.spec is parts[0]
+
+
 def test_combine_identity_family():
     spec = parse_qdimacs(identity_qdimacs(2))
     parts = partition_by_output_variables(spec)

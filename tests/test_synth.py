@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from bafsynth import dlist, graph, sat, synth
+from bafsynth import dlist, graph, maxsat, sat, synth
 from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
@@ -26,6 +26,7 @@ from bafsynth.verify import verify_decision_list
 from .conftest import (
     identity_qdimacs,
     output_chain_qdimacs,
+    planted_spec_text,
     random_spec_text,
     random_synth_spec_text,
     repeated_ypart_spec_text,
@@ -272,6 +273,135 @@ def test_back_and_forth_single_full_mss():
     assert out.realizable
     assert len(out.decision_list) == 1
     assert out.decision_list.decisions[0].guard == frozenset()
+
+
+# ----------------------------------------------------------------------
+# irredundant decisions
+
+# Four recorded MSS, three decisions: MFS 2 = {2, 5} also lies in the later
+# MSS 3 = {2, 3, 5}, and every input that fires decision 2 (guard {1, 3})
+# fires decision 1 or 3 as well, so decision 2 is dropped.
+DROPPING_TEXT = """\
+p cnf 5 5
+a 1 2 3 0
+e 4 5 0
+-2 -4 0
+2 4 -5 0
+1 5 0
+-1 -2 3 -5 0
+-1 2 4 0
+"""
+
+
+# Three recorded MSS: every input that fires decision 2 fires decision 1 or
+# 3, so it is dropped; every input that fires decision 1 fires decision 2 or
+# 3, but once decision 2 is gone some fire decision 1 alone, so it stays.
+NEEDED_TEXT = """\
+p cnf 6 7
+a 1 2 3 0
+e 4 5 6 0
+-3 -5 0
+-1 2 -3 -5 0
+1 2 -3 -5 -6 0
+-1 2 -6 0
+2 -3 -5 6 0
+-2 3 -4 6 0
+1 4 6 0
+"""
+
+
+def _recorded_steps(monkeypatch):
+    """Record every call of `synth.irredundant` as (spec, MFS list, MSS
+    list, kept positions)."""
+    calls = []
+    step = synth.irredundant
+
+    def recorded(spec, mfs_list, mss_list):
+        kept = step(spec, mfs_list, mss_list)
+        calls.append((spec, mfs_list, mss_list, kept))
+        return kept
+
+    monkeypatch.setattr(synth, "irredundant", recorded)
+    return calls
+
+
+def test_irredundant_keeps_what_the_brute_force_greedy_keeps(monkeypatch):
+    calls = _recorded_steps(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(100):
+        m, n, k = rng.randint(4, 6), rng.randint(3, 5), rng.randint(12, 24)
+        assert back_and_forth(parse_qdimacs(planted_spec_text(rng, m, n, k))).realizable
+    dropped = 0
+    for spec, _, mss_list, kept in calls:
+        assert kept == oracles.irredundant_reference(spec, mss_list)
+        dropped += len(mss_list) - len(kept)
+    assert dropped > 10
+
+
+def test_irredundant_drops_every_decision_before_a_full_mss(monkeypatch):
+    spec = parse_qdimacs(DROPPING_TEXT)
+    calls = _recorded_steps(monkeypatch)
+    back_and_forth(spec)
+    ((_, mfs_list, mss_list, kept),) = calls
+    assert kept == [0, 2, 3]
+    # Had MFS 3, which the first two MSS leave uncovered, grown into every
+    # clause, the third decision's empty guard would fire on every input.
+    mss_list = [*mss_list[:2], frozenset(spec.indices)]
+    assert synth.irredundant(spec, mfs_list[:3], mss_list) == [2]
+    assert oracles.irredundant_reference(spec, mss_list) == [2]
+
+
+def test_irredundant_keeps_a_decision_that_only_a_dropped_one_covers(monkeypatch):
+    spec = parse_qdimacs(NEEDED_TEXT)
+    calls = _recorded_steps(monkeypatch)
+    out = back_and_forth(spec)
+    ((_, _, mss_list, kept),) = calls
+    assert len(mss_list) == 3
+    assert kept == oracles.irredundant_reference(spec, mss_list) == [0, 2]
+    assert verify_decision_list(spec, out.decision_list).verified
+
+
+def test_irredundant_needs_no_masks_when_every_decision_has_its_own_input(monkeypatch):
+    def no_masks(n):
+        raise AssertionError("the prefilter settles every decision")
+
+    monkeypatch.setattr(synth, "variable_masks", no_masks)
+    for comp in partition_by_output_variables(parse_qdimacs(identity_qdimacs(4))):
+        out = back_and_forth(comp)
+        assert len(out.decision_list) == out.stats.iterations == 2
+
+
+def test_back_and_forth_drops_a_covered_decision():
+    spec = parse_qdimacs(DROPPING_TEXT)
+    report = run_pipeline(spec, RunConfig())
+    assert report["iterations"] == report["mss_recorded"] == 4
+    assert report["decisions"] == 3
+    assert report["verified"]
+    dl = back_and_forth(spec).decision_list
+    assert [sorted(d.guard) for d in dl.decisions] == [[2, 4, 5], [1, 4], [3, 5]]
+    for x in oracles.assignments(spec.inputs):
+        assert spec.evaluate({**x, **dlist.evaluate(dl, x)})
+    # mss-enum keeps one decision per MSS
+    report = run_pipeline(spec, RunConfig(mode="mss-enum"))
+    assert report["decisions"] == report["mss_recorded"] == 4
+
+
+def test_irredundant_keeps_every_decision_when_the_masks_do_not_fit(monkeypatch):
+    spec = parse_qdimacs(DROPPING_TEXT)
+    pruned = back_and_forth(spec).decision_list
+    calls = _recorded_steps(monkeypatch)
+    # the output table (5 softs over 2 outputs) still fits, the input masks
+    # (5 guarded x-parts over 3 inputs) do not
+    monkeypatch.setattr(maxsat, "TABLE_BITS", (5 + 2) << 2)
+    out = back_and_forth(spec)
+    ((_, _, mss_list, kept),) = calls
+    assert kept == [0, 1, 2, 3]
+    every = frozenset(spec.indices)
+    decisions = out.decision_list.decisions
+    assert [d.guard for d in decisions] == [every - m for m in mss_list]
+    assert [decisions[i] for i in (0, 2, 3)] == list(pruned.decisions)
+    assert out.stats.iterations == len(decisions) == 4
+    assert verify_decision_list(spec, out.decision_list).verified
 
 
 # ----------------------------------------------------------------------

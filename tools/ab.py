@@ -11,8 +11,11 @@ and each operation is perfbench's own (`run.OPS`).  A pass parses every
 instance (untimed) and runs its operations, each after a `gc.collect()`;
 the pass time is the sum of the operation times.  Passes alternate between
 the sides, A first on even passes and B first on odd ones.  The output is
-each side's median pass time, the ratio B / A of the medians, and the
-number of passes in which B was faster.
+each side's median pass time and its summed `decisions` over the synth
+operations of one pass, the ratio B / A of the medians, and the number of
+passes in which B was faster.  The decision count is deterministic, so a
+change of list size shows next to the timing; a side whose count differs
+between passes is an error.
 """
 
 from __future__ import annotations
@@ -51,17 +54,20 @@ def load(root: Path, name: str) -> SimpleNamespace:
     )
 
 
-def one_pass(p: SimpleNamespace, corpus: list[tuple[str, tuple[str, ...]]]) -> float:
-    """Seconds spent in the operations of one pass over `corpus`."""
-    total = 0.0
+def one_pass(p: SimpleNamespace, corpus: list[tuple[str, tuple[str, ...]]]) -> tuple[float, int]:
+    """Seconds spent in the operations of one pass over `corpus`, and the
+    decisions of its synth operations' reports."""
+    total, decisions = 0.0, 0
     for text, ops in corpus:
         spec = p.model.parse_qdimacs(text)
         for kind in ops:
             gc.collect()
             t0 = perf_counter()
-            run.OPS[kind](p, spec)
+            result = run.OPS[kind](p, spec)
             total += perf_counter() - t0
-    return total
+            if isinstance(result, dict):  # a synth report
+                decisions += result["decisions"]
+    return total, decisions
 
 
 def main(argv=None) -> int:
@@ -77,14 +83,21 @@ def main(argv=None) -> int:
     sides = {"A": load(args.a.resolve(), "bafsynth_a"), "B": load(args.b.resolve(), "bafsynth_b")}
     corpus = [(inst.qdimacs(), inst.ops) for inst in gen.WORKLOADS[args.workload](args.seed)]
     times: dict[str, list[float]] = {"A": [], "B": []}
+    counts: dict[str, set[int]] = {"A": set(), "B": set()}
     for k in range(args.passes):
         for side in ("AB" if k % 2 == 0 else "BA"):
-            times[side].append(one_pass(sides[side], corpus))
+            t, decisions = one_pass(sides[side], corpus)
+            times[side].append(t)
+            counts[side].add(decisions)
+    for side, seen in counts.items():
+        if len(seen) != 1:
+            sys.exit(f"ab: side {side} made {sorted(seen)} decisions in different passes")
     med = {side: statistics.median(ts) for side, ts in times.items()}
+    dec = {side: seen.pop() for side, seen in counts.items()}
     wins = sum(b < a for a, b in zip(times["A"], times["B"]))
     print(f"workload {args.workload}, seed {args.seed}, {args.passes} passes")
-    print(f"A {args.a}: median {med['A']:.6f} s")
-    print(f"B {args.b}: median {med['B']:.6f} s")
+    print(f"A {args.a}: median {med['A']:.6f} s, {dec['A']} decisions per pass")
+    print(f"B {args.b}: median {med['B']:.6f} s, {dec['B']} decisions per pass")
     print(f"B / A = {med['B'] / med['A']:.4f}; B faster in {wins} of {args.passes} passes")
     return 0
 
