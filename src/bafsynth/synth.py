@@ -221,11 +221,15 @@ def irredundant(
 
     MSS i was recorded for MFS i, which no earlier MSS contains.  When no
     later MSS contains it either, `falsifying_input(MFS i)` fires decision
-    i alone and it must stay; the last decision always does.  When every
-    decision is such a one, all are kept without a look at the inputs.
-    Otherwise the step runs on truth-table masks over the inputs of the
-    guards' x-parts, when these fit the MaxSAT table budget (`table_fits`),
-    and keeps every decision when they do not."""
+    i alone, so it stays; the last decision always does.  When every
+    decision of the list is such a one, nothing can be dropped, and all are
+    kept without building masks: the masks would keep them too, at several
+    times the cost on lists of a few decisions.  Otherwise every decision
+    goes through the step on truth-table masks over the inputs of the
+    guards' x-parts: one per guarded x-part, and two per decision (the
+    inputs that fire it, and those that fire an earlier one).  When these
+    do not fit the MaxSAT table budget (`table_fits`), every decision is
+    kept."""
     if not any(
         mfs <= later for i, mfs in enumerate(mfs_list, 1) for later in mss_list[i:]
     ):
@@ -234,7 +238,7 @@ def irredundant(
     guards = [every - m for m in mss_list]
     guarded = frozenset().union(*guards)
     xs = sorted({abs(l) for g in guarded for l in spec.x_part(g)})
-    if not table_fits(len(guarded), len(xs)):
+    if not table_fits(len(guarded) + 2 * len(guards), len(xs)):
         return list(range(len(mss_list)))
     true, full = variable_masks(len(xs))
     var = dict(zip(xs, true))

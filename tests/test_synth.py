@@ -390,11 +390,13 @@ def test_irredundant_keeps_every_decision_when_the_masks_do_not_fit(monkeypatch)
     spec = parse_qdimacs(DROPPING_TEXT)
     pruned = back_and_forth(spec).decision_list
     calls = _recorded_steps(monkeypatch)
-    # the output table (5 softs over 2 outputs) still fits, the input masks
-    # (5 guarded x-parts over 3 inputs) do not
-    monkeypatch.setattr(maxsat, "TABLE_BITS", (5 + 2) << 2)
+    # the input masks are 5 guarded x-parts and 2 per decision over 3
+    # inputs; the output table (5 softs over 2 outputs) fits in far less
+    monkeypatch.setattr(maxsat, "TABLE_BITS", (5 + 2 * 4 + 3) << 3)
+    assert back_and_forth(spec).decision_list.decisions == pruned.decisions
+    monkeypatch.setattr(maxsat, "TABLE_BITS", ((5 + 2 * 4 + 3) << 3) - 1)
     out = back_and_forth(spec)
-    ((_, _, mss_list, kept),) = calls
+    (_, (_, _, mss_list, kept)) = calls
     assert kept == [0, 1, 2, 3]
     every = frozenset(spec.indices)
     decisions = out.decision_list.decisions
