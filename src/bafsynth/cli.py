@@ -127,12 +127,7 @@ def _specs_by_digest(spec: Specification) -> dict[str, Specification]:
     """The specification and each of its components, keyed by digest: the
     specifications a written decision-list document can belong to."""
     by_digest = {spec.digest: spec}
-    try:
-        by_digest.update(
-            (comp.digest, comp) for comp in _synth.partition_by_output_variables(spec)
-        )
-    except ValueError:
-        pass  # unpartitionable; the whole-spec digest may still match
+    by_digest.update((comp.digest, comp) for comp in _synth.partition_by_output_variables(spec))
     return by_digest
 
 
@@ -157,8 +152,8 @@ def _failures(key: str, pairs) -> list[dict]:
 
 # the Stats counters: reported per component and summed into the run totals,
 # like the decisions of the component's list, and a `bench` record copies
-# those totals; wall_time is reported per component in ms
-_STATS_COUNTERS = tuple(f.name for f in fields(_synth.Stats) if f.name != "wall_time")
+# those totals
+_STATS_COUNTERS = tuple(f.name for f in fields(_synth.Stats))
 _REPORT_COUNTERS = (*_STATS_COUNTERS, "decisions")
 
 
@@ -175,7 +170,10 @@ def _unrealizable(result: dict, t0: float, spec: Specification, component: int, 
 
 def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     """Partition, synthesize each component with the configured mode,
-    combine, and verify.  Returns a JSON-ready result dictionary."""
+    combine, and verify.  Returns a JSON-ready result dictionary, which
+    times the run and each component's synthesis.  A clause with an empty
+    y-part is reported as component 0, before any partitioning; this is the
+    one place that rule is applied."""
     t0 = time.perf_counter()
     synthesize = MODES.get(cfg.mode)
     if synthesize is None:
@@ -196,17 +194,20 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         "dl_text": None,
     }
 
-    bad = _synth._empty_ypart_failure(spec)
-    if bad is not None:
+    if spec.empty_ypart_indices:
+        # its x-part can be falsified (tautologies are dropped at parsing) and
+        # its y-part never satisfied, so an MFS that holds it is the witness
+        bad = _graph.extend_to_mis(spec, spec.empty_ypart_indices[:1])
         return _unrealizable(result, t0, spec, 0, bad, _synth.falsifying_input(spec, bad))
 
     components = _synth.partition_by_output_variables(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
     parts: list[_dlist.DecisionList] = []
     for ci, comp in enumerate(components, 1):
+        t = time.perf_counter()
         outcome = synthesize(comp, cfg)
-        st = outcome.stats
-        counts = {key: getattr(st, key) for key in _STATS_COUNTERS}
+        ms = (time.perf_counter() - t) * 1000.0
+        counts = {key: getattr(outcome.stats, key) for key in _STATS_COUNTERS}
         counts["decisions"] = len(outcome.decision_list) if outcome.decision_list else 0
         for key, n in counts.items():
             result[key] += n
@@ -216,7 +217,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
                 "clauses": comp.num_clauses,
                 "status": outcome.status,
                 **counts,
-                "wall_time_ms": st.wall_time * 1000.0,
+                "wall_time_ms": ms,
             }
         )
         if not outcome.realizable:

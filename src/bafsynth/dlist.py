@@ -9,7 +9,6 @@ output witness was chosen for are the only ones the input can falsify.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -147,9 +146,9 @@ def serialize(dl: DecisionList) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse(text: str, spec: Specification | None = None) -> DecisionList:
-    """Inverse of serialize.  When a specification is supplied the list is
-    bound to it; a digest mismatch is reported as a warning."""
+def parse(text: str) -> DecisionList:
+    """Inverse of serialize.  The list is bound to no specification;
+    `parse_many` binds the documents it parses."""
     lines = [l for l in text.splitlines() if l.strip()]
     if len(lines) < 4:
         raise ParseError("truncated decision-list document")
@@ -179,14 +178,14 @@ def parse(text: str, spec: Specification | None = None) -> DecisionList:
                 output[int(var)] = {"0": False, "1": True}[bit]
             except (KeyError, ValueError):
                 raise ParseError(f"bad output token {tok!r}") from None
+        if len(output) != len(right.split()):
+            raise ParseError(f"decision assigns an output twice: {line!r}")
         if any(i < 1 for i in guard):
             raise ParseError("guard indices must be positive")
         if set(output) != set(outputs):
             raise ParseError("decision output is not total over the outputs")
         decisions.append(Decision(guard, output))
-    if spec is not None and spec.digest != digest:
-        warnings.warn("decision-list digest does not match the given specification")
-    return DecisionList(inputs, outputs, tuple(decisions), digest, spec)
+    return DecisionList(inputs, outputs, tuple(decisions), digest)
 
 
 def parse_many(text: str, spec_by_digest: dict[str, Specification] | None = None):
@@ -220,9 +219,12 @@ def _id_line(line: str, tag: str) -> tuple[int, ...]:
     if not toks or toks[0] != tag:
         raise ParseError(f"expected `{tag}` line, got {line!r}")
     try:
-        return tuple(int(t) for t in toks[1:])
+        ids = tuple(int(t) for t in toks[1:])
     except ValueError:
         raise ParseError(f"bad variable ids in `{tag}` line") from None
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"repeated variable id in `{tag}` line")
+    return ids
 
 
 def to_json_dict(dl: DecisionList) -> dict:

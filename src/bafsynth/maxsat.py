@@ -8,7 +8,7 @@ picks one from the input size:
   - a TableSession works on the truth table of its m variables.  A clause is
     one Python int of 2^m bits, the set of assignments that satisfy it;
     assignment a sets variable i (1-based, in the order given) to bit i-1 of
-    a, and `model.variable_masks` gives each variable's mask.
+    a, and `model.clause_masks` builds the masks.
     The soft masks are summed once into a bit-sliced binary counter:
     plane b holds bit b of every assignment's count of satisfied softs.  A
     query ANDs the base mask (the hard clauses and every `require_any`) with
@@ -42,9 +42,9 @@ A MaxSatSession encodes its soft clauses once in one SAT solver:
 
 In both, `require_any` adds a permanent clause that one of some softs
 holds, which is how MSS enumeration blocks the MSS it has found.  Both
-number their variables 1..m in the order given and key every model by the
-given ids, so their size grows with the clauses they hold, not with the
-ids they use.
+number their variables 1..m in the order given (a MaxSatSession through
+`model.numbering`) and key every model by the given ids, so their size
+grows with the clauses they hold, not with the ids they use.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .model import holds, variable_masks
+from .model import clause_masks, holds, numbering
 from .sat import Solver
 
 OPTIMAL = "optimal"
@@ -86,14 +86,14 @@ class MaxSatSession:
         hard: Iterable[Sequence[int]] = (),
     ):
         self.variables = tuple(variables)
-        local = {v: i for i, v in enumerate(self.variables, 1)}
+        local = numbering(self.variables)
         m, n = len(self.variables), len(soft)
         self.solver = s = Solver()
         s.ensure_var(m + n)
         self.relax = range(m + 1, m + n + 1)
         for c in hard:
-            s.add_clause([local[l] if l > 0 else -local[-l] for l in c])
-        self._soft = [[local[l] if l > 0 else -local[-l] for l in c] for c in soft]
+            s.add_clause([local[l] for l in c])
+        self._soft = [[local[l] for l in c] for c in soft]
         for c, r in zip(self._soft, self.relax):
             s.add_clause([*c, r])
         self._total = None  # totalizer over relax, built at the first bound
@@ -144,20 +144,10 @@ class TableSession:
         hard: Iterable[Sequence[int]] = (),
     ):
         self.variables = tuple(variables)
-        local = {v: i for i, v in enumerate(self.variables)}
-        true, full = variable_masks(len(self.variables))
-
-        def mask(clause) -> int:
-            sat = 0
-            for l in clause:
-                t = true[local[abs(l)]]
-                sat |= t if l > 0 else full ^ t
-            return sat
-
-        self._soft = [mask(c) for c in soft]
-        self._base = full
-        for c in hard:
-            self._base &= mask(c)
+        masks, self._base = clause_masks(self.variables, [*soft, *hard])
+        self._soft = masks[: len(soft)]
+        for sat in masks[len(soft) :]:
+            self._base &= sat
         self._planes: list[int] = []  # plane b: bit b of each satisfied-soft count
         planes = self._planes
         for carry in self._soft:

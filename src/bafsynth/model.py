@@ -14,8 +14,9 @@ that string, not one `str()` per input.  All derived clause sets (falsified
 sets, must-satisfy sets, MFS, MSS) are plain frozensets of 1-based clause
 indices, so the input-to-output correspondence is the identity on indices.
 Checks that test many clauses at once read an index set as an int mask
-instead (`index_mask`, `mask_indices`), and a truth table over a few
-variables keeps one int mask per variable (`variable_masks`).
+instead (`index_mask`, `mask_indices`), a truth table over a few variables
+keeps one int mask per clause (`clause_masks`), and a solver query numbers
+the variables it uses compactly (`numbering` of `variables_of`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -125,7 +126,7 @@ class Specification:
         specification's `inputs`, `input_ids` and `max_input`."""
         clauses = tuple(self.clauses[i - 1] for i in indices)
         if outputs is None:
-            outputs = tuple(sorted({abs(l) for _, y_lits in clauses for l in y_lits}))
+            outputs = tuple(variables_of(y_lits for _, y_lits in clauses))
         part = object.__new__(Specification)
         part.__dict__.update(
             inputs=self.inputs,
@@ -198,19 +199,43 @@ def index_mask(indices: Iterable[int]) -> int:
     return mask
 
 
-def variable_masks(n: int) -> tuple[list[int], int]:
-    """The truth table of n variables: bit a of a mask stands for the
-    assignment that sets variable i (1-based) to bit i-1 of a.  Returns the
-    mask of each variable's true assignments, in order, and the mask of all
-    2^n assignments.  Built by doubling: each new variable copies every
-    earlier mask into the upper half of a table twice as wide and takes that
-    upper half as its own, with no division."""
+def numbering(variables: Iterable[int], first: int = 1) -> dict[int, int]:
+    """Signed local literals for `variables`, in the given order: the n-th
+    variable (from 0) and its negation become first + n and -(first + n).
+    A solver query renumbered this way keeps the relative order of its
+    variables, which is all the SAT engine reads of an id."""
+    return {sign * v: sign * n for n, v in enumerate(variables, first) for sign in (1, -1)}
+
+
+def variables_of(parts: Iterable[tuple[int, ...]]) -> list[int]:
+    """The ids of the variables that the literal tuples `parts` use,
+    ascending."""
+    return sorted({abs(l) for lits in parts for l in lits})
+
+
+def clause_masks(variables: Sequence[int], clauses: Iterable) -> tuple[list[int], int]:
+    """The truth table of the `clauses` over `variables`: bit a of a mask
+    stands for the assignment that sets the i-th variable (1-based, in the
+    given order) to bit i-1 of a.  Returns each clause's mask of satisfying
+    assignments and the mask of all 2^n assignments.  The variable masks
+    are built by doubling: each new variable copies every earlier mask into
+    the upper half of a table twice as wide and takes that half as its own."""
     size, true = 1, []
-    for _ in range(n):
+    for _ in variables:
         true = [t | t << size for t in true]
         true.append(((1 << size) - 1) << size)
         size <<= 1
-    return true, (1 << size) - 1
+    full = (1 << size) - 1
+    lit = {}
+    for v, t in zip(variables, true):
+        lit[v], lit[-v] = t, full ^ t
+    masks = []
+    for clause in clauses:
+        sat = 0
+        for l in clause:
+            sat |= lit[l]
+        masks.append(sat)
+    return masks, full
 
 
 def mask_indices(mask: int) -> Iterator[int]:

@@ -12,7 +12,8 @@ Three ways to produce a decision list from a split specification:
     session (`output_session`) per component, which is a truth table over
     the component's outputs when they are few and a SAT solver otherwise.
     Each recorded MSS yields one decision, and `irredundant` then drops
-    every decision that the kept ones already cover.
+    every decision that the kept ones already cover, on the inputs' truth
+    table (`model.clause_masks`).
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
@@ -21,20 +22,21 @@ Three ways to produce a decision list from a split specification:
     the specification unrealizable.
 
 All three return a SynthesisOutcome (status, decision list or witness, and
-Stats).  The module also holds the output-disjoint partitioner that splits
-a specification into independently synthesizable components.
+Stats, which holds counters only: `cli.run_pipeline` times each call).
+Their solver queries number variables with `model.numbering`.  The module
+also holds the output-disjoint partitioner that splits a specification
+into independently synthesizable components.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat, table_fits
-from .model import Assignment, Specification, index_mask, variable_masks
+from .model import Assignment, Specification, clause_masks, index_mask, numbering, variables_of
 from .sat import Solver
 
 REALIZABLE = "realizable"
@@ -47,7 +49,6 @@ class Stats:
     sat_calls: int = 0
     maxsat_calls: int = 0
     mss_recorded: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -71,13 +72,12 @@ class CoverageQueryState:
 
     def __init__(self, spec: Specification):
         self.spec, k = spec, spec.num_clauses
-        xs = sorted({abs(l) for i in spec.indices for l in spec.x_part(i)})
-        var = {v: k + n for n, v in enumerate(xs, 1)}
+        var = numbering(variables_of(map(spec.x_part, spec.indices)), k + 1)
         self.solver = Solver()
         self.solver.ensure_var(k)
         for i in spec.indices:
             for lit in spec.x_part(i):
-                self.solver.add_clause((-i, -var[lit] if lit > 0 else var[-lit]))
+                self.solver.add_clause((-i, -var[lit]))
 
 
 def next_uncovered_mfs(state: CoverageQueryState):
@@ -107,18 +107,14 @@ def output_session(spec: Specification) -> MaxSatSession | TableSession:
     return new_session(spec.outputs, [spec.y_part(i) for i in spec.indices])
 
 
-def covering_mss(
-    spec: Specification,
-    mfs: frozenset[int],
-    session: MaxSatSession | TableSession | None = None,
-):
-    """Grow the output clauses of `mfs` into a covering MSS.
+def covering_mss(spec: Specification, mfs: frozenset[int], session: MaxSatSession | TableSession):
+    """Grow the output clauses of `mfs` into a covering MSS on `session`,
+    the component's `output_session(spec)`.
 
     Returns (mss index set, output witness) or None when the output clauses
     of `mfs` are jointly unsatisfiable (the unrealizability witness is the
-    given MFS itself).  `session` is `output_session(spec)`, made here when
-    not given."""
-    res = solve_partial_maxsat(session or output_session(spec), [i - 1 for i in mfs])
+    given MFS itself)."""
+    res = solve_partial_maxsat(session, [i - 1 for i in mfs])
     if not res.optimal:
         return None
     mss = frozenset(j + 1 for j in res.satisfied_soft)
@@ -136,37 +132,10 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     return x
 
 
-def _empty_ypart_failure(spec: Specification) -> frozenset[int] | None:
-    """An MFS holding a clause with no output literals, if any.
-
-    Such a clause can always be falsified on the input side (tautological
-    clauses are removed at parse time), and its empty y-part can never be
-    satisfied, so no output works for an input that falsifies the MFS."""
-    if not spec.empty_ypart_indices:
-        return None
-    return extend_to_mis(spec, spec.empty_ypart_indices[:1])
-
-
-def _realizable(
-    spec: Specification,
-    t0: float,
-    stats: Stats,
-    index_sets: list[frozenset[int]],
-    witnesses: list[Assignment],
-) -> SynthesisOutcome:
-    """The list with one decision per index set, timed from `t0`."""
-    dl = build_decision_list(spec, index_sets, witnesses)
-    stats.wall_time = time.perf_counter() - t0
-    return SynthesisOutcome(REALIZABLE, decision_list=dl, stats=stats)
-
-
-def _unrealizable(
-    spec: Specification, t0: float, stats: Stats, mfs: frozenset[int]
-) -> SynthesisOutcome:
+def _unrealizable(spec: Specification, stats: Stats, mfs: frozenset[int]) -> SynthesisOutcome:
     """`mfs`, whose output clauses no output satisfies, and an input that
-    falsifies it, timed from `t0`."""
+    falsifies it."""
     x = falsifying_input(spec, mfs)
-    stats.wall_time = time.perf_counter() - t0
     return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, witness_input=x, stats=stats)
 
 
@@ -175,11 +144,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
     every MFS is covered, then build the decision list from the recorded
     MSS sequence less the decisions `irredundant` drops.  Iteration count
     is bounded by min(#MFS, #MSS)."""
-    t0 = time.perf_counter()
     stats = Stats()
-    bad = _empty_ypart_failure(spec)
-    if bad is not None:
-        return _unrealizable(spec, t0, stats, bad)
     state = CoverageQueryState(spec)
     session = output_session(spec)
     mfs_list: list[frozenset[int]] = []
@@ -194,7 +159,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.maxsat_calls += 1
         if got is None:
             stats.iterations += 1
-            return _unrealizable(spec, t0, stats, mfs)
+            return _unrealizable(spec, stats, mfs)
         mss, witness = got
         mfs_list.append(mfs)
         mss_list.append(mss)
@@ -205,9 +170,8 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         record_mss(state, mss)
     stats.mss_recorded = len(mss_list)
     kept = irredundant(spec, mfs_list, mss_list)
-    return _realizable(
-        spec, t0, stats, [mss_list[i] for i in kept], [witnesses[i] for i in kept]
-    )
+    dl = build_decision_list(spec, [mss_list[i] for i in kept], [witnesses[i] for i in kept])
+    return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
 
 def irredundant(
@@ -237,17 +201,11 @@ def irredundant(
     every = frozenset(spec.indices)
     guards = [every - m for m in mss_list]
     guarded = frozenset().union(*guards)
-    xs = sorted({abs(l) for g in guarded for l in spec.x_part(g)})
+    xs = variables_of(map(spec.x_part, guarded))
     if not table_fits(len(guarded) + 2 * len(guards), len(xs)):
         return list(range(len(mss_list)))
-    true, full = variable_masks(len(xs))
-    var = dict(zip(xs, true))
-    falsified = {}  # the inputs that falsify x-part g
-    for g in guarded:
-        sat = 0
-        for l in spec.x_part(g):
-            sat |= var[l] if l > 0 else full ^ var[-l]
-        falsified[g] = full ^ sat
+    sat, full = clause_masks(xs, map(spec.x_part, guarded))
+    falsified = {g: full ^ s for g, s in zip(guarded, sat)}  # inputs falsifying x-part g
     fires = []
     for guard in guards:
         blocked = 0
@@ -270,7 +228,6 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     the offending MFS as witness when its output clauses are unsatisfiable.
     Raises LimitError, before any MFS is built, when more than `mis_limit`
     exist."""
-    t0 = time.perf_counter()
     stats = Stats()
     g = build_conflict_graph(spec)
     enum = enumerate_mis(g, mis_limit)
@@ -279,11 +236,8 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     every, full = frozenset(spec.indices), spec.full_mask
     # the witness solvers number the component's outputs 1..m in ascending
     # id, which keeps their order, so they are sized to the component
-    num = {v: n for n, v in enumerate(sorted(spec.outputs), 1)}
-    groups = [
-        (ys, tuple(num[l] if l > 0 else -num[-l] for l in lits))
-        for lits, ys in spec.ypart_groups
-    ]
+    num = numbering(sorted(spec.outputs))
+    groups = [(ys, tuple(map(num.get, lits))) for lits, ys in spec.ypart_groups]
     witnesses = []
     for m in enum.sets:
         mask = full ^ index_mask(every - m)
@@ -296,10 +250,11 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         stats.sat_calls += 1
         stats.iterations += 1
         if not res.satisfiable:
-            return _unrealizable(spec, t0, stats, m)
+            return _unrealizable(spec, stats, m)
         witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
     stats.mss_recorded = len(enum.sets)
-    return _realizable(spec, t0, stats, list(enum.sets), witnesses)
+    dl = build_decision_list(spec, list(enum.sets), witnesses)
+    return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
 
 def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> SynthesisOutcome:
@@ -309,8 +264,10 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
     An MFS contained in no MSS has jointly unsatisfiable output clauses, so
     once every MSS is found, one coverage query over all of them either
     finds such an MFS, the unrealizability witness, or proves that the
-    list covers every input."""
-    t0 = time.perf_counter()
+    list covers every input.  Raises ValueError before any query unless
+    `mss_limit` is positive, and LimitError past `mss_limit` MSS."""
+    if mss_limit < 1:
+        raise ValueError("limit must be positive")
     stats = Stats()
     k = spec.num_clauses
     session = output_session(spec)
@@ -338,8 +295,9 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
         mfs = next_uncovered_mfs(state)
         stats.sat_calls += 1
         if mfs is not None:
-            return _unrealizable(spec, t0, stats, mfs)
-    return _realizable(spec, t0, stats, found, witnesses)
+            return _unrealizable(spec, stats, mfs)
+    dl = build_decision_list(spec, found, witnesses)
+    return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
 
 def partition_by_output_variables(spec: Specification) -> list[Specification]:
@@ -347,14 +305,10 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     variables; inputs are kept whole, outputs are restricted per component.
     Components are ordered by their smallest original clause index and
     share the parent's checked clauses and input rendering
-    (`Specification.restrict`).  The outputs no clause mentions, if any,
-    form one last component without clauses, whose list sets them all
-    false."""
-    if spec.empty_ypart_indices:
-        raise ValueError(
-            "specification has a clause with an empty y-part; "
-            "it is unrealizable and cannot be partitioned"
-        )
+    (`Specification.restrict`).  A clause with an empty y-part shares no
+    output, so it is a component of its own without outputs.  The outputs
+    no clause mentions, if any, form one last component without clauses,
+    whose list sets them all false."""
     parent = list(range(spec.num_clauses + 1))
 
     def find(a: int) -> int:

@@ -1,8 +1,9 @@
 """Independent checking of synthesized decision lists and of
 unrealizability witnesses.
 
-The verifier shares only the SAT engine with the synthesizer and reads only
-the specification and the list or the witness input.
+The verifier shares only the SAT engine and the renumbering of a query's
+variables (`model.numbering`) with the synthesizer, and reads only the
+specification and the list or the witness input.
 
 Soundness asks, for every decision i and clause j whose y-part the decision
 output falsifies, whether guard_i's x-parts can hold together with the
@@ -39,7 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dlist import DecisionList
-from .model import Assignment, Specification, holds, index_mask, mask_indices, true_literals
+from .model import (
+    Assignment,
+    Specification,
+    holds,
+    index_mask,
+    mask_indices,
+    numbering,
+    true_literals,
+    variables_of,
+)
 from .sat import Solver
 
 VERIFIED = "verified"
@@ -97,7 +107,7 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 falsified |= ys
         # a guard clause needs no query: it would hold its x-part and the negation
         for j in mask_indices(falsified & ~index_mask(dec.guard)):
-            var = _numbering([*map(spec.x_part, dec.guard), spec.x_part(j)])
+            var = numbering(variables_of([*map(spec.x_part, dec.guard), spec.x_part(j)]))
             s = Solver()
             for g in sorted(dec.guard):
                 s.add_clause([var[lit] for lit in spec.x_part(g)])
@@ -109,8 +119,8 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 return VerificationReport(COUNTEREXAMPLE, SOUNDNESS, di, j, x)
 
     guarded = sorted(used)
-    var = _numbering([spec.x_part(g) for g in guarded])
-    sel = {g: n for n, g in enumerate(guarded, len(var) // 2 + 1)}
+    var = numbering(variables_of(map(spec.x_part, guarded)))
+    sel = numbering(guarded, len(var) // 2 + 1)
     s = Solver()
     for g in guarded:
         for lit in spec.x_part(g):
@@ -122,12 +132,6 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
         x = {v: v in var and res.model[var[v]] for v in spec.inputs}
         return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
     return VerificationReport(VERIFIED)
-
-
-def _numbering(parts) -> dict[int, int]:
-    """The literals of the x-parts `parts`, renumbered 1..n by ascending id."""
-    xs = sorted({abs(lit) for lits in parts for lit in lits})
-    return {sign * v: sign * n for n, v in enumerate(xs, 1) for sign in (1, -1)}
 
 
 def witness_has_no_output(spec: Specification, x: Assignment) -> bool:

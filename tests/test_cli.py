@@ -309,6 +309,27 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, body):
     assert captured.err.startswith("error: document 1: ")
 
 
+def test_verify_rejects_a_document_that_names_a_variable_twice(tmp_path, capsys):
+    # on the one clause (x1 or y2), each of these documents assigns output 2
+    # a value that would verify, but names a variable twice
+    text = "p cnf 2 1\na 1 0\ne 2 0\n1 2 0\n"
+    f = _write(tmp_path, "one.qdimacs", text)
+    header = f"dl 1\nspec {parse_qdimacs(text).digest}\n"
+    good = _write(tmp_path, "good.dl", header + "in 1\nout 2\nd | 2=1\n")
+    assert main(["verify", f, good]) == 0
+    capsys.readouterr()
+    for body in (
+        "in 1\nout 2\nd | 2=0 2=1\n",
+        "in 1 1\nout 2\nd | 2=1\n",
+        "in 1\nout 2 2\nd | 2=1\n",
+    ):
+        bad = _write(tmp_path, "bad.dl", header + body)
+        assert main(["verify", f, bad]) == 2, body
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_multidoc_partitioned(tmp_path, capsys):
     f = _write(tmp_path, "id4.qdimacs", identity_qdimacs(4))
     dl = str(tmp_path / "id4.dl")
@@ -624,7 +645,7 @@ def test_bench_records_every_report_counter(tmp_path, capsys):
     assert main(["bench", str(d), "--json", str(out)]) == 0
     ok, junk = [json.loads(line) for line in out.read_text().splitlines()]
     report = cli.run_pipeline(parse_qdimacs(EXAMPLE1_TEXT), cli.RunConfig())
-    counters = [f.name for f in dataclasses.fields(synth.Stats) if f.name != "wall_time"]
+    counters = [f.name for f in dataclasses.fields(synth.Stats)]
     assert "mss_recorded" in counters
     for key in (*counters, "decisions"):
         assert ok[key] == report[key]

@@ -133,7 +133,7 @@ def test_serialize_roundtrip(example1):
         "d 2 | 3=1 4=1",
         "d 1 4 | 3=0 4=0",
     ]
-    back = parse(text, example1)
+    back = parse(text)
     assert back == dl
 
 
@@ -145,7 +145,7 @@ def test_serialize_roundtrip_random():
         if not out.realizable:
             continue
         dl = out.decision_list
-        assert parse(serialize(dl), spec) == dl
+        assert parse(serialize(dl)) == dl
 
 
 def _unshared(dl):
@@ -211,11 +211,19 @@ def test_parse_malformed_decision_line():
         parse("dl 1\nspec abc\nin 1\nout 2\nd 1 2=1\n")
 
 
-def test_parse_digest_mismatch_warns(example1):
-    dl = _example3_list(example1)
-    text = serialize(dl).replace(example1.digest, "0" * 64)
-    with pytest.warns(UserWarning, match="digest"):
-        parse(text, example1)
+@pytest.mark.parametrize(
+    "body",
+    ["in 1\nout 2\nd | 2=0 2=1\n", "in 1 1\nout 2\nd | 2=0\n", "in 1\nout 2 2\nd | 2=0\n"],
+    ids=["output-assigned-twice", "input-repeated", "output-repeated"],
+)
+def test_parse_rejects_a_variable_named_twice(body):
+    with pytest.raises(ParseError, match="twice|repeated"):
+        parse("dl 1\nspec abc\n" + body)
+
+
+def test_parse_reads_a_guard_as_a_set():
+    dl = parse("dl 1\nspec abc\nin 1\nout 2\nd 1 1 | 2=0\n")
+    assert dl.decisions[0].guard == frozenset({1})
 
 
 def test_unbound_list_cannot_evaluate():

@@ -5,7 +5,8 @@ Each contract runs `run_pipeline` with the default configuration on two
 families at widths W and 2W: the equivalence chain, and disjoint copies of
 one planted component.  It bounds the ratio of exact work counts, never of
 times, so a trap that sizes per-component work to the whole specification
-fails here deterministically and on small inputs.
+fails here deterministically and on small inputs.  The totality check of
+`evaluate_combined` is counted as calls, too.
 """
 
 import json
@@ -13,9 +14,10 @@ import random
 
 import pytest
 
-from bafsynth import sat
+from bafsynth import cli, dlist, sat
 from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.model import parse_qdimacs
+from bafsynth.synth import back_and_forth, partition_by_output_variables
 
 from .conftest import identity_qdimacs, planted_spec_text
 from .test_golden_pipeline import _strip_ms
@@ -115,3 +117,33 @@ def test_planted_copies_grow_linearly(planted_runs, measure):
     small, large = planted_runs[COPIES][measure], planted_runs[2 * COPIES][measure]
     assert small >= COPIES
     assert large <= 2.1 * small, (measure, small, large)
+
+
+class KeysCountingInput(dict):
+    """An input assignment that counts the `keys()` calls made on it: the
+    totality check of `evaluate_combined`."""
+
+    keys_calls = 0
+
+    def keys(self):
+        self.keys_calls += 1
+        return super().keys()
+
+
+@pytest.mark.parametrize("width", [W, 2 * W])
+def test_evaluate_combined_checks_totality_once_per_call(width):
+    # the chain's W component lists share one inputs tuple, whether they are
+    # synthesized or parsed back from the written documents
+    spec = parse_qdimacs(identity_qdimacs(width))
+    comps = partition_by_output_variables(spec)
+    synthesized = dlist.combine([back_and_forth(c).decision_list for c in comps], spec)
+    text = "".join(map(dlist.serialize, synthesized))
+    parsed = dlist.combine(dlist.parse_many(text, cli._specs_by_digest(spec)), spec)
+    assert len(synthesized) == len(parsed) == width
+    outputs = []
+    for parts in (synthesized, parsed):
+        x = KeysCountingInput((v, v % 3 == 0) for v in spec.inputs)
+        outputs.append(dlist.evaluate_combined(parts, x))
+        assert x.keys_calls == 1
+    assert outputs[0] == outputs[1]
+    assert spec.evaluate({**x, **outputs[0]})

@@ -105,25 +105,25 @@ def test_coverage_query_numbers_inputs_after_the_selectors():
 
 
 def test_covering_mss_grows(example1):
-    mss, witness = covering_mss(example1, frozenset({1}))
+    mss, witness = covering_mss(example1, frozenset({1}), output_session(example1))
     assert mss == frozenset({1, 3, 4})
     assert witness == {3: True, 4: True}
 
 
 def test_covering_mss_already_maximal(example1):
-    mss, witness = covering_mss(example1, frozenset({2, 3}))
+    mss, witness = covering_mss(example1, frozenset({2, 3}), output_session(example1))
     assert mss == frozenset({2, 3})
     assert witness == {3: False, 4: False}
 
 
 def test_covering_mss_unrealizable(unrealizable4):
-    assert covering_mss(unrealizable4, frozenset({1, 2})) is None
+    assert covering_mss(unrealizable4, frozenset({1, 2}), output_session(unrealizable4)) is None
 
 
 def test_covering_mss_in_brute_force_list(example1):
     _, mss_all = brute_force_mfs_mss(example1)
     for mfs in brute_force_mfs_mss(example1)[0]:
-        got = covering_mss(example1, mfs)
+        got = covering_mss(example1, mfs, output_session(example1))
         assert got is not None
         assert got[0] in mss_all
 
@@ -140,7 +140,7 @@ def test_one_session_grows_every_mfs_like_a_fresh_one():
         session = output_session(spec)
         for mfs in queries:
             got = covering_mss(spec, mfs, session)
-            fresh = covering_mss(spec, mfs)
+            fresh = covering_mss(spec, mfs, output_session(spec))
             above = [m for m in mss_all if mfs <= m]
             if not above:
                 assert got is None and fresh is None
@@ -244,7 +244,8 @@ def test_back_and_forth_empty_ypart_detected():
     out = back_and_forth(spec)
     assert not out.realizable
     assert 1 in out.witness_mfs
-    assert out.stats.maxsat_calls == 0  # rejected before the main loop
+    # the covering query of the MFS that holds the empty y-part is unsatisfiable
+    assert out.stats.maxsat_calls == 1
     assert out.witness_input == {1: False, 2: False}
 
 
@@ -362,10 +363,10 @@ def test_irredundant_keeps_a_decision_that_only_a_dropped_one_covers(monkeypatch
 
 
 def test_irredundant_needs_no_masks_when_every_decision_has_its_own_input(monkeypatch):
-    def no_masks(n):
+    def no_masks(variables, clauses):
         raise AssertionError("the prefilter settles every decision")
 
-    monkeypatch.setattr(synth, "variable_masks", no_masks)
+    monkeypatch.setattr(synth, "clause_masks", no_masks)
     for comp in partition_by_output_variables(parse_qdimacs(identity_qdimacs(4))):
         out = back_and_forth(comp)
         assert len(out.decision_list) == out.stats.iterations == 2
@@ -510,6 +511,22 @@ def test_mfs_enumeration_over_the_limit_builds_no_set(monkeypatch):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [RunConfig(mode="mfs-enum", mis_limit=0), RunConfig(mode="mss-enum", mss_limit=0)],
+    ids=["mfs-enum", "mss-enum"],
+)
+def test_a_limit_below_one_is_rejected_before_any_query(monkeypatch, example1, cfg):
+    # both modes reject it like the CLI does, not as a resource limit
+    def no_query(*args):
+        raise AssertionError("the limit is checked first")
+
+    monkeypatch.setattr(synth, "solve_partial_maxsat", no_query)
+    monkeypatch.setattr(sat.Solver, "solve", no_query)
+    with pytest.raises(ValueError, match="limit must be positive"):
+        run_pipeline(example1, cfg)
+
+
 def test_mfs_enumeration_searches_each_component_once(monkeypatch):
     searched, search = [], graph._max_cliques
 
@@ -624,10 +641,10 @@ def test_partition_puts_unconstrained_outputs_last():
     assert only.outputs == (2, 3) and only.num_clauses == 0
 
 
-def test_partition_rejects_empty_ypart():
+def test_partition_keeps_an_empty_ypart_clause_as_its_own_component():
     spec = parse_qdimacs("p cnf 2 1\na 1 2 0\ne 0\n1 2 0\n")
-    with pytest.raises(ValueError, match="empty y-part"):
-        partition_by_output_variables(spec)
+    (only,) = partition_by_output_variables(spec)
+    assert only.clauses == spec.clauses and only.outputs == ()
 
 
 def test_partition_preserves_clauses():

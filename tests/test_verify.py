@@ -12,6 +12,7 @@ from bafsynth.sat import Solver
 from bafsynth.synth import (
     back_and_forth,
     covering_mss,
+    output_session,
     partition_by_output_variables,
     synth_by_mfs_enumeration,
 )
@@ -481,7 +482,7 @@ def test_covering_mss_results_are_brute_force_mss():
         spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=4, max_clauses=8))
         mfs_all, mss_all = brute_force_mfs_mss(spec)
         for mfs in mfs_all:
-            got = covering_mss(spec, mfs)
+            got = covering_mss(spec, mfs, output_session(spec))
             if got is not None:
                 assert got[0] in mss_all
 
