@@ -579,6 +579,21 @@ def test_mss_enumeration_unrealizable_leaves_uncovered(unrealizable4):
     assert table.entries[tuple(x[v] for v in table.inputs)] is None
 
 
+@pytest.mark.parametrize("mode", ["back-and-forth", "mfs-enum", "mss-enum"])
+def test_the_witness_input_is_read_in_the_failing_components_numbering(mode):
+    # component 2 holds clauses 2 and 3 as its local clauses 1 and 2; read
+    # in the whole spec's numbering, its MFS {1, 2} would set input 1 true
+    spec = parse_qdimacs("p cnf 4 3\na 1 2 0\ne 3 4 0\n-1 3 0\n2 4 0\n2 -4 0\n")
+    result = run_pipeline(spec, RunConfig(mode=mode))
+    witness = result["witness"]
+    assert result["status"] == "unrealizable"
+    assert witness["component"] == 2
+    assert witness["input"] == {"1": False, "2": False}
+    comp = partition_by_output_variables(spec)[1]
+    x = synth.falsifying_input(comp, frozenset(witness["mfs"]))
+    assert witness["input"] == {str(v): b for v, b in x.items()}
+
+
 def test_mss_enumeration_agrees_with_brute_force_on_realizability():
     for spec in _corpus(229, 60, max_in=4, max_out=4, max_clauses=8):
         table = brute_force_synthesize(spec)
