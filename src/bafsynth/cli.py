@@ -157,13 +157,16 @@ _STATS_COUNTERS = tuple(f.name for f in fields(_synth.Stats))
 _REPORT_COUNTERS = (*_STATS_COUNTERS, "decisions")
 
 
-def _unrealizable(result: dict, t0: float, spec: Specification, component: int, mfs, x) -> dict:
-    """Report the witness; with verification on, first confirm that the
-    whole `spec` has no output for its input."""
+def _unrealizable(result: dict, t0: float, spec: Specification, ci: int, comp, mfs) -> dict:
+    """Report component `ci`'s witness: `mfs`, in the clause numbering of
+    `comp` (`spec` itself for component 0), and an input that falsifies it.
+    With verification on, first confirm that the whole `spec` has no output
+    for that input."""
+    x = _synth.falsifying_input(comp, mfs)
     if result["verify"] and not _verify.witness_has_no_output(spec, x):
-        raise RuntimeError(f"component {component}'s unrealizability witness has an output")
+        raise RuntimeError(f"component {ci}'s unrealizability witness has an output")
     result["status"] = _synth.UNREALIZABLE
-    result["witness"] = {"component": component, "mfs": sorted(mfs), "input": _input_json(x)}
+    result["witness"] = {"component": ci, "mfs": sorted(mfs), "input": _input_json(x)}
     result["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
     return result
 
@@ -198,7 +201,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         # its x-part can be falsified (tautologies are dropped at parsing) and
         # its y-part never satisfied, so an MFS that holds it is the witness
         bad = _graph.extend_to_mis(spec, spec.empty_ypart_indices[:1])
-        return _unrealizable(result, t0, spec, 0, bad, _synth.falsifying_input(spec, bad))
+        return _unrealizable(result, t0, spec, 0, spec, bad)
 
     components = _synth.partition_by_output_variables(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
@@ -221,7 +224,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
             }
         )
         if not outcome.realizable:
-            return _unrealizable(result, t0, spec, ci, outcome.witness_mfs, outcome.witness_input)
+            return _unrealizable(result, t0, spec, ci, comp, outcome.witness_mfs)
         parts.append(outcome.decision_list)
 
     _dlist.combine(parts, spec)  # every output in exactly one list
@@ -314,7 +317,7 @@ def cmd_analyze(args) -> int:
         "conflict_edges": len(g.edges()),
         "consensus_chordal": report.chordal,
         "max_cliques": report.count if report.count is not None else "budget-exceeded",
-        "budget": report.budget,
+        "budget": args.budget,
         "p_np_fragment": fragment,
     }
     return _emit_json(doc, args.json)
@@ -393,11 +396,12 @@ def cmd_decompose(args) -> int:
             "equivalence_holds": report.equivalence_holds,
             "image_in_domain": report.image_in_domain,
         }
+        t0 = time.perf_counter()
         comp = _decomp.compose_and_verify(spec, limit=args.limit)
         doc["composition"] = {
             "status": comp.status,
             "spec_realizable": comp.spec_realizable,
-            "wall_time_ms": comp.wall_time * 1000.0,
+            "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
         }
     return _emit_json(doc, args.json)
 

@@ -13,7 +13,6 @@ specification is realizable; that outcome is reported distinctly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import product
 
@@ -32,7 +31,6 @@ class DecomposedPair:
     f1_clauses: tuple[tuple[int, ...], ...]  # over inputs and intermediates
     f2_spec: Specification  # intermediates as inputs, original outputs
     z_vars: tuple[int, ...]
-    spec_digest: str
 
 
 @dataclass
@@ -42,10 +40,6 @@ class GoodDecompositionReport:
     equivalence_witness: Assignment | None = None
     image_witness: Assignment | None = None
 
-    @property
-    def good(self) -> bool:
-        return self.equivalence_holds and self.image_in_domain
-
 
 @dataclass
 class CompositionReport:
@@ -53,7 +47,6 @@ class CompositionReport:
     stage2_outcome: object = None
     witness_input: Assignment | None = None
     spec_realizable: bool | None = None
-    wall_time: float = 0.0
 
 
 def cnf_decompose(spec: Specification) -> DecomposedPair:
@@ -73,7 +66,7 @@ def cnf_decompose(spec: Specification) -> DecomposedPair:
         f1.append((*xlits, zi))
         f2.append(((-zi,), spec.y_part(i)))
     f2_spec = Specification(z, spec.outputs, tuple(f2))
-    return DecomposedPair(tuple(f1), f2_spec, z, spec.digest)
+    return DecomposedPair(tuple(f1), f2_spec, z)
 
 
 def check_good_decomposition(
@@ -145,18 +138,13 @@ def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionRepor
     """Synthesize stage 2, compose with the direct stage-1 evaluator, and
     exhaustively compare the composition against the original CNF on every
     feasible input."""
-    t0 = time.perf_counter()
     m, n = len(spec.inputs), len(spec.outputs)
     if m + n > limit:
         raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
     pair = cnf_decompose(spec)
     outcome = back_and_forth(pair.f2_spec)
     if not outcome.realizable:
-        return CompositionReport(
-            DECOMP_UNREALIZABLE,
-            stage2_outcome=outcome,
-            wall_time=time.perf_counter() - t0,
-        )
+        return CompositionReport(DECOMP_UNREALIZABLE, stage2_outcome=outcome)
     spec_realizable = True
     for xbits in product((False, True), repeat=m):
         x = dict(zip(spec.inputs, xbits))
@@ -175,11 +163,5 @@ def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionRepor
                 stage2_outcome=outcome,
                 witness_input=x,
                 spec_realizable=spec_realizable,
-                wall_time=time.perf_counter() - t0,
             )
-    return CompositionReport(
-        GOOD,
-        stage2_outcome=outcome,
-        spec_realizable=spec_realizable,
-        wall_time=time.perf_counter() - t0,
-    )
+    return CompositionReport(GOOD, stage2_outcome=outcome, spec_realizable=spec_realizable)

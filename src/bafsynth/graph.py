@@ -69,7 +69,6 @@ class MisEnumeration:
 @dataclass(frozen=True)
 class CliqueCountReport:
     count: int | None  # None when the budget was exceeded
-    budget: int
     chordal: bool
 
 
@@ -220,7 +219,7 @@ def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
             chordal = _is_chordal(nb, len(vertices))
         if count is None:
             break  # chordality is settled: tested above, or false by the join rule
-    return CliqueCountReport(count=count, budget=budget, chordal=chordal)
+    return CliqueCountReport(count=count, chordal=chordal)
 
 
 def _is_chordal(nb: list[int], n: int) -> bool:

@@ -70,10 +70,6 @@ class MaxSatResult:
     def optimal(self) -> bool:
         return self.status == OPTIMAL
 
-    @property
-    def num_satisfied(self) -> int:
-        return len(self.satisfied_soft)
-
 
 class MaxSatSession:
     """Soft and hard clauses over `variables`, which must name every

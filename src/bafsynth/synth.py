@@ -21,8 +21,9 @@ Three ways to produce a decision list from a split specification:
     coverage query once whether some MFS is left uncovered, which makes
     the specification unrealizable.
 
-All three return a SynthesisOutcome (status, decision list or witness, and
-Stats, which holds counters only: `cli.run_pipeline` times each call).
+All three return a SynthesisOutcome (status, decision list or witness MFS,
+and Stats, which holds counters only: `cli.run_pipeline` times each call
+and derives the witness input with `falsifying_input`).
 Their solver queries number variables with `model.numbering`.  The module
 also holds the output-disjoint partitioner that splits a specification
 into independently synthesizable components.
@@ -56,7 +57,6 @@ class SynthesisOutcome:
     status: str
     decision_list: DecisionList | None = None
     witness_mfs: frozenset[int] | None = None
-    witness_input: Assignment | None = None
     stats: Stats = field(default_factory=Stats)
 
     @property
@@ -132,13 +132,6 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     return x
 
 
-def _unrealizable(spec: Specification, stats: Stats, mfs: frozenset[int]) -> SynthesisOutcome:
-    """`mfs`, whose output clauses no output satisfies, and an input that
-    falsifies it."""
-    x = falsifying_input(spec, mfs)
-    return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, witness_input=x, stats=stats)
-
-
 def back_and_forth(spec: Specification) -> SynthesisOutcome:
     """Alternate uncovered-MFS generation with covering-MSS growth until
     every MFS is covered, then build the decision list from the recorded
@@ -159,7 +152,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.maxsat_calls += 1
         if got is None:
             stats.iterations += 1
-            return _unrealizable(spec, stats, mfs)
+            return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
         mfs_list.append(mfs)
         mss_list.append(mss)
@@ -250,7 +243,7 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         stats.sat_calls += 1
         stats.iterations += 1
         if not res.satisfiable:
-            return _unrealizable(spec, stats, m)
+            return SynthesisOutcome(UNREALIZABLE, witness_mfs=m, stats=stats)
         witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
     stats.mss_recorded = len(enum.sets)
     dl = build_decision_list(spec, list(enum.sets), witnesses)
@@ -295,7 +288,7 @@ def synth_by_mss_enumeration(spec: Specification, mss_limit: int = 100000) -> Sy
         mfs = next_uncovered_mfs(state)
         stats.sat_calls += 1
         if mfs is not None:
-            return _unrealizable(spec, stats, mfs)
+            return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
     dl = build_decision_list(spec, found, witnesses)
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 

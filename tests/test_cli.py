@@ -241,6 +241,7 @@ def test_analyze_example1(tmp_path, capsys):
     assert doc["max_cliques"] == 3
     assert doc["consensus_chordal"] is True
     assert doc["p_np_fragment"] == "yes"
+    assert doc["budget"] == 100
 
 
 def test_analyze_budget_exceeded(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_stage1_is_total_and_functional():
 def test_good_decomposition_example1(example1):
     pair = cnf_decompose(example1)
     report = check_good_decomposition(example1, pair)
-    assert report.good
+    assert report.equivalence_holds and report.image_in_domain
 
 
 def test_corrupted_pair_violates_equivalence(example1):
@@ -76,7 +76,7 @@ def test_corrupted_pair_violates_equivalence(example1):
     dropped = (1, -2, 5)
     assert dropped in pair.f1_clauses
     kept = tuple(c for c in pair.f1_clauses if c != dropped)
-    broken = DecomposedPair(kept, pair.f2_spec, pair.z_vars, pair.spec_digest)
+    broken = DecomposedPair(kept, pair.f2_spec, pair.z_vars)
     report = check_good_decomposition(example1, broken)
     assert not report.equivalence_holds
     assert report.equivalence_witness is not None
@@ -94,7 +94,7 @@ def test_corrupted_pair_violates_equivalence(example1):
 def test_good_decomposition_zero_clauses():
     spec = parse_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n2 -2 0\n")
     report = check_good_decomposition(spec, cnf_decompose(spec))
-    assert report.good
+    assert report.equivalence_holds and report.image_in_domain
 
 
 def test_good_decomposition_limit():
@@ -108,7 +108,7 @@ def test_good_decomposition_random():
     for _ in range(40):
         spec = parse_qdimacs(random_spec_text(rng, max_in=3, max_out=3, max_clauses=6))
         report = check_good_decomposition(spec, cnf_decompose(spec), limit=14)
-        assert report.good
+        assert report.equivalence_holds and report.image_in_domain
 
 
 def test_compose_jointly_satisfiable_yparts():

@@ -148,7 +148,6 @@ def test_analyze_structure_example1(example1):
     report = analyze_structure(g, 100)
     assert report.count == 3
     assert report.chordal is True
-    assert report.budget == 100
 
 
 def test_analyze_structure_c4_consensus_not_chordal():

@@ -34,7 +34,7 @@ def test_worked_example_hard_unit():
     # hard (y1), soft (not y1), (y1 or not y2), (y2) over y1=1, y2=2
     res = _solve(2, [(-1,), (1, -2), (2,)], [(1,)])
     assert res.status == OPTIMAL
-    assert res.num_satisfied == 2
+    assert len(res.satisfied_soft) == 2
     assert res.model == {1: True, 2: True}
     assert res.satisfied_soft == frozenset({1, 2})
 
@@ -42,7 +42,7 @@ def test_worked_example_hard_unit():
 def test_complementary_soft_units():
     res = _solve(1, [(1,), (-1,)])
     assert res.status == OPTIMAL
-    assert res.num_satisfied == 1
+    assert len(res.satisfied_soft) == 1
 
 
 def test_hard_unsatisfiable():
@@ -97,7 +97,7 @@ def test_exactness_against_brute_force():
                 assert res.status == HARD_UNSAT
                 continue
             assert res.status == OPTIMAL
-            assert res.num_satisfied == best
+            assert len(res.satisfied_soft) == best
             assert all(oracles.clause_sat(c, res.model) for c in hard)
             assert res.satisfied_soft == frozenset(
                 i for i, c in enumerate(soft) if oracles.clause_sat(c, res.model)
@@ -157,13 +157,13 @@ def _one_session_answers_like_fresh_solves(kind):
                 unsat += 1
                 continue
             assert q <= got.satisfied_soft
-            assert got.num_satisfied == fresh.num_satisfied + len(q) == best + len(q)
+            assert len(got.satisfied_soft) == len(fresh.satisfied_soft) + len(q) == best + len(q)
             assert set(got.model) == set(range(1, n + 1))
             assert all(oracles.clause_sat(c, got.model) for c in inst_hard)
             assert got.satisfied_soft == frozenset(
                 i for i, c in enumerate(inst_soft) if oracles.clause_sat(c, got.model)
             )
-            bounded += got.num_satisfied < k  # the optimum falsifies a soft
+            bounded += len(got.satisfied_soft) < k  # the optimum falsifies a soft
     assert unsat > 50 and bounded > 100
 
 
@@ -204,7 +204,7 @@ def test_table_and_cdcl_sessions_agree_with_brute_force():
             if not feasible:
                 unsat += 1
                 continue
-            assert got.num_satisfied == ref.num_satisfied == best
+            assert len(got.satisfied_soft) == len(ref.satisfied_soft) == best
             for res in (got, ref):
                 assert q <= res.satisfied_soft
                 assert list(res.model) == list(variables)

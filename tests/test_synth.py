@@ -233,7 +233,7 @@ def test_back_and_forth_unrealizable(unrealizable4):
     assert not out.realizable
     assert out.witness_mfs in (frozenset({1, 2}), frozenset({3, 4}))
     # the witness input has no feasible output
-    x = out.witness_input
+    x = synth.falsifying_input(unrealizable4, out.witness_mfs)
     table = brute_force_synthesize(unrealizable4)
     key = tuple(x[v] for v in unrealizable4.inputs)
     assert table.entries[key] is None
@@ -246,7 +246,7 @@ def test_back_and_forth_empty_ypart_detected():
     assert 1 in out.witness_mfs
     # the covering query of the MFS that holds the empty y-part is unsatisfiable
     assert out.stats.maxsat_calls == 1
-    assert out.witness_input == {1: False, 2: False}
+    assert synth.falsifying_input(spec, out.witness_mfs) == {1: False, 2: False}
 
 
 def test_back_and_forth_without_universals():
@@ -573,7 +573,7 @@ def test_mss_enumeration_unrealizable_leaves_uncovered(unrealizable4):
     assert out.decision_list is None
     assert out.witness_mfs in (frozenset({1, 2}), frozenset({3, 4}))
     assert (out.stats.maxsat_calls, out.stats.mss_recorded, out.stats.sat_calls) == (3, 2, 1)
-    x = out.witness_input
+    x = synth.falsifying_input(unrealizable4, out.witness_mfs)
     assert not any(unrealizable4.evaluate({**x, 2: y}) for y in (False, True))
     table = brute_force_synthesize(unrealizable4)
     assert table.entries[tuple(x[v] for v in table.inputs)] is None
@@ -602,7 +602,7 @@ def test_mss_enumeration_agrees_with_brute_force_on_realizability():
         if out.realizable:
             assert verify_decision_list(spec, out.decision_list).verified
         else:
-            x = out.witness_input
+            x = synth.falsifying_input(spec, out.witness_mfs)
             assert table.entries[tuple(x[v] for v in table.inputs)] is None
 
 
