@@ -150,18 +150,17 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
             break
         got = covering_mss(spec, mfs, session)
         stats.maxsat_calls += 1
+        stats.iterations += 1
         if got is None:
-            stats.iterations += 1
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
         mfs_list.append(mfs)
         mss_list.append(mss)
         witnesses.append(witness)
-        stats.iterations += 1
+        stats.mss_recorded += 1
         if len(mss) == spec.num_clauses:
             break  # full cover: every MFS is a subset, nothing left to find
         record_mss(state, mss)
-    stats.mss_recorded = len(mss_list)
     kept = irredundant(spec, mfs_list, mss_list)
     dl = build_decision_list(spec, [mss_list[i] for i in kept], [witnesses[i] for i in kept])
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
@@ -245,7 +244,7 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
         if not res.satisfiable:
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=m, stats=stats)
         witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
-    stats.mss_recorded = len(enum.sets)
+        stats.mss_recorded += 1
     dl = build_decision_list(spec, list(enum.sets), witnesses)
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 

@@ -239,6 +239,18 @@ def test_back_and_forth_unrealizable(unrealizable4):
     assert table.entries[key] is None
 
 
+@pytest.mark.parametrize("procedure", [back_and_forth, synth_by_mfs_enumeration])
+def test_an_unrealizable_run_counts_the_sets_it_recorded(procedure):
+    # MFS {1} grows into MSS {1, 2} (y true); MFS {2, 3} then needs y and
+    # not y, so the run fails after recording one set
+    spec = parse_qdimacs("p cnf 2 3\na 1 0\ne 2 0\n1 2 0\n-1 2 0\n-1 -2 0\n")
+    out = procedure(spec)
+    assert not out.realizable
+    assert out.witness_mfs == frozenset({2, 3})
+    assert out.stats.iterations == 2
+    assert out.stats.mss_recorded == out.stats.iterations - 1
+
+
 def test_back_and_forth_empty_ypart_detected():
     spec = parse_qdimacs("p cnf 3 2\na 1 2 0\ne 3 0\n1 2 0\n1 3 0\n")
     out = back_and_forth(spec)
