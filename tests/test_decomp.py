@@ -13,7 +13,7 @@ from bafsynth.decomp import (
     stage1_evaluate,
 )
 from bafsynth.errors import LimitError
-from bafsynth.model import holds, parse_qdimacs
+from bafsynth.model import Specification, holds, parse_qdimacs
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
@@ -89,6 +89,26 @@ def test_corrupted_pair_violates_equivalence(example1):
         for zv in oracles.assignments(pair.z_vars)
     )
     assert lhs != rhs
+
+
+def test_corrupted_pair_leaves_the_stage2_domain():
+    # stage 2 gains (-z1 or -y3): with both x-parts false, z1 and z2 hold,
+    # and stage 2 demands y3 and not y3, though the input is feasible
+    spec = parse_qdimacs("p cnf 4 2\na 1 2 0\ne 3 4 0\n1 3 0\n2 4 0\n")
+    pair = cnf_decompose(spec)
+    z1 = pair.z_vars[0]
+    f2 = pair.f2_spec
+    broken_f2 = Specification(f2.inputs, f2.outputs, (*f2.clauses, ((-z1,), (-3,))))
+    broken = DecomposedPair(pair.f1_clauses, broken_f2, pair.z_vars)
+    report = check_good_decomposition(spec, broken)
+    assert report.image_in_domain is False
+    w = report.image_witness
+    assert w == {1: False, 2: False, 5: True, 6: True}
+    x = {v: w[v] for v in spec.inputs}
+    z = {v: w[v] for v in pair.z_vars}
+    assert all(holds(c, w) for c in pair.f1_clauses)  # z is reachable from x
+    assert any(spec.evaluate({**x, **y}) for y in oracles.assignments(spec.outputs))
+    assert not any(broken_f2.evaluate({**z, **y}) for y in oracles.assignments(spec.outputs))
 
 
 def test_good_decomposition_zero_clauses():
