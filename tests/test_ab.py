@@ -1,5 +1,6 @@
 """Smoke tests for tools/ab.py, the in-process A/B timer."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ def test_ab_times_a_checkout_against_itself():
     assert lines[1].endswith(" s, 600 decisions per pass")
     assert lines[2].endswith(" s, 600 decisions per pass")
     assert lines[3].startswith("B / A = ") and lines[3].endswith("of 2 passes")
+    assert lines[4] == "verdict: too few passes for a verdict"
 
 
 def test_ab_counts_the_decisions_of_synth_operations_only():
@@ -38,3 +40,27 @@ def test_ab_rejects_a_directory_without_sources(tmp_path):
     res = _ab(str(ROOT), str(tmp_path), "--workload", "equiv-chain")
     assert res.returncode != 0
     assert "no bafsynth sources" in res.stderr
+
+
+def _load_ab():
+    spec = importlib.util.spec_from_file_location("ab", AB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verdict_needs_ten_passes_and_nine_wins_beyond_the_spread():
+    verdict = _load_ab().verdict
+    a = [1.0 + 0.01 * k for k in range(10)]  # quartiles 1.0175 and 1.0725
+    assert verdict(a[:9], [t / 2 for t in a[:9]]) == "too few passes for a verdict"
+    assert verdict(a, [t - 0.06 for t in a]) == "B faster"
+    assert verdict(a, [t + 0.06 for t in a]) == "B slower"
+    # every pass won, but by less than A's interquartile range
+    assert verdict(a, [t - 0.05 for t in a]) == "within noise"
+    # far faster in 8 of 10 passes, and a tie, and a loss
+    b = [t - 0.5 for t in a[:8]] + [a[8], a[9] + 1]
+    assert verdict(a, b) == "within noise"
+    b[8] -= 0.5  # 9 of 10
+    assert verdict(a, b) == "B faster"
+    assert verdict(b, a) == "B slower"
+    assert verdict(a, a) == "within noise"  # ties count for neither side

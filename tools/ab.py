@@ -15,7 +15,9 @@ each side's median pass time and its summed `decisions` over the synth
 operations of one pass, the ratio B / A of the medians, and the number of
 passes in which B was faster.  The decision count is deterministic, so a
 change of list size shows next to the timing; a side whose count differs
-between passes is an error.
+between passes is an error.  The last line is the verdict on the pass
+times (see `verdict`): B faster, B slower, within noise, or none below 10
+passes.
 """
 
 from __future__ import annotations
@@ -52,6 +54,22 @@ def load(root: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(
         **{m: importlib.import_module(f"{name}.{m}") for m in ("cli", "graph", "model")}
     )
+
+
+def verdict(a: list[float], b: list[float]) -> str:
+    """The reading of pass times `a` and `b`, where a[k] and b[k] come from
+    the same pass.  B is faster (slower) when it wins (loses) at least 9 of
+    every 10 passes, ties counting for neither, and its median is lower
+    (higher) than A's by more than the distance between A's quartiles."""
+    if len(a) < 10:
+        return "too few passes for a verdict"
+    q1, _, q3 = statistics.quantiles(a, n=4)
+    gap = statistics.median(b) - statistics.median(a)
+    if 10 * sum(y < x for x, y in zip(a, b)) >= 9 * len(a) and -gap > q3 - q1:
+        return "B faster"
+    if 10 * sum(y > x for x, y in zip(a, b)) >= 9 * len(a) and gap > q3 - q1:
+        return "B slower"
+    return "within noise"
 
 
 def one_pass(p: SimpleNamespace, corpus: list[tuple[str, tuple[str, ...]]]) -> tuple[float, int]:
@@ -99,6 +117,7 @@ def main(argv=None) -> int:
     print(f"A {args.a}: median {med['A']:.6f} s, {dec['A']} decisions per pass")
     print(f"B {args.b}: median {med['B']:.6f} s, {dec['B']} decisions per pass")
     print(f"B / A = {med['B'] / med['A']:.4f}; B faster in {wins} of {args.passes} passes")
+    print(f"verdict: {verdict(times['A'], times['B'])}")
     return 0
 
 
