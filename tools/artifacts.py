@@ -25,7 +25,12 @@ in each mode, `synth --dl --json` (the report without `*_ms` fields, the
 `.dl` text and the exit code) and `verify` of that `.dl` (its JSON and exit
 code); then `bench --json` with two `--family` classes over a directory of
 all of them, once with `--jobs 1` and once with `--jobs 2` (the records
-without `time_ms`, the summary and the exit code).  Every command also records its stderr.
+without `time_ms`, the summary and the exit code).  Then come runs that
+fail: `synth` of a missing and of a malformed file, `synth --mode mfs-enum
+--mis-limit 1` on a spec with two MFS, `verify` against a missing `.dl` and
+against a document whose digest matches neither the specification nor any
+of its components, and `bench` with the same limit over a directory that
+also holds a junk file.  Every command also records its stderr.
 `--no-partition` is practical on planted-synth and graph-structure only: an
 unpartitioned equivalence chain of width w has 2^w MFS.
 """
@@ -173,6 +178,40 @@ def emit_cli(partition: bool) -> None:
                 del rec["time_ms"]
             record = {**head, "instance": "(all)", "bench": bench, "jobs": jobs, "records": records}
             print(json.dumps(record, sort_keys=True), flush=True)
+        emit_cli_failures(head, flags)
+
+
+# two clauses on one output whose x-parts conflict: two MFS in one component
+TWO_MFS_TEXT = "p cnf 3 2\na 1 0\ne 3 0\n1 3 0\n-1 -3 0\n"
+
+
+def emit_cli_failures(head: dict, flags: list[str]) -> None:
+    """Print the `cli.main` lines of runs that fail, from the directory that
+    `emit_cli` filled: each command's exit code, stdout and stderr, and for
+    `bench` its records without `time_ms`."""
+    Path("two-mfs.qdimacs").write_text(TWO_MFS_TEXT, encoding="utf-8")
+    Path("malformed.qdimacs").write_text("p cnf x y\n", encoding="utf-8")
+    assert run_cli(["synth", "two-mfs.qdimacs", "--dl", "two-mfs.dl"])["code"] == cli.EXIT_OK
+    limit = ["--mode", "mfs-enum", "--mis-limit", "1", *flags]
+    runs = {
+        "synth-missing": ["synth", "missing.qdimacs", *flags],
+        "synth-malformed": ["synth", "malformed.qdimacs", *flags],
+        "synth-mis-limit": ["synth", "two-mfs.qdimacs", *limit],
+        "verify-missing-dl": ["verify", "two-mfs.qdimacs", "missing.dl"],
+        "verify-foreign-digest": ["verify", "specs/no-inputs.qdimacs", "two-mfs.dl"],
+    }
+    for name, argv in runs.items():
+        record = {**head, "instance": name, "run": _json_or_text(run_cli(argv))}
+        print(json.dumps(record, sort_keys=True), flush=True)
+    Path("junk").mkdir()
+    Path("junk/a-two-mfs.qdimacs").write_text(TWO_MFS_TEXT, encoding="utf-8")
+    Path("junk/b-junk.txt").write_text("not a qdimacs file\n", encoding="utf-8")
+    bench = run_cli(["bench", "junk", "--json", "junk.jsonl", *limit])
+    records = [json.loads(line) for line in Path("junk.jsonl").read_text().splitlines()]
+    for rec in records:
+        del rec["time_ms"]
+    record = {**head, "instance": "(junk)", "bench": bench, "records": records}
+    print(json.dumps(record, sort_keys=True), flush=True)
 
 
 def main(argv=None) -> int:
