@@ -1,10 +1,14 @@
 """Command-line surface: synth, analyze, verify, decompose, bench.
 
 Exit codes: 0 success (realizable and, when enabled, verified);
-1 unrealizable; 2 usage or parse error; 3 timeout or resource limit;
-4 verification failure; 5 internal error (an unexpected exception, reported
-as one line on stderr).  Every flag default can be overridden through a
-BAFSYNTH_* environment variable (see --help per command).
+1 unrealizable; 4 verification failure (`STATUS_EXIT`); 2 usage error.  A
+command that fails raises, and `main` prints one `error:` line and exits
+with the code that `FAILURES` gives the exception's type: 3 for a timeout or
+a resource limit, 2 for an unreadable or malformed file.  `bench` records
+that row's status (`timeout`, `limit`, `unreadable`, `parse-error`) with the
+message as the instance's `warning`.  5 internal error (an unexpected
+exception, reported as one line on stderr).  Every flag default can be
+overridden through a BAFSYNTH_* environment variable (see --help per command).
 
 `RunConfig` holds what `run_pipeline` reads; a command's own settings (the
 timeout, output paths, bench's jobs and families) come from its arguments.
@@ -39,6 +43,22 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_VERIFICATION = 4
 EXIT_INTERNAL = 5
+
+# failure -> exit code, bench status; first match wins (TimeoutError is an OSError)
+FAILURES = (
+    (TimeoutError, EXIT_LIMIT, "timeout"),
+    (LimitError, EXIT_LIMIT, "limit"),
+    (OSError, EXIT_USAGE, "unreadable"),
+    (ParseError, EXIT_USAGE, "parse-error"),
+)
+_FAILURE_TYPES = tuple(kind for kind, _, _ in FAILURES)
+
+# run status (`_status`) -> exit code
+STATUS_EXIT = {
+    _synth.REALIZABLE: EXIT_OK,
+    _synth.UNREALIZABLE: EXIT_UNREALIZABLE,
+    "verification-failed": EXIT_VERIFICATION,
+}
 
 
 @dataclass
@@ -239,12 +259,11 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     return result
 
 
-def _pipeline_exit_code(result: dict, cfg: RunConfig) -> int:
-    if result["status"] == _synth.UNREALIZABLE:
-        return EXIT_UNREALIZABLE
-    if cfg.verify and not result["verified"]:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+def _status(result: dict) -> str:
+    """`verification-failed` if verification ran and failed, else the status."""
+    if result["verification"] is not None and not result["verified"]:
+        return "verification-failed"
+    return result["status"]
 
 
 # ----------------------------------------------------------------------
@@ -270,30 +289,22 @@ def _emit_json(doc: dict, path: str | None, code: int = EXIT_OK) -> int:
     return code if not path or _write(path, text) else EXIT_USAGE
 
 
-def _read_spec(path: str) -> Specification | None:
-    """The parsed specification at `path`, or None after printing the
-    read or parse error."""
-    try:
-        return parse_qdimacs(Path(path).read_bytes())
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _read_spec(path: str) -> Specification:
+    return parse_qdimacs(Path(path).read_bytes())
+
+
+def _synth_file(path: str, cfg: RunConfig, timeout: float) -> dict:
+    """Parse the specification at `path` and run the pipeline on it in `timeout` s."""
+    spec = _read_spec(path)
+    with time_limit(timeout):
+        return run_pipeline(spec, cfg)
 
 
 def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
-    spec = _read_spec(args.file)
-    if spec is None:
-        return EXIT_USAGE
-    try:
-        with time_limit(args.timeout):
-            result = run_pipeline(spec, cfg)
-    except (TimeoutError, LimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    result = _synth_file(args.file, _config_from_args(args), args.timeout)
     result["instance"] = Path(args.file).name
     dl_text = result.pop("dl_text")
-    code = _pipeline_exit_code(result, cfg)
+    code = STATUS_EXIT[_status(result)]
     result["dl_path"] = None
     if args.dl and dl_text is not None:
         if _write(args.dl, dl_text):
@@ -305,8 +316,6 @@ def cmd_synth(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _read_spec(args.file)
-    if spec is None:
-        return EXIT_USAGE
     g = _graph.build_conflict_graph(spec)
     report = _graph.analyze_structure(g, args.budget)
     fragment = "yes" if (report.chordal or report.count is not None) else "unknown"
@@ -325,32 +334,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _read_spec(args.spec)
-    if spec is None:
-        return EXIT_USAGE
-    try:
-        text = decode_text(Path(args.dl).read_bytes())
-        docs = _dlist.parse_many(text, _specs_by_digest(spec))
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = decode_text(Path(args.dl).read_bytes())
+    docs = _dlist.parse_many(text, _specs_by_digest(spec))
     for di, dl in enumerate(docs, 1):  # every check that needs no solver comes first
         if dl.spec is None:
-            print(
-                f"error: document {di} digest matches neither the specification "
-                "nor any of its components",
-                file=sys.stderr,
+            raise ParseError(
+                f"document {di} digest matches neither the specification "
+                "nor any of its components"
             )
-            return EXIT_USAGE
         try:
             _verify.check_decision_list(dl.spec, dl)
         except ValueError as exc:
-            print(f"error: document {di}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParseError(f"document {di}: {exc}") from exc
     try:
         _dlist.combine(docs, spec)  # every output in exactly one document
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ParseError(str(exc)) from exc
     failures = _failures("document", ((dl.spec, dl) for dl in docs))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -364,20 +363,14 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     spec = _read_spec(args.file)
-    if spec is None:
-        return EXIT_USAGE
     pair = _decomp.cnf_decompose(spec)
     out_dir = Path(args.out_dir)
     stem = Path(args.file).stem
     f1_path = out_dir / f"{stem}.f1.cnf"
     f2_path = out_dir / f"{stem}.f2.qdimacs"
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        f1_path.write_text(_stage1_dimacs(spec, pair), encoding="utf-8")
-        f2_path.write_text(pair.f2_spec.to_qdimacs(), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    out_dir.mkdir(parents=True, exist_ok=True)
+    f1_path.write_text(_stage1_dimacs(spec, pair), encoding="utf-8")
+    f2_path.write_text(pair.f2_spec.to_qdimacs(), encoding="utf-8")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.file).name,
@@ -429,52 +422,27 @@ def _bench_one(path_str: str, cfg: RunConfig, timeout: float) -> dict:
         "mode": cfg.mode,
         "status": "error",
         **dict.fromkeys(_REPORT_COUNTERS, 0),
-        "time_ms": 0.0,
     }
     t0 = time.perf_counter()
     try:
-        spec = parse_qdimacs(Path(path_str).read_bytes())
-    except OSError as exc:
-        record["status"] = "unreadable"
-        record["warning"] = str(exc)
-        return record
-    except ParseError as exc:
-        record["status"] = "parse-error"
-        record["warning"] = str(exc)
-        return record
-    try:
-        with time_limit(timeout):
-            result = run_pipeline(spec, cfg)
-        record["status"] = result["status"]
+        result = _synth_file(path_str, cfg, timeout)
         for key in _REPORT_COUNTERS:
             record[key] = result[key]
-        if cfg.verify and result["status"] == _synth.REALIZABLE and not result["verified"]:
-            record["status"] = "verification-failed"
-    except TimeoutError:
-        record["status"] = "timeout"
-    except LimitError as exc:
-        record["status"] = "limit"
+        record["status"] = _status(result)
+    except _FAILURE_TYPES as exc:
+        record["status"] = next(status for kind, _, status in FAILURES if isinstance(exc, kind))
         record["warning"] = str(exc)
     except Exception as exc:  # one broken instance must not kill the harness
-        record["status"] = "error"
         record["warning"] = f"{type(exc).__name__}: {exc}"
     record["time_ms"] = (time.perf_counter() - t0) * 1000.0
     return record
-
-
-def _family_of(name: str, families: dict[str, str]) -> str:
-    for fam, prefix in sorted(families.items()):
-        if name.startswith(prefix):
-            return fam
-    return "(other)"
 
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     directory = Path(args.directory)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_USAGE
+        raise NotADirectoryError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
     if args.json and not _write(args.json, ""):  # before hours of runs
         return EXIT_USAGE
@@ -493,10 +461,10 @@ def cmd_bench(args) -> int:
         jsonl = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
         code = EXIT_OK if _write(args.json, jsonl) else EXIT_USAGE
 
-    families = dict(args.family or [])  # name -> filename prefix
+    families = sorted(dict(args.family or []).items())  # (name, filename prefix), by name
     per_family: dict[str, dict[str, int]] = {}
     for rec in records:
-        fam = _family_of(rec["instance"], families)
+        fam = next((f for f, prefix in families if rec["instance"].startswith(prefix)), "(other)")
         counts = per_family.setdefault(fam, {})
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1
     width = max((len(f) for f in per_family), default=6)
@@ -641,6 +609,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _FAILURE_TYPES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code, _ in FAILURES if isinstance(exc, kind))
     except Exception as exc:  # a bug must not pass for an outcome such as "unrealizable"
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -506,6 +506,7 @@ def test_bench_timeout_record(tmp_path, capsys):
     assert code == 0
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert records[0]["status"] == "timeout"
+    assert records[0]["warning"] == "timed out after 1.0 s"
 
 
 def test_bench_parallel_jobs(tmp_path, capsys):
@@ -652,6 +653,54 @@ def test_bench_records_every_report_counter(tmp_path, capsys):
         assert ok[key] == report[key]
         assert junk[key] == 0
     assert ok["mss_recorded"] > 0
+
+
+# run in tmp_path, which holds example1 as ex1.qdimacs, its list as ex1.dl,
+# the unrealizable spec as unreal.qdimacs and a malformed one as bad.qdimacs
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        ("synth missing.qdimacs", 2, "[Errno 2] No such file or directory: 'missing.qdimacs'"),
+        ("synth bad.qdimacs", 2, "line 1: malformed header: 'p cnf x y'"),
+        (
+            "synth ex1.qdimacs --mode mfs-enum --mis-limit 1",
+            3,
+            "more than 1 maximal falsifiable subsets",
+        ),
+        ("verify ex1.qdimacs missing.dl", 2, "[Errno 2] No such file or directory: 'missing.dl'"),
+        (
+            "verify unreal.qdimacs ex1.dl",
+            2,
+            "document 1 digest matches neither the specification nor any of its components",
+        ),
+    ],
+)
+def test_a_failing_command_prints_one_error_line(tmp_path, capsys, monkeypatch, argv, code, err):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    _write(tmp_path, "unreal.qdimacs", UNREALIZABLE_TEXT)
+    _write(tmp_path, "bad.qdimacs", "p cnf x y\n")
+    assert main(["synth", "ex1.qdimacs", "--dl", "ex1.dl"]) == 0
+    capsys.readouterr()
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_bench_records_the_warning_of_each_failure(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    _write(d, "a_ex1.qdimacs", EXAMPLE1_TEXT)
+    _write(d, "b_junk.txt", "not a qdimacs file\n")
+    out = tmp_path / "records.jsonl"
+    argv = ["bench", str(d), "--json", str(out), "--mode", "mfs-enum", "--mis-limit", "1"]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [(r["status"], r["warning"]) for r in records] == [
+        ("limit", "more than 1 maximal falsifiable subsets"),
+        ("parse-error", "line 1: expected `p cnf` header before 'not a qdimacs file'"),
+    ]
 
 
 def test_importing_the_cli_loads_no_process_pool():
