@@ -44,8 +44,6 @@ class GoodDecompositionReport:
 @dataclass
 class CompositionReport:
     status: str
-    stage2_outcome: object = None
-    witness_input: Assignment | None = None
     spec_realizable: bool | None = None
 
 
@@ -137,14 +135,16 @@ def stage1_evaluate(spec: Specification, pair: DecomposedPair, x: Assignment) ->
 def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionReport:
     """Synthesize stage 2, compose with the direct stage-1 evaluator, and
     exhaustively compare the composition against the original CNF on every
-    feasible input."""
+    feasible input.  Over the full intermediate domain stage 2 has one MFS
+    (every z true), so a synthesized stage 2 is one decision with an empty
+    guard, a constant function, and `GOOD` comes with `spec_realizable`."""
     m, n = len(spec.inputs), len(spec.outputs)
     if m + n > limit:
         raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
     pair = cnf_decompose(spec)
     outcome = back_and_forth(pair.f2_spec)
     if not outcome.realizable:
-        return CompositionReport(DECOMP_UNREALIZABLE, stage2_outcome=outcome)
+        return CompositionReport(DECOMP_UNREALIZABLE)
     spec_realizable = True
     for xbits in product((False, True), repeat=m):
         x = dict(zip(spec.inputs, xbits))
@@ -158,10 +158,5 @@ def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionRepor
         z = stage1_evaluate(spec, pair, x)
         y = _dlist.evaluate(outcome.decision_list, z)
         if y is None or not spec.evaluate({**x, **y}):
-            return CompositionReport(
-                COUNTEREXAMPLE,
-                stage2_outcome=outcome,
-                witness_input=x,
-                spec_realizable=spec_realizable,
-            )
-    return CompositionReport(GOOD, stage2_outcome=outcome, spec_realizable=spec_realizable)
+            return CompositionReport(COUNTEREXAMPLE, spec_realizable)
+    return CompositionReport(GOOD, spec_realizable)

@@ -14,10 +14,12 @@ from bafsynth.decomp import (
 )
 from bafsynth.errors import LimitError
 from bafsynth.model import Specification, holds, parse_qdimacs
+from bafsynth.synth import back_and_forth
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
 from .oracles import brute_force_synthesize
+from .test_acceptance import CORPUS_SEED
 
 
 def test_decompose_example1(example1):
@@ -146,7 +148,7 @@ def test_compose_example1_stage2_unrealizable(example1):
     # original specification is realizable
     report = compose_and_verify(example1)
     assert report.status == DECOMP_UNREALIZABLE
-    out = report.stage2_outcome
+    out = back_and_forth(cnf_decompose(example1).f2_spec)
     assert out.witness_mfs == frozenset({1, 2, 3, 4})
 
 
@@ -162,7 +164,7 @@ def test_compose_decomposition_unrealizable():
     assert brute_force_synthesize(spec).realizable
     report = compose_and_verify(spec)
     assert report.status == DECOMP_UNREALIZABLE
-    assert report.stage2_outcome is not None and not report.stage2_outcome.realizable
+    assert not back_and_forth(cnf_decompose(spec).f2_spec).realizable
 
 
 def test_compose_random_specs():
@@ -175,3 +177,25 @@ def test_compose_random_specs():
         assert report.status in (GOOD, DECOMP_UNREALIZABLE)
         assert report.status != COUNTEREXAMPLE  # composition is never wrong
     assert GOOD in statuses
+
+
+def test_the_checked_composition_is_a_constant_function():
+    # each stage-2 x-part is (-z_i) on its own z_i, so setting every z true
+    # falsifies all of them and stage 2 has exactly one MFS: back-and-forth
+    # finds the y-parts jointly unsatisfiable, or returns one decision with
+    # an empty guard, whose output satisfies every clause on every input
+    rng = random.Random(CORPUS_SEED + 3)  # criterion 7's corpus
+    statuses = []
+    for _ in range(100):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=5, max_out=5, max_clauses=6))
+        report = compose_and_verify(spec, limit=16)
+        stage2 = back_and_forth(cnf_decompose(spec).f2_spec)
+        statuses.append(report.status)
+        if report.status == DECOMP_UNREALIZABLE:
+            assert not stage2.realizable
+            all_parts = [spec.y_part(i) for i in spec.indices]
+            assert oracles.cnf_model(all_parts, spec.outputs) is None
+        else:
+            assert report.status == GOOD and report.spec_realizable is True
+            assert [d.guard for d in stage2.decision_list.decisions] == [frozenset()]
+    assert (statuses.count(GOOD), statuses.count(DECOMP_UNREALIZABLE)) == (43, 57)
