@@ -1,14 +1,12 @@
 """Command-line surface: synth, analyze, verify, decompose, bench.
 
 Exit codes: 0 success (realizable and, when enabled, verified);
-1 unrealizable; 4 verification failure (`STATUS_EXIT`); 2 usage error.  A
-command that fails raises, and `main` prints one `error:` line and exits
-with the code that `FAILURES` gives the exception's type: 3 for a timeout or
-a resource limit, 2 for an unreadable or malformed file.  `bench` records
-that row's status (`timeout`, `limit`, `unreadable`, `parse-error`) with the
-message as the instance's `warning`.  5 internal error (an unexpected
-exception, reported as one line on stderr).  Every flag default can be
-overridden through a BAFSYNTH_* environment variable (see --help per command).
+1 unrealizable; 2 usage or parse error; 3 timeout or resource limit;
+4 verification failure; 5 internal error (an unexpected exception, reported
+as one line on stderr).  `FAILURES` maps each failure to its exit code and
+`bench` status; a `bench` record of one, `timeout` too, keeps its message as
+`warning`.  Every flag default can be overridden through a BAFSYNTH_*
+environment variable (see --help per command).
 
 `RunConfig` holds what `run_pipeline` reads; a command's own settings (the
 timeout, output paths, bench's jobs and families) come from its arguments.
@@ -438,14 +436,21 @@ def _bench_one(path_str: str, cfg: RunConfig, timeout: float) -> dict:
     return record
 
 
+def _family_of(name: str, families: dict[str, str]) -> str:
+    for fam, prefix in sorted(families.items()):
+        if name.startswith(prefix):
+            return fam
+    return "(other)"
+
+
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
     directory = Path(args.directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
     paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
-    if args.json and not _write(args.json, ""):  # before hours of runs
-        return EXIT_USAGE
+    if args.json:  # fail before hours of runs
+        Path(args.json).write_bytes(b"")
     if args.jobs > 1 and paths:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
@@ -456,15 +461,10 @@ def cmd_bench(args) -> int:
         records = [_bench_one(p, cfg, args.timeout) for p in paths]
     records.sort(key=lambda r: r["instance"])
 
-    code = EXIT_OK
-    if args.json:
-        jsonl = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-        code = EXIT_OK if _write(args.json, jsonl) else EXIT_USAGE
-
-    families = sorted(dict(args.family or []).items())  # (name, filename prefix), by name
+    families = dict(args.family or [])  # name -> filename prefix
     per_family: dict[str, dict[str, int]] = {}
     for rec in records:
-        fam = next((f for f, prefix in families if rec["instance"].startswith(prefix)), "(other)")
+        fam = _family_of(rec["instance"], families)
         counts = per_family.setdefault(fam, {})
         counts[rec["status"]] = counts.get(rec["status"], 0) + 1
     width = max((len(f) for f in per_family), default=6)
@@ -475,7 +475,10 @@ def cmd_bench(args) -> int:
         status_txt = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"{fam.ljust(width)}  {total:9d}  {status_txt}")
     print(f"total instances: {len(records)}")
-    return code
+    if args.json:
+        jsonl = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+        Path(args.json).write_bytes(jsonl.encode("utf-8"))
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------

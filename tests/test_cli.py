@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bafsynth import cli, graph, sat, synth
+from bafsynth import cli, graph, sat, synth, verify
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
@@ -162,6 +162,20 @@ def test_a_witness_with_an_output_is_an_internal_error(tmp_path, capsys, monkeyp
     )
     code, doc = _run(capsys, ["synth", f, "--no-verify"])
     assert code == 1 and doc["status"] == "unrealizable"
+
+
+def test_a_failed_verification_exits_4_and_is_its_own_bench_status(tmp_path, capsys, monkeypatch):
+    fail = verify.VerificationReport(verify.COUNTEREXAMPLE, verify.COVERAGE, witness_input={})
+    monkeypatch.setattr(verify, "verify_decision_list", lambda spec, dl: fail)
+    d = tmp_path / "bench"
+    d.mkdir()
+    f = _write(d, "ex1.qdimacs", EXAMPLE1_TEXT)
+    code, doc = _run(capsys, ["synth", f])
+    assert code == 4 and doc["status"] == "realizable" and doc["verified"] is False
+    assert main(["synth", f, "--no-verify"]) == 0
+    out = tmp_path / "records.jsonl"
+    assert main(["bench", str(d), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "verification-failed"
 
 
 EMPTY_YPART_TEXT = "p cnf 4 3\na 1 2 0\ne 3 4 0\n1 2 0\n-1 3 0\n2 4 0\n"
