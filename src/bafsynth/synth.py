@@ -13,7 +13,9 @@ Three ways to produce a decision list from a split specification:
     the component's outputs when they are few and a SAT solver otherwise.
     Each recorded MSS yields one decision, and `irredundant` then drops
     every decision that the kept ones already cover, on the inputs' truth
-    table (`model.clause_masks`).
+    table (`model.clause_masks`).  The loop runs on the component less
+    its `subsumed` clauses, and the list is mapped back to the
+    component's own clause numbering.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
     and pick one satisfying output per MFS.
   - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
@@ -37,7 +39,16 @@ from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
 from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat, table_fits
-from .model import Assignment, Specification, clause_masks, index_mask, numbering, variables_of
+from .model import (
+    Assignment,
+    Specification,
+    clause_masks,
+    index_mask,
+    mask_indices,
+    numbering,
+    true_literals,
+    variables_of,
+)
 from .sat import Solver
 
 REALIZABLE = "realizable"
@@ -50,6 +61,7 @@ class Stats:
     sat_calls: int = 0
     maxsat_calls: int = 0
     mss_recorded: int = 0
+    subsumed: int = 0
 
 
 @dataclass
@@ -132,14 +144,54 @@ def falsifying_input(spec: Specification, indices: frozenset[int]) -> Assignment
     return x
 
 
+def subsumed(spec: Specification) -> int:
+    """The mask of the clauses whose literals properly contain those of
+    another clause.  Such a clause c is implied by the one it contains, d,
+    so the specification less c has the same models and Skolem functions
+    (the subsumption step of SAT and QBF preprocessors).  The clauses that
+    hold every literal of d are the AND of one occurrence mask per literal,
+    less d.  The AND starts from the mask of every clause, so the empty
+    clause, which has no literal, is held by every other clause.
+    Equal-length distinct clauses cannot contain one another, so when every
+    clause has the same length no mask is built."""
+    if len({len(x) + len(y) for x, y in spec.clauses}) < 2:
+        return 0
+    occurs: dict[int, int] = {}
+    for i, (x_lits, y_lits) in enumerate(spec.clauses, 1):
+        for lit in x_lits + y_lits:
+            occurs[lit] = occurs.get(lit, 0) | 1 << i
+    full, dropped = spec.full_mask, 0
+    for i, (x_lits, y_lits) in enumerate(spec.clauses, 1):
+        holders = full
+        for lit in x_lits + y_lits:
+            holders &= occurs[lit]
+        dropped |= holders ^ 1 << i
+    return dropped
+
+
 def back_and_forth(spec: Specification) -> SynthesisOutcome:
     """Alternate uncovered-MFS generation with covering-MSS growth until
     every MFS is covered, then build the decision list from the recorded
     MSS sequence less the decisions `irredundant` drops.  Iteration count
-    is bounded by min(#MFS, #MSS)."""
+    is bounded by min(#MFS, #MSS).
+
+    The loop runs on the specification less its `subsumed` clauses, and
+    the result is mapped back to `spec`'s own clause numbering.  A decision
+    whose output falsifies the y-part of a dropped clause c also falsifies
+    that of every kept clause d that c contains, so each such d is in the
+    guard.  Adding c to the guard then leaves the inputs that fire it as
+    they were, since d's x-part is within c's; every other dropped clause
+    has its y-part satisfied by the output.  An unrealizability witness
+    maps back through `extend_to_mis` on `spec`."""
     stats = Stats()
-    state = CoverageQueryState(spec)
-    session = output_session(spec)
+    dropped = subsumed(spec)
+    part = spec
+    if dropped:
+        kept = list(mask_indices(spec.full_mask ^ dropped))
+        part = spec.restrict(kept, spec.outputs)  # an output may occur only in a dropped clause
+        stats.subsumed = spec.num_clauses - len(kept)
+    state = CoverageQueryState(part)
+    session = output_session(part)
     mfs_list: list[frozenset[int]] = []
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
@@ -148,21 +200,31 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.sat_calls += 1
         if mfs is None:
             break
-        got = covering_mss(spec, mfs, session)
+        got = covering_mss(part, mfs, session)
         stats.maxsat_calls += 1
         stats.iterations += 1
         if got is None:
+            if dropped:
+                mfs = extend_to_mis(spec, (kept[i - 1] for i in mfs))
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
         mfs_list.append(mfs)
         mss_list.append(mss)
         witnesses.append(witness)
         stats.mss_recorded += 1
-        if len(mss) == spec.num_clauses:
+        if len(mss) == part.num_clauses:
             break  # full cover: every MFS is a subset, nothing left to find
         record_mss(state, mss)
-    kept = irredundant(spec, mfs_list, mss_list)
-    dl = build_decision_list(spec, [mss_list[i] for i in kept], [witnesses[i] for i in kept])
+    chosen = irredundant(part, mfs_list, mss_list)
+    mss_list, witnesses = [mss_list[i] for i in chosen], [witnesses[i] for i in chosen]
+    if dropped:
+        back = [(c, spec.y_part(c)) for c in mask_indices(dropped)]
+        for n, (mss, witness) in enumerate(zip(mss_list, witnesses)):
+            true = true_literals(witness)
+            mss_list[n] = frozenset(kept[j - 1] for j in mss).union(
+                c for c, y_lits in back if not true.isdisjoint(y_lits)
+            )
+    dl = build_decision_list(spec, mss_list, witnesses)
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
 

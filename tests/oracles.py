@@ -139,6 +139,13 @@ def irredundant_reference(spec, mss_list):
     return sorted(kept)
 
 
+def subsumed_reference(spec):
+    """The clauses, as a sorted index list, whose literal set properly
+    contains that of some other clause, by comparing every pair."""
+    lits = [set(x) | set(y) for x, y in spec.clauses]
+    return [i for i, c in enumerate(lits, 1) if any(d < c for d in lits)]
+
+
 def maximal_sets(family):
     family = set(family)
     return sorted((s for s in family if not any(s < t for t in family)), key=sorted)

@@ -24,8 +24,8 @@ from .test_golden_pipeline import _strip_ms
 
 W = 100
 COPIES = 20
-# one planted component: 6 inputs, 3 outputs, 14 clauses, 5 recorded MSS
-# and 4 decisions
+# one planted component: 6 inputs, 3 outputs, 14 clauses, 5 of them
+# subsumed, 4 recorded MSS and 4 decisions
 PLANTED = parse_qdimacs(planted_spec_text(random.Random(6), 6, 3, 14))
 
 

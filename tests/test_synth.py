@@ -9,7 +9,7 @@ from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.maxsat import MaxSatSession, TableSession
-from bafsynth.model import Specification, holds, parse_qdimacs
+from bafsynth.model import Specification, holds, index_mask, mask_indices, parse_qdimacs
 from bafsynth.synth import (
     CoverageQueryState,
     back_and_forth,
@@ -306,9 +306,11 @@ e 4 5 0
 """
 
 
-# Three recorded MSS: every input that fires decision 2 fires decision 1 or
-# 3, so it is dropped; every input that fires decision 1 fires decision 2 or
-# 3, but once decision 2 is gone some fire decision 1 alone, so it stays.
+# Clauses 2, 3 and 5 contain clause 1, so the loop runs on clauses 1, 4, 6
+# and 7.  Three recorded MSS: every input that fires decision 2 fires
+# decision 1 or 3, so it is dropped; every input that fires decision 1 fires
+# decision 2 or 3, but once decision 2 is gone some fire decision 1 alone,
+# so it stays.
 NEEDED_TEXT = """\
 p cnf 6 7
 a 1 2 3 0
@@ -348,7 +350,8 @@ def test_irredundant_keeps_what_the_brute_force_greedy_keeps(monkeypatch):
     for spec, _, mss_list, kept in calls:
         assert kept == oracles.irredundant_reference(spec, mss_list)
         dropped += len(mss_list) - len(kept)
-    assert dropped > 10
+    # subsumption leaves fewer recorded MSS to drop
+    assert dropped == 10
 
 
 def test_irredundant_drops_every_decision_before_a_full_mss(monkeypatch):
@@ -368,9 +371,10 @@ def test_irredundant_keeps_a_decision_that_only_a_dropped_one_covers(monkeypatch
     spec = parse_qdimacs(NEEDED_TEXT)
     calls = _recorded_steps(monkeypatch)
     out = back_and_forth(spec)
-    ((_, _, mss_list, kept),) = calls
+    ((reduced, _, mss_list, kept),) = calls
+    assert reduced.clauses == tuple(spec.clauses[i - 1] for i in (1, 4, 6, 7))
     assert len(mss_list) == 3
-    assert kept == oracles.irredundant_reference(spec, mss_list) == [0, 2]
+    assert kept == oracles.irredundant_reference(reduced, mss_list) == [0, 2]
     assert verify_decision_list(spec, out.decision_list).verified
 
 
@@ -417,6 +421,155 @@ def test_irredundant_keeps_every_decision_when_the_masks_do_not_fit(monkeypatch)
     assert [decisions[i] for i in (0, 2, 3)] == list(pruned.decisions)
     assert out.stats.iterations == len(decisions) == 4
     assert verify_decision_list(spec, out.decision_list).verified
+
+
+# ----------------------------------------------------------------------
+# subsumed clauses
+
+
+def _with_subsumed(rng: random.Random, spec: Specification, count: int) -> Specification:
+    """`spec` plus up to `count` clauses, appended, that each add one or two
+    literals over unused variables to a clause of `spec`."""
+    clauses, ins = list(spec.clauses), set(spec.inputs)
+    for _ in range(count):
+        x_lits, y_lits = rng.choice(clauses)
+        used = {abs(l) for l in x_lits + y_lits}
+        free = [v for v in spec.inputs + spec.outputs if v not in used]
+        if not free:
+            continue
+        picked = rng.sample(free, min(len(free), rng.randint(1, 2)))
+        extra = [rng.choice((1, -1)) * v for v in picked]
+        grown = (
+            tuple(sorted([*x_lits, *(l for l in extra if abs(l) in ins)], key=abs)),
+            tuple(sorted([*y_lits, *(l for l in extra if abs(l) not in ins)], key=abs)),
+        )
+        if grown not in clauses:
+            clauses.append(grown)
+    return Specification(spec.inputs, spec.outputs, tuple(clauses))
+
+
+def _assert_correct_everywhere(spec: Specification, out) -> None:
+    """The outcome is right on every input of `spec`: a realizable list
+    gives an output that satisfies `spec` and verifies; an unrealizable
+    witness falsifies its MFS on an input that has no output."""
+    table = brute_force_synthesize(spec)
+    assert out.realizable == table.realizable
+    if out.realizable:
+        assert verify_decision_list(spec, out.decision_list).verified
+        for x in oracles.assignments(spec.inputs):
+            y = dlist.evaluate(out.decision_list, x)
+            assert y is not None and spec.evaluate({**x, **y})
+    else:
+        assert out.witness_mfs == graph.extend_to_mis(spec, out.witness_mfs)
+        x = synth.falsifying_input(spec, out.witness_mfs)
+        assert table.entries[tuple(x[v] for v in spec.inputs)] is None
+
+
+def test_subsumed_finds_the_clauses_that_contain_another():
+    rng = random.Random(17)
+    for n in range(200):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=4, max_clauses=12))
+        if n % 2:
+            spec = _with_subsumed(rng, spec, rng.randint(1, 4))
+        got = list(mask_indices(synth.subsumed(spec)))
+        assert got == oracles.subsumed_reference(spec)
+
+
+def test_back_and_forth_on_planted_subsumed_clauses_is_right_on_every_input():
+    rng = random.Random(23)
+    dropped = realizable = 0
+    for n in range(120):
+        make = planted_spec_text if n % 2 else random_synth_spec_text
+        spec = _with_subsumed(rng, parse_qdimacs(make(rng, 4, 3, rng.randint(4, 10))), 5)
+        out = back_and_forth(spec)
+        assert out.stats.subsumed == len(oracles.subsumed_reference(spec))
+        dropped += out.stats.subsumed
+        realizable += out.realizable
+        _assert_correct_everywhere(spec, out)
+    assert dropped > 500 and 0 < realizable < 120
+
+
+# e = (1 | 4), d = (1 2 | 4) and c = (1 2 3 | 4 5): e is within d, and d is
+# within c
+CHAIN_TEXT = """\
+p cnf 5 4
+a 1 2 3 0
+e 4 5 0
+1 2 3 4 5 0
+1 2 4 0
+1 4 0
+-1 -4 0
+"""
+
+
+def test_a_subsumption_chain_maps_back_to_the_component():
+    spec = parse_qdimacs(CHAIN_TEXT)
+    assert synth.subsumed(spec) == index_mask([1, 2])
+    out = back_and_forth(spec)
+    assert out.stats.subsumed == 2
+    assert out.stats.iterations == out.stats.mss_recorded == 2
+    # the decision that sets 4 false has e in its guard, and so d and c,
+    # whose y-parts its output falsifies; the other satisfies all three
+    assert [(sorted(d.guard), d.output) for d in out.decision_list.decisions] == [
+        ([4], {4: True, 5: False}),
+        ([1, 2, 3], {4: False, 5: False}),
+    ]
+    _assert_correct_everywhere(spec, out)
+
+
+def test_twin_x_parts_are_dropped_only_when_one_y_part_holds_the_other():
+    # clauses 1 and 2 share x-part (1) and 2's y-part holds 1's; clauses 3
+    # and 4 share x-part (2) with y-parts that do not hold one another
+    spec = parse_qdimacs(
+        "p cnf 5 5\na 1 2 0\ne 3 4 5 0\n1 3 0\n1 3 4 0\n2 5 0\n2 4 -5 0\n-1 -3 0\n"
+    )
+    assert list(mask_indices(synth.subsumed(spec))) == [2]
+    out = back_and_forth(spec)
+    assert out.stats.subsumed == 1
+    _assert_correct_everywhere(spec, out)
+
+
+def test_an_output_of_only_dropped_clauses_stays_an_output_of_the_list():
+    # output 4 occurs only in clause 2, which contains clause 1
+    spec = parse_qdimacs("p cnf 4 3\na 1 2 0\ne 3 4 0\n1 3 0\n1 2 3 4 0\n-1 -3 0\n")
+    out = back_and_forth(spec)
+    assert out.stats.subsumed == 1
+    assert out.decision_list.outputs == (3, 4)
+    assert all(set(d.output) == {3, 4} for d in out.decision_list.decisions)
+    _assert_correct_everywhere(spec, out)
+    report = run_pipeline(spec, RunConfig())
+    assert report["verified"] and report["subsumed"] == 1
+    assert report["components"][0]["clauses"] == 3
+    for mode in ("mfs-enum", "mss-enum"):  # they keep every clause
+        assert run_pipeline(spec, RunConfig(mode=mode))["subsumed"] == 0
+
+
+def test_an_unrealizable_witness_holds_a_subsumed_clause():
+    # clause 1 contains clause 2; clauses 2 and 3 need 3 and not 3 when
+    # input 1 is false, and the witness grows to clause 1 on the component
+    spec = parse_qdimacs("p cnf 3 3\na 1 2 0\ne 3 0\n1 2 3 0\n1 3 0\n1 -3 0\n")
+    out = back_and_forth(spec)
+    assert out.stats.subsumed == 1
+    assert out.witness_mfs == frozenset({1, 2, 3})
+    _assert_correct_everywhere(spec, out)
+    # with verification on, `run_pipeline` confirms the witness input
+    # (`witness_has_no_output`) before it reports it
+    report = run_pipeline(spec, RunConfig())
+    assert report["status"] == "unrealizable"
+    witness = {"component": 1, "mfs": [1, 2, 3], "input": {"1": False, "2": False}}
+    assert report["witness"] == witness
+
+
+def test_an_empty_clause_subsumes_every_other_and_is_the_witness():
+    # the bare `0` line is the empty clause, which every clause contains
+    spec = parse_qdimacs("p cnf 3 3\na 1 2 0\ne 3 0\n1 3 0\n0\n-1 2 -3 0\n")
+    assert spec.clauses[1] == ((), ())
+    assert synth.subsumed(spec) == index_mask([1, 3])
+    out = back_and_forth(spec)
+    assert not out.realizable
+    assert out.stats.subsumed == 2
+    assert 2 in out.witness_mfs
+    _assert_correct_everywhere(spec, out)
 
 
 # ----------------------------------------------------------------------
