@@ -6,14 +6,14 @@ total function of the inputs; the second stage demands the y-part whenever
 z_i holds (z_i -> y-part).  Projecting z away gives back the original CNF,
 and every intermediate value reachable from a feasible input is feasible
 for the second stage, so implementations of the two stages compose into an
-implementation of the original specification.  The second stage over the
-full intermediate domain may still be unrealizable even when the original
-specification is realizable; that outcome is reported distinctly.
+implementation of the original specification.  The specification's own
+decision list implements the second stage on every reachable value: a guard
+fires on an input exactly when its clauses' intermediates are all false.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import LimitError
@@ -44,7 +44,6 @@ class GoodDecompositionReport:
 @dataclass
 class CompositionReport:
     status: str
-    spec_realizable: bool | None = None
 
 
 def cnf_decompose(spec: Specification) -> DecomposedPair:
@@ -133,30 +132,25 @@ def stage1_evaluate(spec: Specification, pair: DecomposedPair, x: Assignment) ->
 
 
 def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionReport:
-    """Synthesize stage 2, compose with the direct stage-1 evaluator, and
-    exhaustively compare the composition against the original CNF on every
-    feasible input.  Over the full intermediate domain stage 2 has one MFS
-    (every z true), so a synthesized stage 2 is one decision with an empty
-    guard, a constant function, and `GOOD` comes with `spec_realizable`."""
+    """Bind the specification's back-and-forth list to stage 2, compose it
+    with the direct stage-1 evaluator, and compare the composition against
+    the original CNF on every input.  Clause i of the specification is
+    clause i of stage 2, so the list's guards carry over unchanged.  A
+    verified composition gives a satisfying output on every input, so
+    `DECOMP_UNREALIZABLE` is returned exactly when the specification is
+    unrealizable."""
     m, n = len(spec.inputs), len(spec.outputs)
     if m + n > limit:
         raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
-    pair = cnf_decompose(spec)
-    outcome = back_and_forth(pair.f2_spec)
+    outcome = back_and_forth(spec)
     if not outcome.realizable:
         return CompositionReport(DECOMP_UNREALIZABLE)
-    spec_realizable = True
+    pair = cnf_decompose(spec)
+    f2 = pair.f2_spec
+    stage2 = replace(outcome.decision_list, inputs=f2.inputs, spec_digest=f2.digest, spec=f2)
     for xbits in product((False, True), repeat=m):
         x = dict(zip(spec.inputs, xbits))
-        feasible = any(
-            spec.evaluate({**x, **dict(zip(spec.outputs, ybits))})
-            for ybits in product((False, True), repeat=n)
-        )
-        if not feasible:
-            spec_realizable = False
-            continue
-        z = stage1_evaluate(spec, pair, x)
-        y = _dlist.evaluate(outcome.decision_list, z)
+        y = _dlist.evaluate(stage2, stage1_evaluate(spec, pair, x))
         if y is None or not spec.evaluate({**x, **y}):
-            return CompositionReport(COUNTEREXAMPLE, spec_realizable)
-    return CompositionReport(GOOD, spec_realizable)
+            return CompositionReport(COUNTEREXAMPLE)
+    return CompositionReport(GOOD)

@@ -470,11 +470,41 @@ def test_decompose_command(tmp_path, capsys):
         "equivalence_holds": True,
         "image_in_domain": True,
     }
-    assert doc["composition"]["status"] == "decomposition-unrealizable"
+    assert doc["composition"]["status"] == "verified"
     f2 = parse_qdimacs((tmp_path / "ex1.f2.qdimacs").read_text())
     assert f2.inputs == (5, 6, 7, 8)
     f1_text = (tmp_path / "ex1.f1.cnf").read_text()
     assert f1_text.splitlines()[2].startswith("p cnf 8 ")
+
+
+# 3 inputs and 3 outputs with 11 clauses: 6 variables fit the default limit
+# of 16, and 17 with the intermediates do not
+WIDE_DECOMPOSE_TEXT = """\
+p cnf 6 11
+a 1 2 3 0
+e 4 5 6 0
+1 4 0
+2 4 0
+3 4 0
+-1 5 0
+-2 5 0
+-3 5 0
+1 2 6 0
+1 3 6 0
+2 3 6 0
+-1 -2 6 0
+-1 -3 6 0
+"""
+
+
+def test_decompose_composes_within_its_own_budget(tmp_path, capsys):
+    f = _write(tmp_path, "wide.qdimacs", WIDE_DECOMPOSE_TEXT)
+    code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert doc["intermediate_vars"] == 11
+    assert doc["good_decomposition"] is None
+    assert doc["composition"].keys() == {"status", "wall_time_ms"}
+    assert doc["composition"]["status"] == "verified"
 
 
 def test_bench_directory(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from bafsynth import decomp
 from bafsynth.decomp import (
     COUNTEREXAMPLE,
     DECOMP_UNREALIZABLE,
@@ -134,36 +136,35 @@ def test_good_decomposition_random():
 
 
 def test_compose_jointly_satisfiable_yparts():
-    # the second stage is realizable exactly when all y-parts are jointly
-    # satisfiable (the all-true intermediate assignment demands every one)
+    # every y-part can hold at once, so the spec is realizable
     spec = parse_qdimacs("p cnf 4 2\na 1 2 0\ne 3 4 0\n1 3 0\n-2 4 0\n")
     report = compose_and_verify(spec)
     assert report.status == GOOD
-    assert report.spec_realizable is True
 
 
 def test_compose_example1_stage2_unrealizable(example1):
     # all four y-parts of the worked example are jointly unsatisfiable, so
-    # the full-domain second stage cannot be synthesized even though the
-    # original specification is realizable
+    # the full-domain second stage cannot be synthesized; the spec's own
+    # list still implements it on every reachable intermediate value
     report = compose_and_verify(example1)
-    assert report.status == DECOMP_UNREALIZABLE
+    assert report.status == GOOD
     out = back_and_forth(cnf_decompose(example1).f2_spec)
     assert out.witness_mfs == frozenset({1, 2, 3, 4})
 
 
 def test_compose_identity2_stage2_unrealizable():
     report = compose_and_verify(parse_qdimacs(identity_qdimacs(2)))
-    assert report.status == DECOMP_UNREALIZABLE
+    assert report.status == GOOD
 
 
 def test_compose_decomposition_unrealizable():
     # realizable overall, but the two intermediates are never both reachable
-    # while the second stage must handle that joint value and cannot
+    # while the full-domain second stage must handle that joint value and
+    # cannot; the composition needs only the reachable values
     spec = parse_qdimacs("p cnf 3 2\na 1 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n")
     assert brute_force_synthesize(spec).realizable
     report = compose_and_verify(spec)
-    assert report.status == DECOMP_UNREALIZABLE
+    assert report.status == GOOD
     assert not back_and_forth(cnf_decompose(spec).f2_spec).realizable
 
 
@@ -179,23 +180,33 @@ def test_compose_random_specs():
     assert GOOD in statuses
 
 
-def test_the_checked_composition_is_a_constant_function():
-    # each stage-2 x-part is (-z_i) on its own z_i, so setting every z true
-    # falsifies all of them and stage 2 has exactly one MFS: back-and-forth
-    # finds the y-parts jointly unsatisfiable, or returns one decision with
-    # an empty guard, whose output satisfies every clause on every input
+def test_the_composition_verifies_exactly_the_realizable_specs():
+    # the composed stage 2 is the spec's own back-and-forth list, so its
+    # guards are those of the spec and need not be empty
     rng = random.Random(CORPUS_SEED + 3)  # criterion 7's corpus
-    statuses = []
+    statuses, guarded = [], 0
     for _ in range(100):
         spec = parse_qdimacs(random_spec_text(rng, max_in=5, max_out=5, max_clauses=6))
         report = compose_and_verify(spec, limit=16)
-        stage2 = back_and_forth(cnf_decompose(spec).f2_spec)
         statuses.append(report.status)
-        if report.status == DECOMP_UNREALIZABLE:
-            assert not stage2.realizable
-            all_parts = [spec.y_part(i) for i in spec.indices]
-            assert oracles.cnf_model(all_parts, spec.outputs) is None
-        else:
-            assert report.status == GOOD and report.spec_realizable is True
-            assert [d.guard for d in stage2.decision_list.decisions] == [frozenset()]
-    assert (statuses.count(GOOD), statuses.count(DECOMP_UNREALIZABLE)) == (43, 57)
+        assert report.status != COUNTEREXAMPLE
+        assert (report.status == GOOD) == brute_force_synthesize(spec).realizable
+        if report.status == GOOD:
+            guarded += any(d.guard for d in back_and_forth(spec).decision_list.decisions)
+    assert guarded >= 1
+    assert (statuses.count(GOOD), statuses.count(DECOMP_UNREALIZABLE)) == (45, 55)
+
+
+def test_compose_catches_a_wrong_output(example1, monkeypatch):
+    # the first decision fires when x1 or x2 holds; with y3 flipped to false,
+    # x1 = 0, x2 = 1 falsifies clause 1 (x1 or -x2 or y3)
+    outcome = back_and_forth(example1)
+    first, *rest = outcome.decision_list.decisions
+    assert first.guard == frozenset({2}) and first.output[3] is True
+    wrong = dataclasses.replace(first, output={**first.output, 3: False})
+    dl = dataclasses.replace(outcome.decision_list, decisions=(wrong, *rest))
+    assert not example1.evaluate({1: False, 2: True, **wrong.output})
+    monkeypatch.setattr(
+        decomp, "back_and_forth", lambda spec: dataclasses.replace(outcome, decision_list=dl)
+    )
+    assert compose_and_verify(example1).status == COUNTEREXAMPLE

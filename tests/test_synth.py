@@ -862,13 +862,27 @@ def _corpus(seed, count, **kw):
     return [parse_qdimacs(random_spec_text(rng, **kw)) for _ in range(count)]
 
 
+# its second decision's set is {2}, an MSS of the spec less subsumed clause 3
+# but not of the spec, whose MSS are {1, 3} and {2, 3}
+SUBSUMED_NOT_MSS_TEXT = "p cnf 5 3\na 1 2 3 0\ne 4 5 0\n1 4 0\n-1 -4 0\n1 3 4 5 0\n"
+
+
 def test_iteration_bound_and_nonredundancy():
-    for spec in _corpus(211, 60, max_in=4, max_out=4, max_clauses=10):
+    # the loop runs on the spec less its subsumed clauses, so the bound and
+    # the MSS property hold for that reduced spec, in its own numbering
+    corpus = _corpus(211, 60, max_in=4, max_out=4, max_clauses=10)
+    for spec in [parse_qdimacs(SUBSUMED_NOT_MSS_TEXT), *corpus]:
         out = back_and_forth(spec)
-        mfs_all, mss_all = brute_force_mfs_mss(spec)
+        dropped = set(oracles.subsumed_reference(spec))
+        kept = [i for i in spec.indices if i not in dropped]
+        renumber = {c: j for j, c in enumerate(kept, 1)}
+        mfs_all, mss_all = brute_force_mfs_mss(spec.restrict(kept, spec.outputs))
         if out.realizable:
             assert out.stats.iterations <= min(len(mfs_all), len(mss_all))
-            sets = [frozenset(spec.indices) - d.guard for d in out.decision_list.decisions]
+            sets = [
+                frozenset(renumber[c] for c in kept if c not in d.guard)
+                for d in out.decision_list.decisions
+            ]
             assert len(set(sets)) == len(sets)
             for s in sets:
                 assert s in mss_all
