@@ -32,6 +32,7 @@ from .graph import (
     MisEnumeration,
     analyze_structure,
     build_conflict_graph,
+    conflict_masks,
     enumerate_mis,
     extend_to_mis,
 )

@@ -218,7 +218,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     if spec.empty_ypart_indices:
         # its x-part can be falsified (tautologies are dropped at parsing) and
         # its y-part never satisfied, so an MFS that holds it is the witness
-        bad = _graph.extend_to_mis(spec, spec.empty_ypart_indices[:1])
+        bad = _graph.extend_to_mis(_graph.conflict_masks(spec), spec.empty_ypart_indices[:1])
         return _unrealizable(result, t0, spec, 0, spec, bad)
 
     components = _synth.partition_by_output_variables(spec) if cfg.partition else [spec]

@@ -19,16 +19,18 @@ not chordal when two or more components have an edge, and otherwise it is
 chordal exactly when the one component with edges has a chordal
 complement.
 
-The conflict graph keeps sparse adjacency sets.  The clique search and the
-chordality test run on a component's consensus graph as Python ints used
-as bitsets: bit t of a mask stands for the component's t-th vertex in
-ascending order (bit 0 is never set), and a vertex's consensus neighbours
-are one mask, every vertex of the component but itself and its conflicts.
+Each clause's conflicts are one mask over the clause indices
+(`conflict_masks`).  Growing a falsifiable seed to an MFS (`extend_to_mis`)
+reads these masks directly; the conflict graph keeps them as sparse
+adjacency sets.  The clique search and the chordality test run on a
+component's consensus graph as Python ints used as bitsets: bit t of a
+mask stands for the component's t-th vertex in ascending order (bit 0 is
+never set), and a vertex's consensus neighbours are one mask, every vertex
+of the component but itself and its conflicts.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
@@ -73,32 +75,46 @@ class CliqueCountReport:
 
 
 def build_conflict_graph(spec: Specification) -> ConflictGraph:
-    """One vertex per clause; edge iff the x-parts share a complementary pair.
-
-    Clause i's neighbours are the clauses whose x-part holds `-l` for some
-    `l` of its own; an x-part never holds both `l` and `-l`, so no loops."""
-    holders: defaultdict[int, list[int]] = defaultdict(list)
-    for i in spec.indices:
-        for l in spec.x_part(i):
-            holders[l].append(i)
-    adj: list[frozenset[int]] = [frozenset()]
-    for i in spec.indices:
-        adj.append(frozenset(j for l in spec.x_part(i) for j in holders.get(-l, ())))
-    return ConflictGraph(spec.num_clauses, tuple(adj))
+    """One vertex per clause; edge iff the x-parts share a complementary
+    pair (`conflict_masks`)."""
+    adj = tuple(frozenset(mask_indices(m)) for m in conflict_masks(spec))
+    return ConflictGraph(spec.num_clauses, adj)
 
 
-def extend_to_mis(spec: Specification, seed: Iterable[int]) -> frozenset[int]:
-    """Grow a jointly falsifiable seed to an MFS in ascending index order: a
-    clause joins when no literal of its x-part is made true by the chosen ones."""
-    chosen = set(seed)
-    true = {-l for i in chosen for l in spec.x_part(i)}
-    if any(-l in true for l in true):
-        raise ValueError("seed is not independent in the conflict graph")
+def conflict_masks(spec: Specification) -> list[int]:
+    """masks[i]: the mask of the clauses that conflict with clause i, those
+    whose x-part holds `-l` for some `l` of its own; masks[0] = 0.  An
+    x-part never holds both `l` and `-l`, so no clause conflicts with
+    itself, and the relation is symmetric."""
+    occurs: dict[int, int] = {}
     for i, (x_lits, _) in enumerate(spec.clauses, 1):
-        if i not in chosen and true.isdisjoint(x_lits):
-            chosen.add(i)
-            true.update(-l for l in x_lits)
-    return frozenset(chosen)
+        for l in x_lits:
+            occurs[l] = occurs.get(l, 0) | 1 << i
+    masks = [0]
+    for x_lits, _ in spec.clauses:
+        mask = 0
+        for l in x_lits:
+            mask |= occurs.get(-l, 0)
+        masks.append(mask)
+    return masks
+
+
+def extend_to_mis(conflicts: Sequence[int], seed: Iterable[int]) -> frozenset[int]:
+    """Grow a jointly falsifiable seed to an MFS in ascending index order,
+    on the specification's `conflict_masks`: a clause joins when it
+    conflicts with none of the chosen ones.  Raises ValueError when the
+    seed is not independent in the conflict graph."""
+    chosen, members = 0, []
+    for i in seed:  # conflicts are symmetric: each pair is tested once
+        if conflicts[i] & chosen:
+            raise ValueError("seed is not independent in the conflict graph")
+        chosen |= 1 << i
+        members.append(i)
+    for i in range(1, len(conflicts)):
+        if not conflicts[i] & chosen:
+            chosen |= 1 << i
+            members.append(i)
+    return frozenset(members)
 
 
 def _vertices(n: int) -> int:

@@ -76,7 +76,10 @@ class Specification:
     indices can also be an int mask (`index_mask`): bit i stands for clause
     i, and bit 0 is never set.  `ypart_groups` indexes the clauses by output
     part, so a check that needs only a clause's y-part and its membership in
-    an index set tests each distinct y-part once.
+    an index set tests each distinct y-part once.  `xpart_groups` indexes
+    the distinct input parts by the clauses whose input part properly
+    contains them, so a set of clauses sheds every clause that contains
+    another of the set's input parts with one OR per clause.
     """
 
     inputs: tuple[int, ...]
@@ -163,6 +166,27 @@ class Specification:
         for i, (_, lits) in enumerate(self.clauses, 1):
             groups[lits] = groups.get(lits, 0) | 1 << i
         return tuple(groups.items())
+
+    @cached_property
+    def xpart_groups(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each distinct x-part's literals, in order of first occurrence,
+        with the mask of the clauses whose x-part properly contains it: the
+        AND of its literals' occurrence masks (the mask of every clause for
+        the empty x-part), less the clauses that carry it."""
+        carriers: dict[tuple[int, ...], int] = {}
+        for i, (lits, _) in enumerate(self.clauses, 1):
+            carriers[lits] = carriers.get(lits, 0) | 1 << i
+        occurs: dict[int, int] = {}
+        for lits, mask in carriers.items():
+            for l in lits:
+                occurs[l] = occurs.get(l, 0) | mask
+        full, groups = self.full_mask, []
+        for lits, mask in carriers.items():
+            holders = full
+            for l in lits:
+                holders &= occurs[l]
+            groups.append((lits, holders ^ mask))
+        return tuple(groups)
 
     @property
     def full_mask(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
-from .graph import build_conflict_graph, enumerate_mis, extend_to_mis
+from .graph import build_conflict_graph, conflict_masks, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat, table_fits
 from .model import (
     Assignment,
@@ -80,10 +80,13 @@ class CoverageQueryState:
     """Incremental SAT query for input clauses that one input falsifies
     together and no recorded MSS covers: selector z_i (variable i) forces
     every literal of x-part i false, so conflicts follow from the inputs
-    (variables k+1.. in ascending id order).  An MSS adds one clause."""
+    (variables k+1.. in ascending id order).  An MSS adds one clause.  The
+    component's `conflict_masks` are built once here, for every extension
+    of a model to an MFS."""
 
     def __init__(self, spec: Specification):
         self.spec, k = spec, spec.num_clauses
+        self.conflicts = conflict_masks(spec)
         var = numbering(variables_of(map(spec.x_part, spec.indices)), k + 1)
         self.solver = Solver()
         self.solver.ensure_var(k)
@@ -101,8 +104,7 @@ def next_uncovered_mfs(state: CoverageQueryState):
     res = state.solver.solve()
     if not res.satisfiable:
         return None
-    seed = frozenset(i for i in state.spec.indices if res.model[i])
-    return extend_to_mis(state.spec, seed)
+    return extend_to_mis(state.conflicts, (i for i in state.spec.indices if res.model[i]))
 
 
 def record_mss(state: CoverageQueryState, mss: frozenset[int]) -> None:
@@ -182,7 +184,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
     guard.  Adding c to the guard then leaves the inputs that fire it as
     they were, since d's x-part is within c's; every other dropped clause
     has its y-part satisfied by the output.  An unrealizability witness
-    maps back through `extend_to_mis` on `spec`."""
+    maps back through `extend_to_mis` on `spec`'s `conflict_masks`."""
     stats = Stats()
     dropped = subsumed(spec)
     part = spec
@@ -205,7 +207,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.iterations += 1
         if got is None:
             if dropped:
-                mfs = extend_to_mis(spec, (kept[i - 1] for i in mfs))
+                mfs = extend_to_mis(conflict_masks(spec), (kept[i - 1] for i in mfs))
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
         mfs_list.append(mfs)

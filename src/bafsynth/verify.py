@@ -19,17 +19,25 @@ distinct y-part, the clause masks of the falsified ones are ORed together,
 the guard's clauses are cleared, and the clauses left are queried in
 ascending index order.
 
-Coverage asks whether some input fires no guard, in one SAT query with one
-selector variable per clause index that occurs in a guard: the selector
-implies that the clause's x-part is false, and every decision needs one of
-its guard's selectors.  Every query is numbered compactly, so its size
-does not depend on how many variables the specification has: the inputs
-that its x-parts use are 1..n in ascending id (the others read false), and
-the coverage selectors are n+1.. in ascending clause index.  Inputs come
-before selectors and each block keeps its order, as with the inputs' own
-ids and selectors above every id of the specification; the SAT engine
-reads ids only through their order, so both numberings make the same
-decisions and conflicts and find the same input.
+Coverage asks whether some input fires no guard, in one SAT query over
+each guard's minimal distinct x-parts: those that properly contain no
+other x-part of the guard.  An input that falsifies x-part b also
+falsifies every x-part a within b, so "some x-part of the guard is
+falsified" is unchanged.  A guard's minimal x-parts are its clauses less
+the OR of their `Specification.xpart_groups` masks (the clauses whose
+x-part properly contains theirs), one OR per guard clause.  Each kept
+x-part of two or more literals gets one selector that implies it is false,
+shared by the clauses that carry it (twins); a one-literal x-part (l) is
+selected by the literal -l itself; an empty x-part, always false, keeps a
+selector with no clause of its own.  Every decision needs one of its
+selectors.  Every query is numbered compactly, so its size does not depend
+on how many variables the specification has: the inputs that its x-parts
+use are 1..n in ascending id (the others read false), and the coverage
+selectors are n+1.. in order of first use.  Inputs come before selectors
+and each block keeps its order, as with the inputs' own ids and selectors
+above every id of the specification; the SAT engine reads ids only through
+their order, so both numberings make the same decisions and conflicts and
+find the same input.
 
 A witness input is confirmed by one SAT query: the y-parts of the clauses
 whose x-part the input falsifies must be jointly unsatisfiable.
@@ -98,9 +106,7 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     Raises ValueError, before any solving, when `check_decision_list`
     rejects the list."""
     check_decision_list(spec, dl)
-    used: set[int] = set()
     for di, dec in enumerate(dl.decisions, 1):
-        used |= dec.guard
         true, falsified = true_literals(dec.output), 0
         for lits, ys in spec.ypart_groups:
             if true.isdisjoint(lits):
@@ -118,18 +124,31 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 x = {v: v in var and res.model[var[v]] for v in spec.inputs}
                 return VerificationReport(COUNTEREXAMPLE, SOUNDNESS, di, j, x)
 
-    guarded = sorted(used)
-    var = numbering(variables_of(map(spec.x_part, guarded)))
-    sel = numbering(guarded, len(var) // 2 + 1)
-    s = Solver()
-    for g in guarded:
-        for lit in spec.x_part(g):
-            s.add_clause((-sel[g], -var[lit]))
+    by_part = dict(spec.xpart_groups)
+    wider = [0] + [by_part[x_lits] for x_lits, _ in spec.clauses]
+    minimal = []  # per decision, its guard's minimal distinct x-parts
     for dec in dl.decisions:
-        s.add_clause([sel[g] for g in sorted(dec.guard)])  # empty guard: empty clause
+        drop = 0
+        for g in dec.guard:
+            drop |= wider[g]  # the clauses whose x-part properly contains g's
+        kept = index_mask(dec.guard) & ~drop
+        minimal.append(dict.fromkeys(map(spec.x_part, mask_indices(kept))))
+    parts = dict.fromkeys(p for m in minimal for p in m)
+    var = numbering(variables_of(parts))
+    own = [p for p in parts if len(p) != 1]  # the x-parts with a selector of their own
+    sel = {p: z for z, p in enumerate(own, len(var) // 2 + 1)}
+    sel.update((p, -var[p[0]]) for p in parts if len(p) == 1)
+    s = Solver()
+    for p in own:
+        for lit in p:
+            s.add_clause((-sel[p], -var[lit]))
+    for m in minimal:
+        s.add_clause([sel[p] for p in m])  # empty guard: empty clause
     res = s.solve()
     if res.satisfiable:
-        x = {v: v in var and res.model[var[v]] for v in spec.inputs}
+        # an input that occurs only in decision clauses holding both l and -l,
+        # tautologies the engine drops, is not in the model
+        x = {v: v in var and res.model.get(var[v], False) for v in spec.inputs}
         return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
     return VerificationReport(VERIFIED)
 

@@ -73,12 +73,17 @@ def first_unsound_pair(spec, dl):
 
 def whole_id_verification(spec, dl):
     """The verifier's queries over the specification's own variable ids:
-    a fresh solver per `soundness_pairs` pair, then one coverage query whose
-    selector for guarded clause g is base + g, base the largest id of the
-    specification.  Returns the report's (status, kind, decision, clause,
-    witness input) and every solver made, in order: one per soundness pair
-    queried, then the coverage query's unless a soundness pair fails first.
-    Expects a list that passes `check_decision_list`."""
+    a fresh solver per `soundness_pairs` pair, then one coverage query over
+    each guard's minimal distinct x-parts (those that properly contain no
+    other x-part of the guard, found by comparing every pair), in ascending
+    order of their first clause in the guard.  A one-literal x-part (l) is
+    selected by the literal -l; every other x-part gets the selector
+    base + t, base the largest id of the specification and t its position
+    among those x-parts in order of first use, decision by decision.
+    Returns the report's (status, kind, decision, clause, witness input)
+    and every solver made, in order: one per soundness pair queried, then
+    the coverage query's unless a soundness pair fails first.  Expects a
+    list that passes `check_decision_list`."""
     solvers = []
     for di, j in soundness_pairs(spec, dl):
         s = Solver()
@@ -91,19 +96,44 @@ def whole_id_verification(spec, dl):
         if res.satisfiable:
             x = {v: res.model.get(v, False) for v in spec.inputs}
             return ("counterexample", "soundness", di, j, x), solvers
+    minimal = []
+    for dec in dl.decisions:
+        parts = [spec.x_part(g) for g in sorted(dec.guard)]
+        minimal.append(
+            list(dict.fromkeys(p for p in parts if not any(set(q) < set(p) for q in parts)))
+        )
+    base = max((*spec.inputs, *spec.outputs), default=0)
+    used = list(dict.fromkeys(p for parts in minimal for p in parts))
+    own = [p for p in used if len(p) != 1]
+    sel = {p: base + t for t, p in enumerate(own, 1)}
+    sel.update((p, -p[0]) for p in used if len(p) == 1)
     s = Solver()
     solvers.append(s)
-    base = max((*spec.inputs, *spec.outputs), default=0)
-    for g in sorted(set().union(*(dec.guard for dec in dl.decisions))):
-        for lit in spec.x_part(g):
-            s.add_clause((-(base + g), -lit))
-    for dec in dl.decisions:
-        s.add_clause([base + g for g in sorted(dec.guard)])
+    for p in own:
+        for lit in p:
+            s.add_clause((-sel[p], -lit))
+    for parts in minimal:
+        s.add_clause([sel[p] for p in parts])
     res = s.solve()
     if res.satisfiable:
         x = {v: res.model.get(v, False) for v in spec.inputs}
         return ("counterexample", "coverage-gap", None, None, x), solvers
     return ("verified", None, None, None, None), solvers
+
+
+def extend_to_mis_reference(spec, seed):
+    """Grow a jointly falsifiable seed to an MFS in ascending index order on
+    literal sets: a clause joins when no literal of its x-part is made true
+    by the chosen ones.  Raises ValueError for a dependent seed."""
+    chosen = set(seed)
+    true = {-l for i in chosen for l in spec.x_part(i)}
+    if any(-l in true for l in true):
+        raise ValueError("seed is not independent in the conflict graph")
+    for i, (x_lits, _) in enumerate(spec.clauses, 1):
+        if i not in chosen and true.isdisjoint(x_lits):
+            chosen.add(i)
+            true.update(-l for l in x_lits)
+    return frozenset(chosen)
 
 
 def first_unsatisfied_ypart(spec, index_sets, witnesses):

@@ -10,6 +10,7 @@ from bafsynth.graph import (
     _max_cliques,
     analyze_structure,
     build_conflict_graph,
+    conflict_masks,
     enumerate_mis,
     extend_to_mis,
 )
@@ -43,19 +44,19 @@ def test_opposite_unit_xparts_single_edge():
 
 
 def test_extend_to_mis_example1(example1):
-    assert extend_to_mis(example1, frozenset()) == frozenset({1})
-    assert extend_to_mis(example1, frozenset({2})) == frozenset({2, 3})
+    assert extend_to_mis(conflict_masks(example1), frozenset()) == frozenset({1})
+    assert extend_to_mis(conflict_masks(example1), frozenset({2})) == frozenset({2, 3})
 
 
 def test_extend_to_mis_edgeless():
     spec = parse_qdimacs("p cnf 6 3\na 1 2 3 0\ne 4 5 6 0\n1 4 0\n2 5 0\n-3 6 0\n")
-    assert extend_to_mis(spec, frozenset({2})) == frozenset({1, 2, 3})
+    assert extend_to_mis(conflict_masks(spec), frozenset({2})) == frozenset({1, 2, 3})
 
 
 def test_extend_to_mis_rejects_dependent_seed():
     spec = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 2 0\n")
     with pytest.raises(ValueError, match="independent"):
-        extend_to_mis(spec, frozenset({1, 2}))
+        extend_to_mis(conflict_masks(spec), frozenset({1, 2}))
 
 
 def _greedy_over_graph(g, seed):
@@ -78,12 +79,16 @@ def test_extension_equals_greedy_growth_over_the_conflict_graph():
             if not (g.adj[v] & seed):
                 seed.add(v)
         seed = frozenset(seed)
-        assert extend_to_mis(spec, seed) == _greedy_over_graph(g, seed)
+        got = extend_to_mis(conflict_masks(spec), seed)
+        assert got == _greedy_over_graph(g, seed) == oracles.extend_to_mis_reference(spec, seed)
         checked += bool(seed)
         edges = g.edges()
         if edges:  # both ends of an edge: a dependent seed
+            dependent = frozenset(rng.choice(edges))
+            with pytest.raises(ValueError, match="independent"):
+                extend_to_mis(conflict_masks(spec), dependent)
             with pytest.raises(ValueError):
-                extend_to_mis(spec, frozenset(rng.choice(edges)))
+                oracles.extend_to_mis_reference(spec, dependent)
     assert checked > 200
 
 
@@ -136,7 +141,7 @@ def test_extension_is_maximal_and_independent():
     for _ in range(60):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=12))
         g = build_conflict_graph(spec)
-        mis = extend_to_mis(spec, frozenset())
+        mis = extend_to_mis(conflict_masks(spec), frozenset())
         for v in mis:
             assert not (g.adj[v] & mis)
         for v in range(1, g.n + 1):

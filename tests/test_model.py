@@ -256,6 +256,23 @@ def test_ypart_groups_index_the_clauses_by_output_part():
         assert list(mask_indices(spec.full_mask)) == list(spec.indices)
 
 
+def test_xpart_groups_index_each_xpart_by_the_clauses_that_contain_it():
+    rng = random.Random(97)
+    nested = 0
+    for _ in range(300):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=3, max_out=3, max_clauses=14))
+        groups = spec.xpart_groups
+        assert [lits for lits, _ in groups] == list(
+            dict.fromkeys(spec.x_part(i) for i in spec.indices)
+        )
+        for lits, mask in groups:
+            assert list(mask_indices(mask)) == [
+                i for i in spec.indices if set(lits) < set(spec.x_part(i))
+            ]
+            nested += mask != 0
+    assert nested >= 300
+
+
 def test_true_literals_agree_with_clause_evaluation():
     rng = random.Random(83)
     for _ in range(500):

@@ -460,7 +460,7 @@ def _assert_correct_everywhere(spec: Specification, out) -> None:
             y = dlist.evaluate(out.decision_list, x)
             assert y is not None and spec.evaluate({**x, **y})
     else:
-        assert out.witness_mfs == graph.extend_to_mis(spec, out.witness_mfs)
+        assert out.witness_mfs == oracles.extend_to_mis_reference(spec, out.witness_mfs)
         x = synth.falsifying_input(spec, out.witness_mfs)
         assert table.entries[tuple(x[v] for v in spec.inputs)] is None
 
@@ -487,6 +487,34 @@ def test_back_and_forth_on_planted_subsumed_clauses_is_right_on_every_input():
         realizable += out.realizable
         _assert_correct_everywhere(spec, out)
     assert dropped > 500 and 0 < realizable < 120
+
+
+def test_an_unrealizable_witness_maps_back_like_the_set_reference(monkeypatch):
+    # the witness of the reduced loop grows on the whole spec's conflict
+    # masks to the MFS that the set-based extension grows from it
+    calls = []
+    extend = synth.extend_to_mis
+
+    def recorded(conflicts, seed):
+        seed = list(seed)
+        calls.append((len(conflicts), seed))
+        return extend(conflicts, seed)
+
+    monkeypatch.setattr(synth, "extend_to_mis", recorded)
+    rng = random.Random(29)
+    mapped = 0
+    for n in range(200):
+        make = planted_spec_text if n % 2 else random_synth_spec_text
+        spec = _with_subsumed(rng, parse_qdimacs(make(rng, 4, 3, rng.randint(4, 10))), 5)
+        calls.clear()
+        out = back_and_forth(spec)
+        if out.realizable or not out.stats.subsumed:
+            continue
+        size, seed = calls[-1]  # the mapping back, after the reduced loop's extensions
+        assert size == spec.num_clauses + 1
+        assert out.witness_mfs == oracles.extend_to_mis_reference(spec, seed)
+        mapped += 1
+    assert mapped >= 30
 
 
 # e = (1 | 4), d = (1 2 | 4) and c = (1 2 3 | 4 5): e is within d, and d is

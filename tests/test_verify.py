@@ -6,7 +6,7 @@ import pytest
 from bafsynth.dlist import Decision, DecisionList, build_decision_list
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
-from bafsynth.model import holds, parse_qdimacs
+from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth import verify
 from bafsynth.sat import Solver
 from bafsynth.synth import (
@@ -375,15 +375,82 @@ def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
     assert soundness_work["queries"] >= 30, soundness_work
 
 
+def _nested_xpart_spec(rng):
+    """A specification over inputs 1..3 and outputs 4..6 whose x-parts are
+    mostly positive literals, so that guards hold twin x-parts (one x-part
+    under two y-parts), nested ones, one-literal ones and empty ones."""
+    clauses = {}
+    for _ in range(rng.randint(3, 12)):
+        xs = sorted(rng.sample((1, 2, 3), rng.choice((0, 1, 1, 2, 2, 3))))
+        ys = sorted(rng.sample((4, 5, 6), rng.randint(1, 2)))
+        x_lits = tuple(v if rng.random() < 0.8 else -v for v in xs)
+        clauses[x_lits, tuple(v if rng.random() < 0.5 else -v for v in ys)] = None
+    return Specification((1, 2, 3), (4, 5, 6), tuple(clauses))
+
+
+def _guard_shapes(spec, guard):
+    """Which of twin, nested, one-literal and empty x-parts `guard` holds."""
+    parts = [spec.x_part(g) for g in guard]
+    return {
+        "twin": len(set(parts)) < len(parts),
+        "nested": any(set(p) < set(q) for p in parts for q in parts),
+        "one-literal": any(len(p) == 1 for p in parts),
+        "empty": () in parts,
+    }
+
+
+def test_reduced_coverage_query_agrees_with_brute_force():
+    # the coverage query keeps only each guard's minimal distinct x-parts;
+    # its verdict must still be brute-force coverage, a coverage-gap witness
+    # must fire no guard, and correct lists must verify
+    rng = random.Random(479)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    shapes = dict.fromkeys(("twin", "nested", "one-literal", "empty"), 0)
+    correct = 0
+    for _ in range(400):
+        spec = _nested_xpart_spec(rng)
+        out = back_and_forth(spec)
+        shape = rng.random()
+        if out.realizable and shape < 0.3:
+            dl = out.decision_list
+        elif out.realizable and shape < 0.7:
+            dl = _corrupted(rng, out.decision_list)
+        else:
+            dl = _random_list(rng, spec)
+        inputs = list(oracles.assignments(spec.inputs))
+        unsound = oracles.first_unsound_pair(spec, dl)
+        gap = any(not any(_fires(spec, d.guard, x) for d in dl.decisions) for x in inputs)
+        report = verify_decision_list(spec, dl)
+        if unsound:
+            assert report.failure_kind == SOUNDNESS
+        elif gap:
+            assert report.failure_kind == COVERAGE
+            x = report.witness_input
+            assert set(x) == set(spec.inputs)
+            assert not any(_fires(spec, d.guard, x) for d in dl.decisions)
+        else:
+            assert report.verified
+            correct += dl is out.decision_list
+        kinds[report.failure_kind] += 1
+        if not unsound:
+            for dec in dl.decisions:
+                for name, held in _guard_shapes(spec, dec.guard).items():
+                    shapes[name] += held
+    assert min(kinds.values()) >= 40, kinds
+    assert min(shapes.values()) >= 40, shapes
+    assert correct >= 40
+
+
 def test_coverage_query_is_sized_to_the_component(monkeypatch):
     # each component of the width-40 chain keeps all 40 inputs, but its
-    # coverage query has its one input and its two selectors
+    # coverage query has its one input and no selector: its x-parts are the
+    # one-literal (x) and (-x), each selected by its own negation
     made = _record_solvers(monkeypatch)
     spec = parse_qdimacs(identity_qdimacs(40))
     for comp in partition_by_output_variables(spec):
         made.clear()
         assert verify_decision_list(comp, back_and_forth(comp).decision_list).verified
-        assert [s.nvars for s in made] == [3]
+        assert [s.nvars for s in made] == [1]
 
 
 def test_soundness_query_is_sized_to_the_component(monkeypatch):
