@@ -20,13 +20,13 @@ chordal exactly when the one component with edges has a chordal
 complement.
 
 Each clause's conflicts are one mask over the clause indices
-(`conflict_masks`).  Growing a falsifiable seed to an MFS (`extend_to_mis`)
-reads these masks directly; the conflict graph keeps them as sparse
-adjacency sets.  The clique search and the chordality test run on a
-component's consensus graph as Python ints used as bitsets: bit t of a
-mask stands for the component's t-th vertex in ascending order (bit 0 is
-never set), and a vertex's consensus neighbours are one mask, every vertex
-of the component but itself and its conflicts.
+(`conflict_masks`), and the conflict graph is these masks and nothing
+else.  Growing a falsifiable seed to an MFS (`extend_to_mis`), splitting
+the graph into components, the clique search and the chordality test all
+run on Python ints used as bitsets over the clause indices (bit 0 is never
+set): a component is the mask of its vertices, and a vertex's consensus
+neighbours within it are one mask, every vertex of the component but
+itself and its conflicts.
 """
 
 from __future__ import annotations
@@ -41,11 +41,18 @@ from .model import Specification, mask_indices
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    n: int
-    adj: tuple[frozenset[int], ...]  # adj[0] unused; vertices 1..n
+    conflicts: tuple[int, ...]  # conflicts[v]: the mask of v's conflicts; conflicts[0] = 0
+
+    @property
+    def n(self) -> int:
+        return len(self.conflicts) - 1
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(1, self.n + 1) for j in sorted(self.adj[i]) if i < j]
+        return [
+            (i, j)
+            for i, mask in enumerate(self.conflicts)
+            for j in mask_indices(mask >> (i + 1) << (i + 1))
+        ]
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,7 @@ class CliqueCountReport:
 def build_conflict_graph(spec: Specification) -> ConflictGraph:
     """One vertex per clause; edge iff the x-parts share a complementary
     pair (`conflict_masks`)."""
-    adj = tuple(frozenset(mask_indices(m)) for m in conflict_masks(spec))
-    return ConflictGraph(spec.num_clauses, adj)
+    return ConflictGraph(tuple(conflict_masks(spec)))
 
 
 def conflict_masks(spec: Specification) -> list[int]:
@@ -117,49 +123,37 @@ def extend_to_mis(conflicts: Sequence[int], seed: Iterable[int]) -> frozenset[in
     return frozenset(members)
 
 
-def _vertices(n: int) -> int:
-    """The mask of vertices 1..n."""
-    return (1 << (n + 1)) - 2
+def _consensus_masks(g: ConflictGraph, part: int) -> dict[int, int]:
+    """nb[v]: the consensus neighbours of each vertex v of `part` (a mask
+    closed under conflicts) within `part`, as a mask."""
+    return {v: part & ~(g.conflicts[v] | 1 << v) for v in mask_indices(part)}
 
 
-def _consensus_masks(g: ConflictGraph, vertices: Sequence[int]) -> list[int]:
-    """nb[t]: the consensus neighbours, within `vertices` (ascending, closed
-    under conflicts), of its t-th vertex as a mask over their positions
-    1..len(vertices); nb[0] = 0."""
-    pos = {v: t for t, v in enumerate(vertices, 1)}
-    everything = _vertices(len(vertices))
-    return [0] + [
-        everything ^ sum(1 << pos[u] for u in g.adj[v]) ^ (1 << t)
-        for t, v in enumerate(vertices, 1)
-    ]
-
-
-def _components(g: ConflictGraph) -> tuple[frozenset[int], list[list[int]]]:
-    """The isolated vertices, and the vertices (ascending) of each connected
+def _components(g: ConflictGraph) -> tuple[frozenset[int], list[int]]:
+    """The isolated vertices, and the vertex mask of each connected
     component with an edge, the components in order of their least vertex."""
-    seen = [False] * (g.n + 1)
     isolated: list[int] = []
-    parts: list[list[int]] = []
-    for v in range(1, g.n + 1):
-        if seen[v]:
-            continue
-        if not g.adj[v]:
+    parts: list[int] = []
+    seen = 0
+    for v in range(1, len(g.conflicts)):
+        if not g.conflicts[v]:
             isolated.append(v)
-            continue
-        seen[v] = True
-        part, todo = [v], [v]
-        while todo:
-            for u in g.adj[todo.pop()]:
-                if not seen[u]:
-                    seen[u] = True
-                    part.append(u)
-                    todo.append(u)
-        parts.append(sorted(part))
+        elif not seen >> v & 1:
+            part, todo = 1 << v, g.conflicts[v]
+            while todo:
+                part |= todo
+                reached = 0
+                for u in mask_indices(todo):
+                    reached |= g.conflicts[u]
+                todo = reached & ~part
+            parts.append(part)
+            seen |= part
     return frozenset(isolated), parts
 
 
-def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]], bool]:
-    """Pivoting Bron-Kerbosch over vertices 1..n, aborted past `limit` results.
+def _max_cliques(nb: dict[int, int], part: int, limit: int) -> tuple[list[frozenset[int]], bool]:
+    """Pivoting Bron-Kerbosch over the vertices of `part`, aborted past
+    `limit` results.
 
     The pivot is Tomita's: the first vertex of P | X, in ascending order,
     with the most neighbours in P.  Iterative, so clique size is not bounded
@@ -168,7 +162,7 @@ def _max_cliques(nb: list[int], n: int, limit: int) -> tuple[list[frozenset[int]
     ascending order, each to completion before the next, as the recursion
     would."""
     found: list[frozenset[int]] = []
-    stack = [[0, _vertices(n), 0, None]]
+    stack = [[0, part, 0, None]]
     while stack:
         frame = stack[-1]
         r, p, x, todo = frame
@@ -208,11 +202,10 @@ def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     isolated, parts = _components(g)
     per_part: list[tuple[frozenset[int], ...]] = []
     overflow, total = False, 1
-    for vertices in parts:
+    for part in parts:
         # past the limit, one set of each later component completes `limit` sets
-        nb = _consensus_masks(g, vertices)
-        found, over = _max_cliques(nb, len(vertices), 1 if overflow else limit)
-        per_part.append(tuple(frozenset(vertices[t - 1] for t in c) for c in found))
+        found, over = _max_cliques(_consensus_masks(g, part), part, 1 if overflow else limit)
+        per_part.append(tuple(found))
         total *= len(found)
         overflow = overflow or over or total > limit
     return MisEnumeration(isolated, tuple(per_part), limit, overflow)
@@ -227,30 +220,30 @@ def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
     _, parts = _components(g)
     count: int | None = 1
     chordal = len(parts) < 2
-    for vertices in parts:
-        nb = _consensus_masks(g, vertices)
-        found, overflow = _max_cliques(nb, len(vertices), budget)
+    for part in parts:
+        nb = _consensus_masks(g, part)
+        found, overflow = _max_cliques(nb, part, budget)
         count = None if overflow or count * len(found) > budget else count * len(found)
         if chordal:  # the only component with an edge
-            chordal = _is_chordal(nb, len(vertices))
+            chordal = _is_chordal(nb, part)
         if count is None:
             break  # chordality is settled: tested above, or false by the join rule
     return CliqueCountReport(count=count, chordal=chordal)
 
 
-def _is_chordal(nb: list[int], n: int) -> bool:
-    """Maximum-cardinality search followed by the perfect-elimination check
-    (Tarjan & Yannakakis 1984).
+def _is_chordal(nb: dict[int, int], part: int) -> bool:
+    """Maximum-cardinality search over the vertices of `part` followed by
+    the perfect-elimination check (Tarjan & Yannakakis 1984).
 
     The search numbers, at each step, the smallest unnumbered vertex of the
     highest weight (its count of numbered neighbours); `levels` maps each
     weight held by an unnumbered vertex to the mask of those vertices.  The
     graph is chordal iff, for every v, the neighbours numbered before v,
     minus the latest of them, u, are all neighbours of u."""
-    levels = {0: _vertices(n)}
+    levels = {0: part}
     order: list[int] = []
     numbered = [0]  # numbered[t]: mask of the first t vertices numbered
-    for _ in range(n):
+    for _ in range(part.bit_count()):
         weight = max(levels)
         low = levels[weight] & -levels[weight]
         levels[weight] ^= low
@@ -259,9 +252,9 @@ def _is_chordal(nb: list[int], n: int) -> bool:
         raised = nb[order[-1]]
         grown: dict[int, int] = {}
         for w, mask in levels.items():
-            for level, part in ((w, mask & ~raised), (w + 1, mask & raised)):
-                if part:
-                    grown[level] = grown.get(level, 0) | part
+            for level, held in ((w, mask & ~raised), (w + 1, mask & raised)):
+                if held:
+                    grown[level] = grown.get(level, 0) | held
         levels = grown
     for t, v in enumerate(order):
         earlier = nb[v] & numbered[t]

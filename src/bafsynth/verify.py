@@ -15,9 +15,9 @@ outside the MSS, hence in the guard.  Only pairs with j outside the guard,
 which hand-written or corrupted lists can have, get a fresh SAT query.
 The pairs are picked per decision from the specification's y-part index
 (`Specification.ypart_groups`): the output is tested once against each
-distinct y-part, the clause masks of the falsified ones are ORed together,
-the guard's clauses are cleared, and the clauses left are queried in
-ascending index order.
+distinct y-part that some clause outside the guard carries, the clause
+masks of the falsified ones are ORed together, the guard's clauses are
+cleared, and the clauses left are queried in ascending index order.
 
 Coverage asks whether some input fires no guard, in one SAT query over
 each guard's minimal distinct x-parts: those that properly contain no
@@ -107,12 +107,12 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     rejects the list."""
     check_decision_list(spec, dl)
     for di, dec in enumerate(dl.decisions, 1):
-        true, falsified = true_literals(dec.output), 0
-        for lits, ys in spec.ypart_groups:
-            if true.isdisjoint(lits):
-                falsified |= ys
+        true, falsified, guard = true_literals(dec.output), 0, index_mask(dec.guard)
         # a guard clause needs no query: it would hold its x-part and the negation
-        for j in mask_indices(falsified & ~index_mask(dec.guard)):
+        for lits, ys in spec.ypart_groups:
+            if ys & ~guard and true.isdisjoint(lits):
+                falsified |= ys
+        for j in mask_indices(falsified & ~guard):
             var = numbering(variables_of([*map(spec.x_part, dec.guard), spec.x_part(j)]))
             s = Solver()
             for g in sorted(dec.guard):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
 
@@ -64,3 +66,19 @@ def test_verdict_needs_ten_passes_and_nine_wins_beyond_the_spread():
     assert verdict(a, b) == "B faster"
     assert verdict(b, a) == "B slower"
     assert verdict(a, a) == "within noise"  # ties count for neither side
+
+
+def test_each_pass_is_divided_by_the_kernel_times_around_it():
+    ab = _load_ab()
+    ref = ab.calib.REF_PASS_S
+    assert ab.normalize(0.5, ref, ref) == pytest.approx(0.5)
+    # a host twice as slow doubles both the pass and the kernel
+    assert ab.normalize(1.0, 2 * ref, 2 * ref) == pytest.approx(0.5)
+    # the factor is the mean of the kernel passes before and after
+    assert ab.normalize(0.75, ref, 2 * ref) == pytest.approx(0.5)
+    assert ab.normalize(0.75, 2 * ref, ref) == pytest.approx(0.5)
+    # a slow phase that hits every B pass reads within noise once normalized
+    a = [1.0 + 0.01 * k for k in range(10)]
+    raw = [2 * t for t in a]
+    assert ab.verdict(a, raw) == "B slower"
+    assert ab.verdict(a, [ab.normalize(t, 2 * ref, 2 * ref) for t in raw]) == "within noise"

@@ -6,6 +6,7 @@ import pytest
 from bafsynth import graph
 from bafsynth.graph import (
     ConflictGraph,
+    _components,
     _consensus_masks,
     _max_cliques,
     analyze_structure,
@@ -14,18 +15,28 @@ from bafsynth.graph import (
     enumerate_mis,
     extend_to_mis,
 )
-from bafsynth.model import parse_qdimacs
+from bafsynth.model import mask_indices, parse_qdimacs
 
 from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
 
 
 def _graph(n, edges):
-    adj = [set() for _ in range(n + 1)]
+    conflicts = [0] * (n + 1)
     for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return ConflictGraph(n, tuple(frozenset(s) for s in adj))
+        conflicts[i] |= 1 << j
+        conflicts[j] |= 1 << i
+    return ConflictGraph(tuple(conflicts))
+
+
+def _adj(g):
+    """The conflict graph as adjacency sets, for the set-based oracles."""
+    return [set(mask_indices(m)) for m in g.conflicts]
+
+
+def _everything(g):
+    """The mask of every vertex, 1..n."""
+    return (1 << (g.n + 1)) - 2
 
 
 def test_example1_edges(example1):
@@ -61,9 +72,9 @@ def test_extend_to_mis_rejects_dependent_seed():
 
 def _greedy_over_graph(g, seed):
     """Reference: ascending greedy growth over the conflict graph."""
-    chosen = set(seed)
+    chosen, adj = set(seed), _adj(g)
     for v in range(1, g.n + 1):
-        if v not in chosen and not (g.adj[v] & chosen):
+        if v not in chosen and not (adj[v] & chosen):
             chosen.add(v)
     return frozenset(chosen)
 
@@ -74,9 +85,9 @@ def test_extension_equals_greedy_growth_over_the_conflict_graph():
     for _ in range(300):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=14))
         g = build_conflict_graph(spec)
-        seed = set()
+        adj, seed = _adj(g), set()
         for v in rng.sample(list(spec.indices), rng.randint(0, spec.num_clauses)):
-            if not (g.adj[v] & seed):
+            if not (adj[v] & seed):
                 seed.add(v)
         seed = frozenset(seed)
         got = extend_to_mis(conflict_masks(spec), seed)
@@ -141,11 +152,12 @@ def test_extension_is_maximal_and_independent():
     for _ in range(60):
         spec = parse_qdimacs(random_spec_text(rng, max_clauses=12))
         g = build_conflict_graph(spec)
+        adj = _adj(g)
         mis = extend_to_mis(conflict_masks(spec), frozenset())
         for v in mis:
-            assert not (g.adj[v] & mis)
+            assert not (adj[v] & mis)
         for v in range(1, g.n + 1):
-            assert v in mis or (g.adj[v] & mis)
+            assert v in mis or (adj[v] & mis)
 
 
 def test_analyze_structure_example1(example1):
@@ -223,7 +235,7 @@ def test_chordality_against_chordless_cycle_oracle():
             ],
         )
         report = analyze_structure(complement, 10**9)
-        expected = not oracles.has_chordless_cycle(g.adj, n)
+        expected = not oracles.has_chordless_cycle(_adj(g), n)
         assert report.chordal == expected
 
 
@@ -232,10 +244,12 @@ def test_graph_is_symmetric_irreflexive():
     for _ in range(30):
         spec = parse_qdimacs(random_spec_text(rng))
         g = build_conflict_graph(spec)
+        adj = _adj(g)
+        assert not adj[0] and all(m >> (g.n + 1) == 0 for m in g.conflicts)
         for v in range(1, g.n + 1):
-            assert v not in g.adj[v]
-            for u in g.adj[v]:
-                assert v in g.adj[u]
+            assert v not in adj[v]
+            for u in adj[v]:
+                assert v in adj[u]
 
 
 def test_conflict_graph_equals_pairwise_definition():
@@ -245,22 +259,32 @@ def test_conflict_graph_equals_pairwise_definition():
         g = build_conflict_graph(spec)
         expected = oracles.pairwise_conflict_adj([spec.x_part(i) for i in spec.indices])
         assert g.n == spec.num_clauses
-        assert [set(a) for a in g.adj] == expected
-        assert all(v not in g.adj[v] for v in range(g.n + 1))
+        assert _adj(g) == expected
+        assert all(not m >> v & 1 for v, m in enumerate(g.conflicts))
+
+
+def test_conflict_graph_is_the_conflict_masks():
+    rng = random.Random(89)
+    for _ in range(300):
+        spec = parse_qdimacs(random_spec_text(rng, max_clauses=30))
+        assert build_conflict_graph(spec).conflicts == tuple(conflict_masks(spec))
 
 
 def _consensus_sets(g):
+    adj = _adj(g)
     return [set()] + [
-        {u for u in range(1, g.n + 1) if u != v and u not in g.adj[v]}
+        {u for u in range(1, g.n + 1) if u != v and u not in adj[v]}
         for v in range(1, g.n + 1)
     ]
 
 
 def _assert_cliques_match_reference(g):
-    nb = _consensus_masks(g, range(1, g.n + 1))
+    everything = _everything(g)
+    nb = _consensus_masks(g, everything)
     cons = _consensus_sets(g)
     for limit in (1, 3, 10**6):
-        assert _max_cliques(nb, g.n, limit) == oracles.max_cliques_reference(cons, g.n, limit)
+        got = _max_cliques(nb, everything, limit)
+        assert got == oracles.max_cliques_reference(cons, g.n, limit)
 
 
 def test_clique_search_matches_set_based_reference_on_random_graphs():
@@ -327,7 +351,8 @@ def test_component_factoring_matches_the_whole_graph_search():
     overflowed = 0
     for _ in range(300):
         g = _disjoint_union_graph(rng)
-        whole, overflow = _max_cliques(_consensus_masks(g, range(1, g.n + 1)), g.n, 10**9)
+        everything = _everything(g)
+        whole, overflow = _max_cliques(_consensus_masks(g, everything), everything, 10**9)
         assert not overflow
         whole.sort(key=sorted)
         count = len(whole)
@@ -350,12 +375,47 @@ def test_component_factoring_matches_the_whole_graph_search():
 def test_independent_conflicts_are_searched_one_pair_at_a_time(monkeypatch):
     sizes = []
 
-    def recording(nb, n, limit):
-        sizes.append(n)
-        return _max_cliques(nb, n, limit)
+    def recording(nb, part, limit):
+        sizes.append(part.bit_count())
+        return _max_cliques(nb, part, limit)
 
     monkeypatch.setattr(graph, "_max_cliques", recording)
     g = build_conflict_graph(parse_qdimacs(identity_qdimacs(60)))
     report = analyze_structure(g, 10000)
     assert report.count is None and report.chordal is False
     assert sizes and max(sizes) <= 2
+
+
+def _random_graph(rng):
+    if rng.random() < 0.5:
+        return _disjoint_union_graph(rng)
+    n = rng.randint(0, 20)
+    density = rng.random() * 0.3
+    return _graph(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < density]
+    )
+
+
+def test_components_partition_the_vertices_with_a_conflict():
+    rng = random.Random(97)
+    for _ in range(400):
+        g = _random_graph(rng)
+        adj = _adj(g)
+        isolated, parts = _components(g)
+        assert isolated == {v for v in range(1, g.n + 1) if not adj[v]}
+        covered = 0
+        for part in parts:
+            assert part and not covered & part  # nonempty and disjoint
+            covered |= part
+            members = set(mask_indices(part))
+            assert all(adj[v] <= members for v in members)  # closed under conflicts
+            reached, todo = set(), [min(members)]
+            while todo:  # and connected
+                v = todo.pop()
+                if v not in reached:
+                    reached.add(v)
+                    todo.extend(adj[v])
+            assert reached == members
+        assert covered == sum(1 << v for v in range(1, g.n + 1) if adj[v])
+        least = [(part & -part).bit_length() for part in parts]
+        assert least == sorted(least)

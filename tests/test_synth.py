@@ -723,9 +723,9 @@ def test_a_limit_below_one_is_rejected_before_any_query(monkeypatch, example1, c
 def test_mfs_enumeration_searches_each_component_once(monkeypatch):
     searched, search = [], graph._max_cliques
 
-    def recording(nb, n, limit):
-        searched.append(n)
-        return search(nb, n, limit)
+    def recording(nb, part, limit):
+        searched.append(part.bit_count())
+        return search(nb, part, limit)
 
     spec = parse_qdimacs(identity_qdimacs(6))
     monkeypatch.setattr(graph, "_max_cliques", recording)

@@ -10,14 +10,20 @@ processes on a busy host can differ by a third.  The corpus is
 and each operation is perfbench's own (`run.OPS`).  A pass parses every
 instance (untimed) and runs its operations, each after a `gc.collect()`;
 the pass time is the sum of the operation times.  Passes alternate between
-the sides, A first on even passes and B first on odd ones.  The output is
-each side's median pass time and its summed `decisions` over the synth
+the sides, A first on even passes and B first on odd ones.  One pass of
+perfbench's host-speed kernel (`calib.pass_s`) is timed before the first
+pass and after every pass, and each pass time is divided by its host
+factor, the mean of the kernel times right before and after it over
+`calib.REF_PASS_S`, as perfbench does for its operations: a normalized time
+reads in seconds at the reference host speed, so a phase in which the host
+runs slower moves the kernel with the pass.  The output is each side's
+median normalized pass time and its summed `decisions` over the synth
 operations of one pass, the ratio B / A of the medians, and the number of
 passes in which B was faster.  The decision count is deterministic, so a
 change of list size shows next to the timing; a side whose count differs
-between passes is an error.  The last line is the verdict on the pass
-times (see `verdict`): B faster, B slower, within noise, or none below 10
-passes.
+between passes is an error.  The last line is the verdict on the
+normalized pass times (see `verdict`): B faster, B slower, within noise, or
+none below 10 passes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import calib  # noqa: E402
 import gen  # noqa: E402
 import run  # noqa: E402
 
@@ -54,6 +61,13 @@ def load(root: Path, name: str) -> SimpleNamespace:
     return SimpleNamespace(
         **{m: importlib.import_module(f"{name}.{m}") for m in ("cli", "graph", "model")}
     )
+
+
+def normalize(t: float, before: float, after: float) -> float:
+    """Pass time `t` at the reference host speed: divided by the host
+    factor, the mean of the kernel times `before` and `after` it over
+    `calib.REF_PASS_S`."""
+    return t * calib.REF_PASS_S / ((before + after) / 2)
 
 
 def verdict(a: list[float], b: list[float]) -> str:
@@ -102,10 +116,12 @@ def main(argv=None) -> int:
     corpus = [(inst.qdimacs(), inst.ops) for inst in gen.WORKLOADS[args.workload](args.seed)]
     times: dict[str, list[float]] = {"A": [], "B": []}
     counts: dict[str, set[int]] = {"A": set(), "B": set()}
+    kernel = calib.pass_s()
     for k in range(args.passes):
         for side in ("AB" if k % 2 == 0 else "BA"):
             t, decisions = one_pass(sides[side], corpus)
-            times[side].append(t)
+            before, kernel = kernel, calib.pass_s()
+            times[side].append(normalize(t, before, kernel))
             counts[side].add(decisions)
     for side, seen in counts.items():
         if len(seen) != 1:
