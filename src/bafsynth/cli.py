@@ -21,6 +21,7 @@ import os
 import signal
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -31,7 +32,7 @@ from . import graph as _graph
 from . import synth as _synth
 from . import verify as _verify
 from .errors import LimitError, ParseError
-from .model import Specification, decode_text, parse_qdimacs
+from .model import Specification, decode_text, numbering, parse_qdimacs, variables_of
 
 SCHEMA_VERSION = 1
 
@@ -189,12 +190,43 @@ def _unrealizable(result: dict, t0: float, spec: Specification, ci: int, comp, m
     return result
 
 
+def _shape(comp: Specification) -> tuple:
+    """`comp`'s clauses with the inputs its x-parts use numbered 1..n and
+    its outputs 1..m, each block in ascending id order, and m.  Every
+    solver query numbers the variables it uses in ascending id order and
+    reads nothing else of an id, so components of one shape get the same
+    list up to the renaming of their outputs."""
+    xs = numbering(variables_of(x_lits for x_lits, _ in comp.clauses))
+    ys = numbering(sorted(comp.outputs))
+    clauses = tuple(
+        (tuple(map(xs.__getitem__, x_lits)), tuple(map(ys.__getitem__, y_lits)))
+        for x_lits, y_lits in comp.clauses
+    )
+    return clauses, len(comp.outputs)
+
+
+def _renamed(dl: _dlist.DecisionList, comp: Specification) -> _dlist.DecisionList:
+    """`dl`, the list of a component of `comp`'s shape, for `comp`: the same
+    guards, and outputs renamed in ascending id order.  Building it checks
+    every output against `comp`'s y-parts again."""
+    rename = dict(zip(sorted(dl.outputs), sorted(comp.outputs)))
+    every = frozenset(comp.indices)
+    return _dlist.build_decision_list(
+        comp,
+        [every - dec.guard for dec in dl.decisions],
+        [{rename[v]: b for v, b in dec.output.items()} for dec in dl.decisions],
+    )
+
+
 def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     """Partition, synthesize each component with the configured mode,
     combine, and verify.  Returns a JSON-ready result dictionary, which
     times the run and each component's synthesis.  A clause with an empty
     y-part is reported as component 0, before any partitioning; this is the
-    one place that rule is applied."""
+    one place that rule is applied.  A component whose `_shape` an earlier
+    component j of the run had is not synthesized: it takes j's
+    list `_renamed`, reports zero for every `Stats` counter and `reuses` j
+    (null for a synthesized component), and is verified like the rest."""
     t0 = time.perf_counter()
     synthesize = MODES.get(cfg.mode)
     if synthesize is None:
@@ -224,9 +256,17 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     components = _synth.partition_by_output_variables(spec) if cfg.partition else [spec]
     result["partitions"] = len(components)
     parts: list[_dlist.DecisionList] = []
+    sizes = Counter((comp.num_clauses, len(comp.outputs)) for comp in components)
+    first: dict[tuple, int] = {}  # shape -> its first component; this run only
     for ci, comp in enumerate(components, 1):
         t = time.perf_counter()
-        outcome = synthesize(comp, cfg)
+        reuses = ci
+        if sizes[comp.num_clauses, len(comp.outputs)] > 1:  # else no other has its shape
+            reuses = first.setdefault(_shape(comp), ci)
+        if reuses < ci:
+            outcome = _synth.SynthesisOutcome(_synth.REALIZABLE, _renamed(parts[reuses - 1], comp))
+        else:
+            outcome = synthesize(comp, cfg)
         ms = (time.perf_counter() - t) * 1000.0
         counts = {key: getattr(outcome.stats, key) for key in _STATS_COUNTERS}
         counts["decisions"] = len(outcome.decision_list) if outcome.decision_list else 0
@@ -238,6 +278,7 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
                 "clauses": comp.num_clauses,
                 "status": outcome.status,
                 **counts,
+                "reuses": reuses if reuses < ci else None,
                 "wall_time_ms": ms,
             }
         )
@@ -437,10 +478,10 @@ def _bench_one(path_str: str, cfg: RunConfig, timeout: float) -> dict:
 
 
 def _family_of(name: str, families: dict[str, str]) -> str:
-    for fam, prefix in sorted(families.items()):
-        if name.startswith(prefix):
-            return fam
-    return "(other)"
+    """The family with the longest prefix of `name`, the first by family
+    name on a tie; `(other)` when no prefix matches."""
+    matches = [(-len(prefix), fam) for fam, prefix in families.items() if name.startswith(prefix)]
+    return min(matches)[1] if matches else "(other)"
 
 
 def cmd_bench(args) -> int:

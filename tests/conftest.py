@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bafsynth import maxsat
 from bafsynth.model import parse_qdimacs
 
 EXAMPLE1_TEXT = """\
@@ -141,3 +142,22 @@ def example1():
 def unrealizable4():
     return parse_qdimacs(UNREALIZABLE_TEXT)
 
+
+
+@pytest.fixture(scope="session")
+def maxsat_paths():
+    """`for _ in maxsat_paths():` runs its body once per MaxSAT path: with
+    `maxsat.TABLE_BITS` at its default, so a session over few outputs is a
+    truth table, and at 0, so every session over an output is a CDCL
+    `MaxSatSession` (and `synth.irredundant` keeps every decision).  Each
+    budget is set by a MonkeyPatch that is undone before the next one, and
+    also when the body fails; the fixture is session-scoped, so Hypothesis
+    tests can use it."""
+
+    def paths():
+        for bits in (maxsat.TABLE_BITS, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(maxsat, "TABLE_BITS", bits)
+                yield bits
+
+    return paths

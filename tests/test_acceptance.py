@@ -84,47 +84,49 @@ def test_criterion_1_worked_example_exactness():
     print(f"\nACCEPTANCE 1 PASS: worked-example exactness ({elapsed:.3f} s)")
 
 
-def test_criterion_2_oracle_equivalence(corpus):
-    t0 = time.perf_counter()
-    realizable = unrealizable = 0
-    for spec in corpus:
-        table = brute_force_synthesize(spec)
-        out = back_and_forth(spec)
-        assert out.realizable == table.realizable
-        if table.realizable:
-            realizable += 1
-            assert verify_decision_list(spec, out.decision_list).verified
-            for xbits, _ in table.entries.items():
-                x = dict(zip(spec.inputs, xbits))
-                y = evaluate(out.decision_list, x)
-                assert y is not None
-                assert spec.evaluate({**x, **y})
-        else:
-            unrealizable += 1
-            witness_parts = [spec.y_part(i) for i in out.witness_mfs]
-            assert oracles.cnf_model(witness_parts, spec.outputs) is None
-    elapsed = time.perf_counter() - t0
-    assert realizable and unrealizable  # the corpus exercises both outcomes
-    assert elapsed < 120.0
-    print(
-        f"\nACCEPTANCE 2 PASS: {realizable} realizable + {unrealizable} "
-        f"unrealizable specs, 100% oracle agreement ({elapsed:.1f} s)"
-    )
+def test_criterion_2_oracle_equivalence(corpus, maxsat_paths):
+    for _ in maxsat_paths():
+        t0 = time.perf_counter()
+        realizable = unrealizable = 0
+        for spec in corpus:
+            table = brute_force_synthesize(spec)
+            out = back_and_forth(spec)
+            assert out.realizable == table.realizable
+            if table.realizable:
+                realizable += 1
+                assert verify_decision_list(spec, out.decision_list).verified
+                for xbits, _ in table.entries.items():
+                    x = dict(zip(spec.inputs, xbits))
+                    y = evaluate(out.decision_list, x)
+                    assert y is not None
+                    assert spec.evaluate({**x, **y})
+            else:
+                unrealizable += 1
+                witness_parts = [spec.y_part(i) for i in out.witness_mfs]
+                assert oracles.cnf_model(witness_parts, spec.outputs) is None
+        elapsed = time.perf_counter() - t0
+        assert realizable and unrealizable  # the corpus exercises both outcomes
+        assert elapsed < 120.0
+        print(
+            f"\nACCEPTANCE 2 PASS: {realizable} realizable + {unrealizable} "
+            f"unrealizable specs, 100% oracle agreement ({elapsed:.1f} s)"
+        )
 
 
-def test_criterion_3_iteration_bound(corpus):
-    strict = 0
-    for spec in corpus:
-        out = back_and_forth(spec)
-        if not out.realizable:
-            continue
-        mfs_all, mss_all = brute_force_mfs_mss(spec)
-        bound = min(len(mfs_all), len(mss_all))
-        assert out.stats.iterations <= bound
-        if out.stats.iterations < bound:
-            strict += 1
-    assert strict >= 1
-    print(f"\nACCEPTANCE 3 PASS: iteration bound held, strict on {strict} instances")
+def test_criterion_3_iteration_bound(corpus, maxsat_paths):
+    for _ in maxsat_paths():
+        strict = 0
+        for spec in corpus:
+            out = back_and_forth(spec)
+            if not out.realizable:
+                continue
+            mfs_all, mss_all = brute_force_mfs_mss(spec)
+            bound = min(len(mfs_all), len(mss_all))
+            assert out.stats.iterations <= bound
+            if out.stats.iterations < bound:
+                strict += 1
+        assert strict >= 1
+        print(f"\nACCEPTANCE 3 PASS: iteration bound held, strict on {strict} instances")
 
 
 def test_criterion_4_partitioning_scaling(tmp_path, capsys):

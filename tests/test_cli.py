@@ -226,6 +226,10 @@ def test_pipeline_rejects_unknown_mode_before_any_work(monkeypatch):
     assert built == []
 
 
+# output 3 equals input 1 (two clauses); output 4 is implied by input 2
+TWO_SHAPES_TEXT = "p cnf 4 3\na 1 2 0\ne 3 4 0\n-1 3 0\n1 -3 0\n-2 4 0\n"
+
+
 @pytest.mark.parametrize(
     "mode, name",
     [
@@ -244,7 +248,8 @@ def test_modes_look_up_procedures_at_call_time(monkeypatch, mode, name):
         return original(comp, *args)
 
     monkeypatch.setattr(synth, name, wrapped)
-    cli.run_pipeline(parse_qdimacs(identity_qdimacs(2)), cli.RunConfig(mode=mode))
+    # two components of different shapes, so each one is synthesized
+    cli.run_pipeline(parse_qdimacs(TWO_SHAPES_TEXT), cli.RunConfig(mode=mode))
     assert seen == [(3,), (4,)]
 
 
@@ -533,6 +538,20 @@ def test_bench_directory(tmp_path, capsys):
             assert key in r
     table = capsys.readouterr().out
     assert "ex" in table and "id" in table
+
+
+def test_bench_files_an_instance_under_its_longest_matching_prefix(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    for name in ("c_id2.qdimacs", "c_x.qdimacs", "d.qdimacs"):
+        (d / name).write_text(identity_qdimacs(2))
+    # `a` sorts first but has the shorter prefix; `id` and `z` tie on theirs
+    families = ["--family", "a=c_", "--family", "z=c_id", "--family", "id=c_id"]
+    assert main(["bench", str(d), *families]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[:2] for row in rows[1:-1]] == [["(other)", "1"], ["a", "1"], ["id", "1"]]
+    assert cli._family_of("c_id2.qdimacs", {"a": "c_", "z": "c_id", "id": "c_id"}) == "id"
+    assert cli._family_of("b.qdimacs", {"a": "c_"}) == "(other)"
 
 
 def test_bench_empty_directory(tmp_path, capsys):

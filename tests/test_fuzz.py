@@ -93,17 +93,18 @@ def small_specs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(small_specs(), st.sampled_from(sorted(cli.MODES)), st.booleans())
-def test_synth_verify_and_brute_force_agree(spec, mode, partition):
-    result = cli.run_pipeline(spec, cli.RunConfig(mode=mode, partition=partition))
-    table = brute_force_synthesize(spec)
-    assert (result["status"] == "realizable") == table.realizable
-    if not table.realizable:
-        x = {int(v): b for v, b in result["witness"]["input"].items()}
-        assert not any(spec.evaluate({**x, **y}) for y in assignments(spec.outputs))
-        return
-    assert result["verified"]
-    parts = dlist.parse_many(result["dl_text"], cli._specs_by_digest(spec))
-    impl = dlist.combine(parts, spec)
-    for x in assignments(spec.inputs):
-        y = dlist.evaluate_combined(impl, x)
-        assert y is not None and spec.evaluate({**x, **y})
+def test_synth_verify_and_brute_force_agree(maxsat_paths, spec, mode, partition):
+    for _ in maxsat_paths():
+        result = cli.run_pipeline(spec, cli.RunConfig(mode=mode, partition=partition))
+        table = brute_force_synthesize(spec)
+        assert (result["status"] == "realizable") == table.realizable
+        if not table.realizable:
+            x = {int(v): b for v, b in result["witness"]["input"].items()}
+            assert not any(spec.evaluate({**x, **y}) for y in assignments(spec.outputs))
+            continue
+        assert result["verified"]
+        parts = dlist.parse_many(result["dl_text"], cli._specs_by_digest(spec))
+        impl = dlist.combine(parts, spec)
+        for x in assignments(spec.inputs):
+            y = dlist.evaluate_combined(impl, x)
+            assert y is not None and spec.evaluate({**x, **y})

@@ -6,15 +6,20 @@ families at widths W and 2W: the equivalence chain, and disjoint copies of
 one planted component.  It bounds the ratio of exact work counts, never of
 times, so a trap that sizes per-component work to the whole specification
 fails here deterministically and on small inputs.  The totality check of
-`evaluate_combined` is counted as calls, too.
+`evaluate_combined` is counted as calls, too.  Same-shape copies are
+synthesized once and renamed for the rest, so the contracts that measure
+synthesis per copy run on copies whose input polarities make each shape
+distinct, and the same-shape ones count the synthesis calls (one at either
+width) and the verifier calls (one per copy).
 """
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from bafsynth import cli, dlist, sat
+from bafsynth import cli, dlist, sat, synth, verify
 from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
@@ -29,9 +34,11 @@ COPIES = 20
 PLANTED = parse_qdimacs(planted_spec_text(random.Random(6), 6, 3, 14))
 
 
-def planted_copies_qdimacs(copies: int) -> str:
+def planted_copies_qdimacs(copies: int, flip: bool = False) -> str:
     """`copies` disjoint copies of PLANTED: the same inputs, and each copy's
-    outputs renamed to a block of their own."""
+    outputs renamed to a block of their own.  With `flip`, copy c also
+    negates input i (1-based) wherever bit i-1 of c is set, so no two of
+    the first 2^6 copies have the same shape."""
     m, n = len(PLANTED.inputs), len(PLANTED.outputs)
     rename = {y: j for j, y in enumerate(PLANTED.outputs)}
     lines = [f"p cnf {m + copies * n} {copies * PLANTED.num_clauses}"]
@@ -39,15 +46,16 @@ def planted_copies_qdimacs(copies: int) -> str:
     lines.append("e " + " ".join(str(m + 1 + j) for j in range(copies * n)) + " 0")
     for c in range(copies):
         for xs, ys in PLANTED.clauses:
+            ins = [-l if flip and c >> (abs(l) - 1) & 1 else l for l in xs]
             out = [(m + 1 + c * n + rename[abs(l)]) * (1 if l > 0 else -1) for l in ys]
-            lines.append(" ".join(map(str, [*xs, *out])) + " 0")
+            lines.append(" ".join(map(str, [*ins, *out])) + " 0")
     return "\n".join(lines) + "\n"
 
 
 def _measured_run(monkeypatch, text: str, components: int) -> dict:
     """Work counts of one default run on the QDIMACS `text`, which must
     split into `components` components."""
-    made, calls = [], [0]
+    made, calls = [], Counter()
     init, add_clause = sat.Solver.__init__, sat.Solver.add_clause
 
     def counting_init(self):
@@ -55,12 +63,21 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
         made.append(self)
 
     def counting_add_clause(self, lits):
-        calls[0] += 1
+        calls["add_clause"] += 1
         add_clause(self, lits)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
 
     with monkeypatch.context() as m:
         m.setattr(sat.Solver, "__init__", counting_init)
         m.setattr(sat.Solver, "add_clause", counting_add_clause)
+        m.setattr(synth, "back_and_forth", counted("synth", synth.back_and_forth))
+        m.setattr(verify, "verify_decision_list", counted("verify", verify.verify_decision_list))
         result = run_pipeline(parse_qdimacs(text), RunConfig())
     assert result["verified"] and result["partitions"] == components
     dl_text = result.pop("dl_text")
@@ -69,7 +86,10 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
     report = json.dumps(_strip_ms(result), sort_keys=True, indent=2) + "\n"
     return {
         "nvars": sum(s.nvars for s in made),
-        "add_clause_calls": calls[0],
+        "add_clause_calls": calls["add_clause"],
+        "synth_calls": calls["synth"],
+        "verify_calls": calls["verify"],
+        "reused": sum(c["reuses"] is not None for c in result["components"]),
         "decisions": result["decisions"],
         "dl_bytes": len(dl_text.encode("utf-8")),
         "report_bytes": len(report.encode("utf-8")),
@@ -110,6 +130,15 @@ def test_written_output_grows_at_most_quadratically(runs, measure):
     assert large <= 4.1 * small, (measure, small, large)
 
 
+@pytest.fixture(scope="module")
+def flipped_runs():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        yield {
+            w: _measured_run(monkeypatch, planted_copies_qdimacs(w, flip=True), w)
+            for w in (COPIES, 2 * COPIES)
+        }
+
+
 @pytest.mark.parametrize("measure", ["nvars", "add_clause_calls", "decisions"])
 def test_planted_copies_grow_linearly(planted_runs, measure):
     # each copy is its own component, sized to the copy and not to the
@@ -117,6 +146,24 @@ def test_planted_copies_grow_linearly(planted_runs, measure):
     small, large = planted_runs[COPIES][measure], planted_runs[2 * COPIES][measure]
     assert small >= COPIES
     assert large <= 2.1 * small, (measure, small, large)
+
+
+@pytest.mark.parametrize("measure", ["nvars", "add_clause_calls"])
+def test_distinct_planted_copies_grow_linearly(flipped_runs, measure):
+    # every copy has a shape of its own, so every one is synthesized
+    assert [flipped_runs[w]["synth_calls"] for w in (COPIES, 2 * COPIES)] == [COPIES, 2 * COPIES]
+    assert flipped_runs[COPIES]["reused"] == flipped_runs[2 * COPIES]["reused"] == 0
+    small, large = flipped_runs[COPIES][measure], flipped_runs[2 * COPIES][measure]
+    assert small >= COPIES
+    assert large <= 2.1 * small, (measure, small, large)
+
+
+@pytest.mark.parametrize("copies", [COPIES, 2 * COPIES])
+def test_same_shape_copies_are_synthesized_once_and_each_verified(planted_runs, copies):
+    run = planted_runs[copies]
+    assert run["synth_calls"] == planted_runs[COPIES]["synth_calls"] == 1
+    assert run["reused"] == copies - 1
+    assert run["verify_calls"] == copies
 
 
 class KeysCountingInput(dict):

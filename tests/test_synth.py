@@ -4,12 +4,19 @@ from itertools import product
 
 import pytest
 
-from bafsynth import dlist, graph, maxsat, sat, synth
-from bafsynth.cli import RunConfig, run_pipeline
+from bafsynth import cli, dlist, graph, maxsat, sat, synth
+from bafsynth.cli import MODES, RunConfig, _shape, run_pipeline
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.maxsat import MaxSatSession, TableSession
-from bafsynth.model import Specification, holds, index_mask, mask_indices, parse_qdimacs
+from bafsynth.model import (
+    Specification,
+    holds,
+    index_mask,
+    mask_indices,
+    parse_qdimacs,
+    variables_of,
+)
 from bafsynth.synth import (
     CoverageQueryState,
     back_and_forth,
@@ -172,6 +179,13 @@ def test_output_session_is_sized_by_the_component(monkeypatch):
         MaxSatSession(c.outputs, [c.y_part(i) for i in c.indices]) for c, _ in made
     ]
     assert wide[0].solver.nvars == wide[1].solver.nvars <= 5
+
+
+def test_the_maxsat_paths_fixture_reaches_both_sessions(maxsat_paths, example1):
+    default = maxsat.TABLE_BITS
+    kinds = [(bits, type(output_session(example1))) for bits in maxsat_paths()]
+    assert kinds == [(default, TableSession), (0, MaxSatSession)]
+    assert maxsat.TABLE_BITS == default
 
 
 def test_back_and_forth_builds_two_solvers_per_component(monkeypatch):
@@ -475,18 +489,19 @@ def test_subsumed_finds_the_clauses_that_contain_another():
         assert got == oracles.subsumed_reference(spec)
 
 
-def test_back_and_forth_on_planted_subsumed_clauses_is_right_on_every_input():
-    rng = random.Random(23)
-    dropped = realizable = 0
-    for n in range(120):
-        make = planted_spec_text if n % 2 else random_synth_spec_text
-        spec = _with_subsumed(rng, parse_qdimacs(make(rng, 4, 3, rng.randint(4, 10))), 5)
-        out = back_and_forth(spec)
-        assert out.stats.subsumed == len(oracles.subsumed_reference(spec))
-        dropped += out.stats.subsumed
-        realizable += out.realizable
-        _assert_correct_everywhere(spec, out)
-    assert dropped > 500 and 0 < realizable < 120
+def test_back_and_forth_on_planted_subsumed_clauses_is_right_on_every_input(maxsat_paths):
+    for _ in maxsat_paths():
+        rng = random.Random(23)
+        dropped = realizable = 0
+        for n in range(120):
+            make = planted_spec_text if n % 2 else random_synth_spec_text
+            spec = _with_subsumed(rng, parse_qdimacs(make(rng, 4, 3, rng.randint(4, 10))), 5)
+            out = back_and_forth(spec)
+            assert out.stats.subsumed == len(oracles.subsumed_reference(spec))
+            dropped += out.stats.subsumed
+            realizable += out.realizable
+            _assert_correct_everywhere(spec, out)
+        assert dropped > 500 and 0 < realizable < 120
 
 
 def test_an_unrealizable_witness_maps_back_like_the_set_reference(monkeypatch):
@@ -787,26 +802,28 @@ def test_the_witness_input_is_read_in_the_failing_components_numbering(mode):
     assert witness["input"] == {str(v): b for v, b in x.items()}
 
 
-def test_mss_enumeration_agrees_with_brute_force_on_realizability():
-    for spec in _corpus(229, 60, max_in=4, max_out=4, max_clauses=8):
-        table = brute_force_synthesize(spec)
-        out = synth_by_mss_enumeration(spec)
-        assert out.realizable == table.realizable
-        if out.realizable:
-            assert verify_decision_list(spec, out.decision_list).verified
-        else:
-            x = synth.falsifying_input(spec, out.witness_mfs)
-            assert table.entries[tuple(x[v] for v in table.inputs)] is None
+def test_mss_enumeration_agrees_with_brute_force_on_realizability(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(229, 60, max_in=4, max_out=4, max_clauses=8):
+            table = brute_force_synthesize(spec)
+            out = synth_by_mss_enumeration(spec)
+            assert out.realizable == table.realizable
+            if out.realizable:
+                assert verify_decision_list(spec, out.decision_list).verified
+            else:
+                x = synth.falsifying_input(spec, out.witness_mfs)
+                assert table.entries[tuple(x[v] for v in table.inputs)] is None
 
 
-def test_mss_enumeration_finds_exactly_the_brute_force_mss():
-    for spec in _corpus(313, 60, max_in=4, max_out=4, max_clauses=9):
-        out = synth_by_mss_enumeration(spec)
-        mss_all = brute_force_mfs_mss(spec)[1]
-        assert out.stats.mss_recorded == len(mss_all)
-        if out.realizable:
-            found = {frozenset(spec.indices) - d.guard for d in out.decision_list.decisions}
-            assert found == set(mss_all)
+def test_mss_enumeration_finds_exactly_the_brute_force_mss(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(313, 60, max_in=4, max_out=4, max_clauses=9):
+            out = synth_by_mss_enumeration(spec)
+            mss_all = brute_force_mfs_mss(spec)[1]
+            assert out.stats.mss_recorded == len(mss_all)
+            if out.realizable:
+                found = {frozenset(spec.indices) - d.guard for d in out.decision_list.decisions}
+                assert found == set(mss_all)
 
 
 # ----------------------------------------------------------------------
@@ -895,77 +912,207 @@ def _corpus(seed, count, **kw):
 SUBSUMED_NOT_MSS_TEXT = "p cnf 5 3\na 1 2 3 0\ne 4 5 0\n1 4 0\n-1 -4 0\n1 3 4 5 0\n"
 
 
-def test_iteration_bound_and_nonredundancy():
-    # the loop runs on the spec less its subsumed clauses, so the bound and
-    # the MSS property hold for that reduced spec, in its own numbering
-    corpus = _corpus(211, 60, max_in=4, max_out=4, max_clauses=10)
-    for spec in [parse_qdimacs(SUBSUMED_NOT_MSS_TEXT), *corpus]:
-        out = back_and_forth(spec)
-        dropped = set(oracles.subsumed_reference(spec))
-        kept = [i for i in spec.indices if i not in dropped]
-        renumber = {c: j for j, c in enumerate(kept, 1)}
-        mfs_all, mss_all = brute_force_mfs_mss(spec.restrict(kept, spec.outputs))
-        if out.realizable:
-            assert out.stats.iterations <= min(len(mfs_all), len(mss_all))
-            sets = [
-                frozenset(renumber[c] for c in kept if c not in d.guard)
-                for d in out.decision_list.decisions
-            ]
-            assert len(set(sets)) == len(sets)
-            for s in sets:
-                assert s in mss_all
+def test_iteration_bound_and_nonredundancy(maxsat_paths):
+    for _ in maxsat_paths():
+        # the loop runs on the spec less its subsumed clauses, so the bound and
+        # the MSS property hold for that reduced spec, in its own numbering
+        corpus = _corpus(211, 60, max_in=4, max_out=4, max_clauses=10)
+        for spec in [parse_qdimacs(SUBSUMED_NOT_MSS_TEXT), *corpus]:
+            out = back_and_forth(spec)
+            dropped = set(oracles.subsumed_reference(spec))
+            kept = [i for i in spec.indices if i not in dropped]
+            renumber = {c: j for j, c in enumerate(kept, 1)}
+            mfs_all, mss_all = brute_force_mfs_mss(spec.restrict(kept, spec.outputs))
+            if out.realizable:
+                assert out.stats.iterations <= min(len(mfs_all), len(mss_all))
+                sets = [
+                    frozenset(renumber[c] for c in kept if c not in d.guard)
+                    for d in out.decision_list.decisions
+                ]
+                assert len(set(sets)) == len(sets)
+                for s in sets:
+                    assert s in mss_all
 
 
-def test_cross_mode_agreement():
-    for spec in _corpus(223, 50, max_in=4, max_out=4, max_clauses=8):
-        table = brute_force_synthesize(spec)
-        baf = back_and_forth(spec)
-        assert baf.realizable == table.realizable
-        if not table.realizable:
-            continue
-        mfs_mode = synth_by_mfs_enumeration(spec)
-        mss_list = synth_by_mss_enumeration(spec).decision_list
-        assert mfs_mode.realizable
-        for dl in (baf.decision_list, mfs_mode.decision_list, mss_list):
-            assert verify_decision_list(spec, dl).verified
-        assert len(baf.decision_list) <= len(mfs_mode.decision_list)
-        assert len(baf.decision_list) <= len(mss_list)
+def test_cross_mode_agreement(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(223, 50, max_in=4, max_out=4, max_clauses=8):
+            table = brute_force_synthesize(spec)
+            baf = back_and_forth(spec)
+            assert baf.realizable == table.realizable
+            if not table.realizable:
+                continue
+            mfs_mode = synth_by_mfs_enumeration(spec)
+            mss_list = synth_by_mss_enumeration(spec).decision_list
+            assert mfs_mode.realizable
+            for dl in (baf.decision_list, mfs_mode.decision_list, mss_list):
+                assert verify_decision_list(spec, dl).verified
+            assert len(baf.decision_list) <= len(mfs_mode.decision_list)
+            assert len(baf.decision_list) <= len(mss_list)
 
 
-def test_partition_correctness_exhaustive():
-    for spec in _corpus(227, 40, max_in=4, max_out=4, max_clauses=8):
-        if spec.empty_ypart_indices:
-            continue
-        table = brute_force_synthesize(spec)
-        if not table.realizable:
-            continue
-        parts = partition_by_output_variables(spec)
-        outcomes = [back_and_forth(p) for p in parts]
-        assert all(o.realizable for o in outcomes)
-        combined = dlist.combine([o.decision_list for o in outcomes], spec)
-        for xbits, _ in table.entries.items():
-            x = dict(zip(spec.inputs, xbits))
-            y = dlist.evaluate_combined(combined, x)
-            assert y is not None
-            assert spec.evaluate({**x, **y})
+def test_partition_correctness_exhaustive(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(227, 40, max_in=4, max_out=4, max_clauses=8):
+            if spec.empty_ypart_indices:
+                continue
+            table = brute_force_synthesize(spec)
+            if not table.realizable:
+                continue
+            parts = partition_by_output_variables(spec)
+            outcomes = [back_and_forth(p) for p in parts]
+            assert all(o.realizable for o in outcomes)
+            combined = dlist.combine([o.decision_list for o in outcomes], spec)
+            for xbits, _ in table.entries.items():
+                x = dict(zip(spec.inputs, xbits))
+                y = dlist.evaluate_combined(combined, x)
+                assert y is not None
+                assert spec.evaluate({**x, **y})
 
 
-def test_any_firing_decision_is_sound():
-    for spec in _corpus(229, 30, max_in=4, max_out=4, max_clauses=8):
-        out = back_and_forth(spec)
-        if not out.realizable:
-            continue
-        for x in oracles.assignments(spec.inputs):
-            for dec in out.decision_list.decisions:
-                fires = all(holds(spec.x_part(g), x) for g in dec.guard)
-                if fires:
-                    assert spec.evaluate({**x, **dec.output})
+def test_any_firing_decision_is_sound(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(229, 30, max_in=4, max_out=4, max_clauses=8):
+            out = back_and_forth(spec)
+            if not out.realizable:
+                continue
+            for x in oracles.assignments(spec.inputs):
+                for dec in out.decision_list.decisions:
+                    fires = all(holds(spec.x_part(g), x) for g in dec.guard)
+                    if fires:
+                        assert spec.evaluate({**x, **dec.output})
 
 
-def test_determinism_of_back_and_forth():
-    for spec in _corpus(233, 20, max_clauses=10):
-        a = back_and_forth(spec)
-        b = back_and_forth(spec)
-        assert a.status == b.status
-        if a.realizable:
-            assert a.decision_list == b.decision_list
+def test_determinism_of_back_and_forth(maxsat_paths):
+    for _ in maxsat_paths():
+        for spec in _corpus(233, 20, max_clauses=10):
+            a = back_and_forth(spec)
+            b = back_and_forth(spec)
+            assert a.status == b.status
+            if a.realizable:
+                assert a.decision_list == b.decision_list
+
+
+# ----------------------------------------------------------------------
+# renaming invariance: why `run_pipeline` may reuse a component's list
+
+SYNTHESIZERS = (back_and_forth, synth_by_mfs_enumeration, synth_by_mss_enumeration)
+
+
+def _renaming(rng: random.Random, comp: Specification) -> tuple[dict[int, int], dict[int, int]]:
+    """An input and an output renaming of `comp` onto fresh ids: the
+    inputs its x-parts use go in order to a sorted sample, its other
+    inputs to the rest of the sample in any order, and its outputs in
+    order to a sorted sample of their own."""
+    fresh = sorted(rng.sample(range(100, 400), len(comp.inputs)))
+    used = variables_of(x_lits for x_lits, _ in comp.clauses)
+    at = sorted(rng.sample(range(len(fresh)), len(used)))
+    rest = [v for k, v in enumerate(fresh) if k not in at]
+    rng.shuffle(rest)
+    inputs = dict(zip(used, (fresh[k] for k in at)))
+    inputs.update(zip((v for v in comp.inputs if v not in inputs), rest))
+    outputs = dict(zip(sorted(comp.outputs), sorted(rng.sample(range(500, 800), len(comp.outputs)))))
+    return inputs, outputs
+
+
+def _renamed_clauses(comp: Specification, inputs: dict[int, int], outputs: dict[int, int]):
+    def part(lits, ids):
+        return tuple(ids[abs(l)] if l > 0 else -ids[abs(l)] for l in lits)
+
+    return [(part(x, inputs), part(y, outputs)) for x, y in comp.clauses]
+
+
+def _rename(comp: Specification, inputs: dict[int, int], outputs: dict[int, int]) -> Specification:
+    return Specification(
+        tuple(map(inputs.get, comp.inputs)),
+        tuple(map(outputs.get, comp.outputs)),
+        tuple(_renamed_clauses(comp, inputs, outputs)),
+    )
+
+
+def _random_components(seed: int, count: int) -> list[Specification]:
+    """`count` components of two or more clauses, from random and planted
+    specifications in turn."""
+    rng, comps = random.Random(seed), []
+    while len(comps) < count:
+        if len(comps) % 2:
+            text = planted_spec_text(rng, rng.randint(3, 5), rng.randint(1, 4), rng.randint(2, 12))
+        else:
+            text = random_spec_text(rng, max_in=5, max_out=3, max_clauses=14)
+        parts = partition_by_output_variables(parse_qdimacs(text))
+        comps += [comp for comp in parts if comp.num_clauses > 1]
+    return comps[:count]
+
+
+def test_an_order_preserving_renaming_changes_no_synthesis(maxsat_paths):
+    comps = _random_components(331, 200)
+    for _ in maxsat_paths():
+        rng = random.Random(337)
+        realizable = 0
+        for comp in comps:
+            inputs, outputs = _renaming(rng, comp)
+            twin = _rename(comp, inputs, outputs)
+            for synthesize in SYNTHESIZERS:
+                a, b = synthesize(comp), synthesize(twin)
+                assert (a.status, a.stats, a.witness_mfs) == (b.status, b.stats, b.witness_mfs)
+                if a.realizable:
+                    realizable += 1
+                    da, db = a.decision_list.decisions, b.decision_list.decisions
+                    assert [d.guard for d in da] == [d.guard for d in db]
+                    assert [{outputs[v]: x for v, x in d.output.items()} for d in da] == [
+                        d.output for d in db
+                    ]
+        assert 100 < realizable < 3 * len(comps)
+
+
+def _with_renamed_copies(rng: random.Random, spec: Specification, copies: int) -> Specification:
+    """`spec`'s components and `copies` renamed copies of them, over a
+    shared input block and disjoint output blocks, the components'
+    clauses interleaved in a random order that keeps each one's own."""
+    comps = partition_by_output_variables(spec)
+    pool = list(range(1, 2 * len(spec.inputs) + 1))
+    top = len(pool)
+    blocks = []
+    for n in range(copies + 1):
+        for comp in comps:
+            used = variables_of(x_lits for x_lits, _ in comp.clauses)
+            inputs = dict(zip(used, sorted(rng.sample(pool, len(used))) if n else used))
+            outputs = dict(zip(sorted(comp.outputs), range(top + 1, top + len(comp.outputs) + 1)))
+            top += len(comp.outputs)
+            blocks.append(_renamed_clauses(comp, inputs, outputs))
+    clauses = []
+    while any(blocks):
+        clauses.append(rng.choice([b for b in blocks if b]).pop(0))
+    return Specification(tuple(pool), tuple(range(len(pool) + 1, top + 1)), tuple(clauses))
+
+
+def test_a_reused_component_gets_the_list_synthesis_would_give_it(maxsat_paths):
+    rng = random.Random(347)
+    specs = []
+    while len(specs) < 30:
+        make = planted_spec_text if len(specs) % 3 else random_synth_spec_text
+        spec = parse_qdimacs(make(rng, 3, 3, rng.randint(2, 6)))
+        if not spec.empty_ypart_indices:
+            specs.append(_with_renamed_copies(rng, spec, rng.randint(1, 2)))
+    for _ in maxsat_paths():
+        reused = 0
+        for spec, mode in product(specs, sorted(MODES)):
+            cfg = RunConfig(mode=mode)
+            result = run_pipeline(spec, cfg)
+            comps = partition_by_output_variables(spec)
+            for ci, (comp, record) in enumerate(zip(comps, result["components"]), 1):
+                j = record["reuses"]
+                if j is None:
+                    continue
+                reused += 1
+                assert j < ci and _shape(comps[j - 1]) == _shape(comp)
+                assert [record[k] for k in ("iterations", "sat_calls", "maxsat_calls")] == [0, 0, 0]
+                direct = MODES[mode](comp, cfg)
+                if record["status"] == "realizable":
+                    assert result["decision_lists"][ci - 1] == dlist.to_json_dict(direct.decision_list)
+                    assert record["decisions"] == len(direct.decision_list)
+            if result["status"] == "realizable":
+                assert result["verified"]
+                lists = dlist.parse_many(result["dl_text"], cli._specs_by_digest(spec))
+                assert all(verify_decision_list(dl.spec, dl).verified for dl in lists)
+        assert reused > 60
