@@ -496,7 +496,7 @@ def cmd_bench(args) -> int:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         n = len(paths)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, n)) as pool:
             records = list(pool.map(_bench_one, paths, [cfg] * n, [args.timeout] * n))
     else:
         records = [_bench_one(p, cfg, args.timeout) for p in paths]

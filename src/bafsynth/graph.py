@@ -70,8 +70,11 @@ class MisEnumeration:
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
         """The sets in lexicographic order of their sorted index tuples;
-        `limit` of them, in the same order, on overflow."""
-        combos = islice(product(*self.parts), self.limit)
+        `limit` of them, in the same order, on overflow.  Only an overflow
+        is sliced: `islice` takes no stop above `sys.maxsize`."""
+        combos = product(*self.parts)
+        if self.overflow:
+            combos = islice(combos, self.limit)
         return tuple(sorted((self.isolated.union(*c) for c in combos), key=sorted))
 
 

@@ -153,11 +153,7 @@ def subsumed(spec: Specification) -> int:
     (the subsumption step of SAT and QBF preprocessors).  The clauses that
     hold every literal of d are the AND of one occurrence mask per literal,
     less d.  The AND starts from the mask of every clause, so the empty
-    clause, which has no literal, is held by every other clause.
-    Equal-length distinct clauses cannot contain one another, so when every
-    clause has the same length no mask is built."""
-    if len({len(x) + len(y) for x, y in spec.clauses}) < 2:
-        return 0
+    clause, which has no literal, is held by every other clause."""
     occurs: dict[int, int] = {}
     for i, (x_lits, y_lits) in enumerate(spec.clauses, 1):
         for lit in x_lits + y_lits:
@@ -194,7 +190,6 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.subsumed = spec.num_clauses - len(kept)
     state = CoverageQueryState(part)
     session = output_session(part)
-    mfs_list: list[frozenset[int]] = []
     mss_list: list[frozenset[int]] = []
     witnesses: list[Assignment] = []
     while True:
@@ -210,14 +205,13 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
                 mfs = extend_to_mis(conflict_masks(spec), (kept[i - 1] for i in mfs))
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
-        mfs_list.append(mfs)
         mss_list.append(mss)
         witnesses.append(witness)
         stats.mss_recorded += 1
         if len(mss) == part.num_clauses:
             break  # full cover: every MFS is a subset, nothing left to find
         record_mss(state, mss)
-    chosen = irredundant(part, mfs_list, mss_list)
+    chosen = irredundant(part, mss_list)
     mss_list, witnesses = [mss_list[i] for i in chosen], [witnesses[i] for i in chosen]
     if dropped:
         back = [(c, spec.y_part(c)) for c in mask_indices(dropped)]
@@ -230,30 +224,16 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
 
-def irredundant(
-    spec: Specification, mfs_list: list[frozenset[int]], mss_list: list[frozenset[int]]
-) -> list[int]:
+def irredundant(spec: Specification, mss_list: list[frozenset[int]]) -> list[int]:
     """The positions, ascending, of the back-and-forth decisions to keep:
     going from the last decision to the first, drop each one whose guard
     fires only on inputs that fire some other decision still kept
     (Espresso's IRREDUNDANT step on the guards).  A decision is sound
     wherever its guard fires, so the kept ones still cover every input.
-
-    MSS i was recorded for MFS i, which no earlier MSS contains.  When no
-    later MSS contains it either, `falsifying_input(MFS i)` fires decision
-    i alone, so it stays; the last decision always does.  When every
-    decision of the list is such a one, nothing can be dropped, and all are
-    kept without building masks: the masks would keep them too, at several
-    times the cost on lists of a few decisions.  Otherwise every decision
-    goes through the step on truth-table masks over the inputs of the
-    guards' x-parts: one per guarded x-part, and two per decision (the
-    inputs that fire it, and those that fire an earlier one).  When these
-    do not fit the MaxSAT table budget (`table_fits`), every decision is
-    kept."""
-    if not any(
-        mfs <= later for i, mfs in enumerate(mfs_list, 1) for later in mss_list[i:]
-    ):
-        return list(range(len(mss_list)))
+    The step runs on truth-table masks over the inputs of the guards'
+    x-parts: one per guarded x-part, and two per decision (the inputs that
+    fire it, and those that fire an earlier one).  When these do not fit
+    the MaxSAT table budget (`table_fits`), every decision is kept."""
     every = frozenset(spec.indices)
     guards = [every - m for m in mss_list]
     guarded = frozenset().union(*guards)

@@ -112,20 +112,30 @@ def repeated_ypart_spec_text(rng: random.Random, max_in=5, max_out=4, max_clause
     return "\n".join(lines) + "\n"
 
 
+PLANTED_MISSES = 10_000  # draws in a row without a new clause
+
+
 def planted_spec_text(rng: random.Random, m: int, n: int, k: int) -> str:
     """k distinct clauses over inputs 1..m and outputs m+1..m+n that hold
     when each output copies a random literal of one input: one or two
     output literals, up to two input literals, and the negation of the
-    first output literal's planted value.  Realizable by construction."""
+    first output literal's planted value.  Realizable by construction.
+    Raises ValueError after PLANTED_MISSES draws in a row that add no
+    clause, which is how a k beyond the clauses m and n allow shows."""
     image = {y: rng.choice((1, -1)) * rng.randint(1, m) for y in range(m + 1, m + n + 1)}
     clauses: dict[frozenset[int], None] = {}
     sign = lambda v: rng.choice((1, -1)) * v  # noqa: E731
+    misses = 0
     while len(clauses) < k:
         ys = [sign(y) for y in rng.sample(sorted(image), rng.randint(1, min(2, n)))]
         xs = {sign(x) for x in rng.sample(range(1, m + 1), rng.randint(0, min(2, m)))}
         first = image[abs(ys[0])] if ys[0] > 0 else -image[abs(ys[0])]
+        before = len(clauses)
         if first not in xs:
             clauses[frozenset(xs | {-first, *ys})] = None
+        misses = 0 if len(clauses) > before else misses + 1
+        if misses == PLANTED_MISSES:
+            raise ValueError(f"{k} distinct clauses look out of reach over {m} inputs and {n} outputs")
     lines = [f"p cnf {m + n} {k}"]
     lines.append("a " + " ".join(str(v) for v in range(1, m + 1)) + " 0")
     lines.append("e " + " ".join(str(v) for v in range(m + 1, m + n + 1)) + " 0")

@@ -1,11 +1,15 @@
 """Smoke tests for tools/ab.py, the in-process A/B timer."""
 
+import argparse
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from bafsynth.cli import RunConfig, run_pipeline
+from bafsynth.model import parse_qdimacs
 
 ROOT = Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
@@ -36,6 +40,39 @@ def test_ab_counts_the_decisions_of_synth_operations_only():
     res = _ab(str(ROOT), str(ROOT), "--workload", "graph-structure", "--passes", "1")
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[1].endswith(" s, 61 decisions per pass")
+
+
+def test_ab_times_planted_shapes_in_place_of_a_workload():
+    res = _ab(str(ROOT), str(ROOT), "--shape", "3x2x6", "--shape", "4x3x8", "--passes", "1")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "shapes 3x2x6 4x3x8, 1 passes"
+    ab = _load_ab()
+    corpus = ab.shape_corpus([(3, 2, 6), (4, 3, 8)])
+    assert [inst.name for inst in corpus] == ["planted-3x2-6", "planted-4x3-8"]
+    assert all(inst.ops == ("synth",) for inst in corpus)
+    decisions = sum(
+        run_pipeline(parse_qdimacs(inst.qdimacs()), RunConfig())["decisions"] for inst in corpus
+    )
+    assert lines[1].endswith(f" s, {decisions} decisions per pass")
+    assert lines[2].endswith(f" s, {decisions} decisions per pass")
+
+
+def test_ab_rejects_a_malformed_shape():
+    shape = _load_ab().shape
+    assert shape("12x10x300") == (12, 10, 300)
+    for bad in ("3x2", "3x0x6", "1x2x6", "2x1x6", "3x2x0", "axbxc", "3x2x6x1", "-3x2x6"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            shape(bad)
+    res = _ab(str(ROOT), str(ROOT), "--shape", "3x0x6")
+    assert res.returncode != 0
+    assert "'3x0x6' is not MxNxK" in res.stderr
+
+
+def test_ab_takes_a_workload_or_shapes_but_not_both():
+    res = _ab(str(ROOT), str(ROOT), "--shape", "3x2x6", "--workload", "equiv-chain")
+    assert res.returncode != 0
+    assert "not allowed with" in res.stderr
 
 
 def test_ab_rejects_a_directory_without_sources(tmp_path):

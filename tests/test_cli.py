@@ -132,6 +132,16 @@ def test_synth_resource_limit_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_synth_takes_a_mis_limit_above_sys_maxsize(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "id3.qdimacs", identity_qdimacs(3))
+    limit = str(sys.maxsize * 10**4)
+    code, doc = _run(capsys, ["synth", f, "--mode", "mfs-enum", "--mis-limit", limit])
+    assert code == 0 and doc["verified"]
+    monkeypatch.setenv("BAFSYNTH_MIS_LIMIT", limit)
+    code, doc = _run(capsys, ["synth", f, "--mode", "mfs-enum", "--no-partition"])
+    assert code == 0 and doc["verified"] and doc["decisions"] == 8
+
+
 def test_synth_timeout(tmp_path, capsys):
     # without partitioning the equivalence family needs one iteration per
     # output pattern, far beyond a one-second budget at width 16
@@ -582,6 +592,34 @@ def test_bench_parallel_jobs(tmp_path, capsys):
     assert code == 0
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert all(r["status"] == "realizable" for r in records)
+
+
+def test_bench_starts_no_more_workers_than_files(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Pool:  # runs in this process, and records the pool size asked for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    d = tmp_path / "bench"
+    d.mkdir()
+    for k in (1, 2, 3):
+        (d / f"id{k}.qdimacs").write_text(identity_qdimacs(k))
+    assert main(["bench", str(d), "--jobs", "8"]) == 0
+    assert main(["bench", str(d), "--jobs", "2"]) == 0
+    assert started == [3, 2]
+    assert "total instances: 3" in capsys.readouterr().out
 
 
 def test_env_override(tmp_path, capsys, monkeypatch):

@@ -132,6 +132,13 @@ def test_enumerate_mis_overflow_flag():
     assert len(enum.sets) == 100
 
 
+def test_enumerate_mis_takes_a_limit_above_sys_maxsize():
+    g = build_conflict_graph(parse_qdimacs(identity_qdimacs(3)))
+    enum = enumerate_mis(g, sys.maxsize + 1)
+    assert not enum.overflow
+    assert enum.sets == enumerate_mis(g, 100).sets and len(enum.sets) == 8
+
+
 def test_mis_matches_subset_enumeration_oracle():
     rng = random.Random(43)
     for _ in range(60):

@@ -302,6 +302,15 @@ def test_back_and_forth_single_full_mss():
     assert out.decision_list.decisions[0].guard == frozenset()
 
 
+def test_planted_spec_text_raises_when_k_is_out_of_reach():
+    # one input and one output allow two clauses: (-x | y) and (x | -y), up
+    # to the planted polarity
+    rng = random.Random(1)
+    assert planted_spec_text(rng, 1, 1, 2).count(" 0\n") == 4
+    with pytest.raises(ValueError, match="10 distinct clauses"):
+        planted_spec_text(rng, 1, 1, 10)
+
+
 # ----------------------------------------------------------------------
 # irredundant decisions
 
@@ -340,14 +349,14 @@ e 4 5 6 0
 
 
 def _recorded_steps(monkeypatch):
-    """Record every call of `synth.irredundant` as (spec, MFS list, MSS
-    list, kept positions)."""
+    """Record every call of `synth.irredundant` as (spec, MSS list, kept
+    positions)."""
     calls = []
     step = synth.irredundant
 
-    def recorded(spec, mfs_list, mss_list):
-        kept = step(spec, mfs_list, mss_list)
-        calls.append((spec, mfs_list, mss_list, kept))
+    def recorded(spec, mss_list):
+        kept = step(spec, mss_list)
+        calls.append((spec, mss_list, kept))
         return kept
 
     monkeypatch.setattr(synth, "irredundant", recorded)
@@ -361,7 +370,7 @@ def test_irredundant_keeps_what_the_brute_force_greedy_keeps(monkeypatch):
         m, n, k = rng.randint(4, 6), rng.randint(3, 5), rng.randint(12, 24)
         assert back_and_forth(parse_qdimacs(planted_spec_text(rng, m, n, k))).realizable
     dropped = 0
-    for spec, _, mss_list, kept in calls:
+    for spec, mss_list, kept in calls:
         assert kept == oracles.irredundant_reference(spec, mss_list)
         dropped += len(mss_list) - len(kept)
     # subsumption leaves fewer recorded MSS to drop
@@ -372,12 +381,12 @@ def test_irredundant_drops_every_decision_before_a_full_mss(monkeypatch):
     spec = parse_qdimacs(DROPPING_TEXT)
     calls = _recorded_steps(monkeypatch)
     back_and_forth(spec)
-    ((_, mfs_list, mss_list, kept),) = calls
+    ((_, mss_list, kept),) = calls
     assert kept == [0, 2, 3]
     # Had MFS 3, which the first two MSS leave uncovered, grown into every
     # clause, the third decision's empty guard would fire on every input.
     mss_list = [*mss_list[:2], frozenset(spec.indices)]
-    assert synth.irredundant(spec, mfs_list[:3], mss_list) == [2]
+    assert synth.irredundant(spec, mss_list) == [2]
     assert oracles.irredundant_reference(spec, mss_list) == [2]
 
 
@@ -385,18 +394,15 @@ def test_irredundant_keeps_a_decision_that_only_a_dropped_one_covers(monkeypatch
     spec = parse_qdimacs(NEEDED_TEXT)
     calls = _recorded_steps(monkeypatch)
     out = back_and_forth(spec)
-    ((reduced, _, mss_list, kept),) = calls
+    ((reduced, mss_list, kept),) = calls
     assert reduced.clauses == tuple(spec.clauses[i - 1] for i in (1, 4, 6, 7))
     assert len(mss_list) == 3
     assert kept == oracles.irredundant_reference(reduced, mss_list) == [0, 2]
     assert verify_decision_list(spec, out.decision_list).verified
 
 
-def test_irredundant_needs_no_masks_when_every_decision_has_its_own_input(monkeypatch):
-    def no_masks(variables, clauses):
-        raise AssertionError("the prefilter settles every decision")
-
-    monkeypatch.setattr(synth, "clause_masks", no_masks)
+def test_irredundant_keeps_every_decision_that_has_its_own_input():
+    # each value of x fires one decision of y <-> x alone, so both stay
     for comp in partition_by_output_variables(parse_qdimacs(identity_qdimacs(4))):
         out = back_and_forth(comp)
         assert len(out.decision_list) == out.stats.iterations == 2
@@ -427,7 +433,7 @@ def test_irredundant_keeps_every_decision_when_the_masks_do_not_fit(monkeypatch)
     assert back_and_forth(spec).decision_list.decisions == pruned.decisions
     monkeypatch.setattr(maxsat, "TABLE_BITS", ((5 + 2 * 4 + 3) << 3) - 1)
     out = back_and_forth(spec)
-    (_, (_, _, mss_list, kept)) = calls
+    (_, (_, mss_list, kept)) = calls
     assert kept == [0, 1, 2, 3]
     every = frozenset(spec.indices)
     decisions = out.decision_list.decisions

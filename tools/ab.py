@@ -1,16 +1,22 @@
 """Time two bafsynth checkouts against each other in one process.
 
     python3 tools/ab.py A B --workload NAME [--seed N] [--passes P]
+    python3 tools/ab.py A B --shape MxNxK [--shape MxNxK ...] [--passes P]
 
 A and B are checkout roots.  Each one's `src/bafsynth` is imported under its
 own module name (`bafsynth_a`, `bafsynth_b`), so both run in this
 interpreter and see the same host at nearly the same moments; separate
 processes on a busy host can differ by a third.  The corpus is
-`gen.WORKLOADS[NAME](N)` from this checkout's perfbench, which is only read,
-and each operation is perfbench's own (`run.OPS`).  A pass parses every
-instance (untimed) and runs its operations, each after a `gc.collect()`;
-the pass time is the sum of the operation times.  Passes alternate between
-the sides, A first on even passes and B first on odd ones.  One pass of
+`gen.WORKLOADS[NAME](N)` from this checkout's perfbench, which is only read.
+With `--shape` in place of `--workload` it is one realizable planted spec
+per shape, `gen.planted(random.Random(7), M, N, K, False)` with M inputs, N
+outputs and K clauses, to time components wider than the workloads' (the
+seed does not apply; gen.planted draws until it has K distinct clauses, so
+K must be within reach of M and N).  Each operation is perfbench's own
+(`run.OPS`).  A pass parses every instance (untimed) and runs its
+operations, each after a `gc.collect()`; the pass time is the sum of the
+operation times.  Passes alternate between the sides, A first on even
+passes and B first on odd ones.  One pass of
 perfbench's host-speed kernel (`calib.pass_s`) is timed before the first
 pass and after every pass, and each pass time is divided by its host
 factor, the mean of the kernel times right before and after it over
@@ -32,6 +38,8 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import random
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -86,6 +94,21 @@ def verdict(a: list[float], b: list[float]) -> str:
     return "within noise"
 
 
+def shape(text: str) -> tuple[int, int, int]:
+    """`MxNxK` as (M, N, K).  gen.planted samples up to two inputs and two
+    outputs for a clause, so M and N must be at least 2."""
+    got = re.fullmatch(r"(\d+)x(\d+)x(\d+)", text)
+    dims = tuple(map(int, got.groups())) if got else (0, 0, 0)
+    if min(dims[:2]) < 2 or dims[2] < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not MxNxK with M, N >= 2 and K >= 1")
+    return dims
+
+
+def shape_corpus(shapes: list[tuple[int, int, int]]) -> list[gen.Instance]:
+    """One planted realizable spec per shape, each from its own seed-7 rng."""
+    return [gen.planted(random.Random(7), m, n, k, False) for m, n, k in shapes]
+
+
 def one_pass(p: SimpleNamespace, corpus: list[tuple[str, tuple[str, ...]]]) -> tuple[float, int]:
     """Seconds spent in the operations of one pass over `corpus`, and the
     decisions of its synth operations' reports."""
@@ -106,14 +129,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", type=Path, help="checkout root of side A")
     ap.add_argument("b", type=Path, help="checkout root of side B")
-    ap.add_argument("--workload", required=True, choices=sorted(gen.WORKLOADS))
-    ap.add_argument("--seed", type=int, default=1)
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload", choices=sorted(gen.WORKLOADS))
+    what.add_argument("--shape", type=shape, action="append", help="MxNxK, repeatable")
+    ap.add_argument("--seed", type=int, default=1, help="the workload's seed")
     ap.add_argument("--passes", type=int, default=20)
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be positive")
     sides = {"A": load(args.a.resolve(), "bafsynth_a"), "B": load(args.b.resolve(), "bafsynth_b")}
-    corpus = [(inst.qdimacs(), inst.ops) for inst in gen.WORKLOADS[args.workload](args.seed)]
+    if args.shape:
+        instances = shape_corpus(args.shape)
+        title = "shapes " + " ".join("x".join(map(str, dims)) for dims in args.shape)
+    else:
+        instances = gen.WORKLOADS[args.workload](args.seed)
+        title = f"workload {args.workload}, seed {args.seed}"
+    corpus = [(inst.qdimacs(), inst.ops) for inst in instances]
     times: dict[str, list[float]] = {"A": [], "B": []}
     counts: dict[str, set[int]] = {"A": set(), "B": set()}
     kernel = calib.pass_s()
@@ -129,7 +160,7 @@ def main(argv=None) -> int:
     med = {side: statistics.median(ts) for side, ts in times.items()}
     dec = {side: seen.pop() for side, seen in counts.items()}
     wins = sum(b < a for a, b in zip(times["A"], times["B"]))
-    print(f"workload {args.workload}, seed {args.seed}, {args.passes} passes")
+    print(f"{title}, {args.passes} passes")
     print(f"A {args.a}: median {med['A']:.6f} s, {dec['A']} decisions per pass")
     print(f"B {args.b}: median {med['B']:.6f} s, {dec['B']} decisions per pass")
     print(f"B / A = {med['B'] / med['A']:.4f}; B faster in {wins} of {args.passes} passes")
