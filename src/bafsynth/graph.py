@@ -8,11 +8,12 @@ falsifiable subsets (MFS), and equal the maximal cliques of the complement
 (the consensus graph); only `analyze` and MFS enumeration build the graphs.
 
 Both the enumeration and the analysis split the conflict graph into its
-connected components.  A clause whose x-part conflicts with no other is an
-isolated vertex and belongs to every MFS.  Every other component is
-searched on its own, and the MFS are the Cartesian product of the
-components' maximal independent sets (with every isolated vertex added),
-so their count is the product of the components' counts.  The consensus
+connected components (`components`, which also splits the clauses by
+shared outputs for `synth.partition_by_output_variables`).  A clause whose
+x-part conflicts with no other is an isolated vertex and belongs to every
+MFS.  Every other component is searched on its own, and the MFS are the
+Cartesian product of the components' maximal independent sets (with every
+isolated vertex added), so their count is the product of the components' counts.  The consensus
 graph is the join of the components' complements, and a join is chordal
 exactly when every part is and at most one part is not complete: so it is
 not chordal when two or more components have an edge, and otherwise it is
@@ -132,22 +133,23 @@ def _consensus_masks(g: ConflictGraph, part: int) -> dict[int, int]:
     return {v: part & ~(g.conflicts[v] | 1 << v) for v in mask_indices(part)}
 
 
-def _components(g: ConflictGraph) -> tuple[frozenset[int], list[int]]:
-    """The isolated vertices, and the vertex mask of each connected
-    component with an edge, the components in order of their least vertex."""
+def components(links: Sequence[int]) -> tuple[frozenset[int], list[int]]:
+    """Split a graph given as one symmetric mask per vertex (`links[0] = 0`)
+    into its connected components: the vertices whose mask is 0, and the
+    vertex mask of every other component, in order of its least vertex."""
     isolated: list[int] = []
     parts: list[int] = []
     seen = 0
-    for v in range(1, len(g.conflicts)):
-        if not g.conflicts[v]:
+    for v in range(1, len(links)):
+        if not links[v]:
             isolated.append(v)
         elif not seen >> v & 1:
-            part, todo = 1 << v, g.conflicts[v]
+            part, todo = 1 << v, links[v]
             while todo:
                 part |= todo
                 reached = 0
                 for u in mask_indices(todo):
-                    reached |= g.conflicts[u]
+                    reached |= links[u]
                 todo = reached & ~part
             parts.append(part)
             seen |= part
@@ -202,7 +204,7 @@ def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     holds `limit` of them, in the same order."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    isolated, parts = _components(g)
+    isolated, parts = components(g.conflicts)
     per_part: list[tuple[frozenset[int], ...]] = []
     overflow, total = False, 1
     for part in parts:
@@ -220,7 +222,7 @@ def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
     both by the component rules of the module docstring."""
     if budget < 1:
         raise ValueError("budget must be positive")
-    _, parts = _components(g)
+    _, parts = components(g.conflicts)
     count: int | None = 1
     chordal = len(parts) < 2
     for part in parts:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .dlist import DecisionList, build_decision_list
 from .errors import LimitError
-from .graph import build_conflict_graph, conflict_masks, enumerate_mis, extend_to_mis
+from .graph import build_conflict_graph, components, conflict_masks, enumerate_mis, extend_to_mis
 from .maxsat import MaxSatSession, TableSession, new_session, solve_partial_maxsat, table_fits
 from .model import (
     Assignment,
@@ -183,11 +183,9 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
     maps back through `extend_to_mis` on `spec`'s `conflict_masks`."""
     stats = Stats()
     dropped = subsumed(spec)
-    part = spec
-    if dropped:
-        kept = list(mask_indices(spec.full_mask ^ dropped))
-        part = spec.restrict(kept, spec.outputs)  # an output may occur only in a dropped clause
-        stats.subsumed = spec.num_clauses - len(kept)
+    kept = list(mask_indices(spec.full_mask ^ dropped))
+    part = spec.restrict(kept, spec.outputs)  # an output may occur only in a dropped clause
+    stats.subsumed = spec.num_clauses - len(kept)
     state = CoverageQueryState(part)
     session = output_session(part)
     mss_list: list[frozenset[int]] = []
@@ -201,8 +199,7 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         stats.maxsat_calls += 1
         stats.iterations += 1
         if got is None:
-            if dropped:
-                mfs = extend_to_mis(conflict_masks(spec), (kept[i - 1] for i in mfs))
+            mfs = extend_to_mis(conflict_masks(spec), (kept[i - 1] for i in mfs))
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=mfs, stats=stats)
         mss, witness = got
         mss_list.append(mss)
@@ -213,13 +210,12 @@ def back_and_forth(spec: Specification) -> SynthesisOutcome:
         record_mss(state, mss)
     chosen = irredundant(part, mss_list)
     mss_list, witnesses = [mss_list[i] for i in chosen], [witnesses[i] for i in chosen]
-    if dropped:
-        back = [(c, spec.y_part(c)) for c in mask_indices(dropped)]
-        for n, (mss, witness) in enumerate(zip(mss_list, witnesses)):
-            true = true_literals(witness)
-            mss_list[n] = frozenset(kept[j - 1] for j in mss).union(
-                c for c, y_lits in back if not true.isdisjoint(y_lits)
-            )
+    back = [(c, spec.y_part(c)) for c in mask_indices(dropped)]
+    for n, (mss, witness) in enumerate(zip(mss_list, witnesses)):
+        true = true_literals(witness)
+        mss_list[n] = frozenset(kept[j - 1] for j in mss).union(
+            c for c, y_lits in back if not true.isdisjoint(y_lits)
+        )
     dl = build_decision_list(spec, mss_list, witnesses)
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)
 
@@ -344,34 +340,21 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     (`Specification.restrict`).  A clause with an empty y-part shares no
     output, so it is a component of its own without outputs.  The outputs
     no clause mentions, if any, form one last component without clauses,
-    whose list sets them all false."""
-    parent = list(range(spec.num_clauses + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    first_with_var: dict[int, int] = {}
-    for i in spec.indices:
-        for v in map(abs, spec.y_part(i)):
-            if v in first_with_var:
-                union(i, first_with_var[v])
-            else:
-                first_with_var[v] = i
-
-    groups: dict[int, list[int]] = {}
-    for i in spec.indices:
-        groups.setdefault(find(i), []).append(i)
-
-    components = [spec.restrict(groups[root]) for root in sorted(groups)]
-    leftover = tuple(v for v in spec.outputs if v not in first_with_var)
+    whose list sets them all false.  The components are those of
+    `graph.components` on one mask per clause: itself and every clause
+    that uses one of its output variables."""
+    uses: dict[int, int] = {}  # per output variable, the mask of the clauses that use it
+    for i, (_, y_lits) in enumerate(spec.clauses, 1):
+        for v in map(abs, y_lits):
+            uses[v] = uses.get(v, 0) | 1 << i
+    links = [0]
+    for i, (_, y_lits) in enumerate(spec.clauses, 1):
+        link = 1 << i
+        for v in map(abs, y_lits):
+            link |= uses[v]
+        links.append(link)
+    parts = [spec.restrict(mask_indices(part)) for part in components(links)[1]]
+    leftover = tuple(v for v in spec.outputs if v not in uses)
     if leftover:
-        components.append(spec.restrict((), leftover))
-    return components
+        parts.append(spec.restrict((), leftover))
+    return parts

@@ -40,7 +40,8 @@ their order, so both numberings make the same decisions and conflicts and
 find the same input.
 
 A witness input is confirmed by one SAT query: the y-parts of the clauses
-whose x-part the input falsifies must be jointly unsatisfiable.
+whose x-part the input falsifies must be jointly unsatisfiable.  Its
+outputs are numbered 1..m in ascending id, like every other query.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
 
 def witness_has_no_output(spec: Specification, x: Assignment) -> bool:
     """True when no output satisfies `spec` under the total input `x`."""
+    parts = [spec.y_part(i) for i in spec.indices if not holds(spec.x_part(i), x)]
+    var = numbering(variables_of(parts))
     s = Solver()
-    for i in spec.indices:
-        if not holds(spec.x_part(i), x):
-            s.add_clause(spec.y_part(i))
+    for lits in parts:
+        s.add_clause([var[l] for l in lits])
     return not s.solve().satisfiable

@@ -176,6 +176,30 @@ def subsumed_reference(spec):
     return [i for i, c in enumerate(lits, 1) if any(d < c for d in lits)]
 
 
+def output_components_reference(spec):
+    """The output partition by set closure: per component, its clause
+    indices and the outputs their y-parts use, both ascending, the
+    components in order of their least clause (a clause with an empty
+    y-part shares no output, so it is one on its own); then, when there are
+    any, the outputs no clause uses, with no clause."""
+    outs = [{abs(l) for l in y_lits} for _, y_lits in spec.clauses]
+    left = set(range(1, len(outs) + 1))
+    found = []
+    while left:
+        group = {min(left)}
+        while True:
+            reach = {j for j in left if any(outs[j - 1] & outs[i - 1] for i in group)}
+            if reach <= group:
+                break
+            group |= reach
+        left -= group
+        found.append((sorted(group), sorted(set().union(*(outs[i - 1] for i in group)))))
+    unused = sorted(set(spec.outputs).difference(*outs))
+    if unused:
+        found.append(([], unused))
+    return found
+
+
 def maximal_sets(family):
     family = set(family)
     return sorted((s for s in family if not any(s < t for t in family)), key=sorted)

@@ -61,6 +61,20 @@ def test_synth_mss_enum_unrealizable(tmp_path, capsys, extra):
     assert doc["verification"] is None
 
 
+@pytest.mark.parametrize("mode", ["back-and-forth", "mfs-enum", "mss-enum"])
+def test_an_unrealizable_spec_with_output_id_2_to_the_63_reports_its_witness(
+    tmp_path, capsys, mode
+):
+    # the witness check numbers its outputs compactly; sized to the output
+    # id, its solver could not even be built
+    big = 2**63
+    f = _write(tmp_path, "big.qdimacs", f"p cnf {big} 2\na 1 0\ne {big} 0\n1 {big} 0\n1 -{big} 0\n")
+    code, doc = _run(capsys, ["synth", f, "--mode", mode])
+    assert code == 1
+    assert doc["status"] == "unrealizable"
+    assert doc["witness"] == {"component": 1, "mfs": [1, 2], "input": {"1": False}}
+
+
 def test_synth_identity_partitioning(tmp_path, capsys):
     f = _write(tmp_path, "id16.qdimacs", identity_qdimacs(16))
     code, doc = _run(capsys, ["synth", f, "--dl", str(tmp_path / "id16.dl")])

@@ -6,11 +6,11 @@ import pytest
 from bafsynth import graph
 from bafsynth.graph import (
     ConflictGraph,
-    _components,
     _consensus_masks,
     _max_cliques,
     analyze_structure,
     build_conflict_graph,
+    components,
     conflict_masks,
     enumerate_mis,
     extend_to_mis,
@@ -408,7 +408,7 @@ def test_components_partition_the_vertices_with_a_conflict():
     for _ in range(400):
         g = _random_graph(rng)
         adj = _adj(g)
-        isolated, parts = _components(g)
+        isolated, parts = components(g.conflicts)
         assert isolated == {v for v in range(1, g.n + 1) if not adj[v]}
         covered = 0
         for part in parts:

@@ -878,6 +878,33 @@ def test_partition_keeps_an_empty_ypart_clause_as_its_own_component():
     assert only.clauses == spec.clauses and only.outputs == ()
 
 
+def test_partition_matches_the_set_closure_reference():
+    # clauses, outputs and order of every component, on random specs (empty
+    # y-parts, outputs no clause uses), planted ones, and clause-free ones
+    rng = random.Random(107)
+    seen = {"empty y-part": 0, "unused output": 0, "no clause": 0}
+    for n in range(300):
+        if n % 10 == 0:
+            m, k = rng.randint(0, 3), rng.randint(0, 4)
+            ids = [str(v) for v in range(1, m + k + 1)]
+            text = f"p cnf {m + k} 0\na {' '.join(ids[:m])} 0\ne {' '.join(ids[m:])} 0\n"
+        elif n % 2:
+            text = random_spec_text(rng, max_clauses=12)
+        else:
+            text = planted_spec_text(rng, rng.randint(3, 6), rng.randint(1, 6), rng.randint(1, 10))
+        spec = parse_qdimacs(text)
+        expected = oracles.output_components_reference(spec)
+        got = partition_by_output_variables(spec)
+        assert [(p.clauses, p.outputs) for p in got] == [
+            (tuple(spec.clauses[i - 1] for i in clauses), tuple(outputs))
+            for clauses, outputs in expected
+        ]
+        seen["empty y-part"] += bool(spec.empty_ypart_indices)
+        seen["unused output"] += bool(expected and not expected[-1][0])
+        seen["no clause"] += not spec.clauses
+    assert min(seen.values()) >= 20, seen
+
+
 def test_partition_preserves_clauses():
     rng = random.Random(101)
     for _ in range(40):

@@ -307,7 +307,11 @@ def _scattered(rng, spec):
     as wide, inputs and outputs interleaved, so the inputs' own ids are far
     from 1..n and selectors sit well above them."""
     old = (*spec.inputs, *spec.outputs)
-    new = dict(zip(old, rng.sample(range(1, 4 * len(old) + 1), len(old))))
+    return _renamed(spec, dict(zip(old, rng.sample(range(1, 4 * len(old) + 1), len(old)))))
+
+
+def _renamed(spec, new):
+    """`spec` with every variable v renamed to new[v]."""
     lines = [
         f"p cnf {max(new.values())} {spec.num_clauses}",
         " ".join(["a", *(str(new[v]) for v in spec.inputs), "0"]),
@@ -467,6 +471,23 @@ def test_soundness_query_is_sized_to_the_component(monkeypatch):
     assert (report.failure_kind, report.decision_index) == (SOUNDNESS, 1)
     assert report.witness_input == {v: v == 40 and not first.output[80] for v in comp.inputs}
     assert [s.nvars for s in made] == [1]
+
+
+def test_witness_query_is_sized_to_the_outputs(monkeypatch):
+    # output ids up to 10^4, far above the count of outputs: the query
+    # numbers the outputs its y-parts use 1..m
+    made = _record_solvers(monkeypatch)
+    rng = random.Random(503)
+    for _ in range(30):
+        spec = parse_qdimacs(random_spec_text(rng, max_in=4, max_out=3, max_clauses=8))
+        ids = rng.sample(range(5, 10**4), len(spec.outputs))
+        spec = _renamed(spec, {v: v for v in spec.inputs} | dict(zip(spec.outputs, ids)))
+        table = brute_force_synthesize(spec)
+        for values, output in table.entries.items():
+            made.clear()
+            x = dict(zip(table.inputs, values))
+            assert witness_has_no_output(spec, x) == (output is None)
+            assert [s.nvars <= len(spec.outputs) for s in made] == [True]
 
 
 def test_brute_force_synthesize_example1(example1):
