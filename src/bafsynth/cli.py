@@ -362,7 +362,7 @@ def cmd_analyze(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.file).name,
         "clauses": spec.num_clauses,
-        "conflict_edges": len(g.edges()),
+        "conflict_edges": sum(m.bit_count() for m in g.conflicts) // 2,
         "consensus_chordal": report.chordal,
         "max_cliques": report.count if report.count is not None else "budget-exceeded",
         "budget": args.budget,

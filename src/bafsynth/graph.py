@@ -33,10 +33,10 @@ itself and its conflicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Iterable, Sequence
 
+from .errors import LimitError
 from .model import Specification, mask_indices
 
 
@@ -58,25 +58,7 @@ class ConflictGraph:
 
 @dataclass(frozen=True)
 class MisEnumeration:
-    """Maximal independent sets as the product of the components' sets:
-    each set is `isolated` plus one set of every part.  `overflow` is True
-    when more than `limit` exist.  `sets` is built on first use, so an
-    overflow can be rejected before any set is built."""
-
-    isolated: frozenset[int]
-    parts: tuple[tuple[frozenset[int], ...], ...]
-    limit: int
-    overflow: bool
-
-    @cached_property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        """The sets in lexicographic order of their sorted index tuples;
-        `limit` of them, in the same order, on overflow.  Only an overflow
-        is sliced: `islice` takes no stop above `sys.maxsize`."""
-        combos = product(*self.parts)
-        if self.overflow:
-            combos = islice(combos, self.limit)
-        return tuple(sorted((self.isolated.union(*c) for c in combos), key=sorted))
+    sets: tuple[frozenset[int], ...]  # in lexicographic order of their sorted index tuples
 
 
 @dataclass(frozen=True)
@@ -200,20 +182,24 @@ def _max_cliques(nb: dict[int, int], part: int, limit: int) -> tuple[list[frozen
 
 def enumerate_mis(g: ConflictGraph, limit: int) -> MisEnumeration:
     """All maximal independent sets, in lexicographic order of their sorted
-    index tuples.  When more than `limit` exist, overflow=True and `sets`
-    holds `limit` of them, in the same order."""
+    index tuples: every isolated vertex plus one set of each component.
+    Raises LimitError, before any set is built, when more than `limit`
+    exist."""
     if limit < 1:
         raise ValueError("limit must be positive")
     isolated, parts = components(g.conflicts)
-    per_part: list[tuple[frozenset[int], ...]] = []
-    overflow, total = False, 1
+    per_part: list[list[frozenset[int]]] = []
+    total = 1
     for part in parts:
-        # past the limit, one set of each later component completes `limit` sets
-        found, over = _max_cliques(_consensus_masks(g, part), part, 1 if overflow else limit)
-        per_part.append(tuple(found))
+        # this part's count times `total` passes `limit` exactly when the
+        # count passes `limit // total`
+        found, over = _max_cliques(_consensus_masks(g, part), part, limit // total)
+        if over:
+            raise LimitError(f"more than {limit} maximal falsifiable subsets")
+        per_part.append(found)
         total *= len(found)
-        overflow = overflow or over or total > limit
-    return MisEnumeration(isolated, tuple(per_part), limit, overflow)
+    sets = (isolated.union(*c) for c in product(*per_part))
+    return MisEnumeration(tuple(sorted(sets, key=sorted)))
 
 
 def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
@@ -227,8 +213,8 @@ def analyze_structure(g: ConflictGraph, budget: int) -> CliqueCountReport:
     chordal = len(parts) < 2
     for part in parts:
         nb = _consensus_masks(g, part)
-        found, overflow = _max_cliques(nb, part, budget)
-        count = None if overflow or count * len(found) > budget else count * len(found)
+        found, over = _max_cliques(nb, part, budget)
+        count = None if over or count * len(found) > budget else count * len(found)
         if chordal:  # the only component with an edge
             chordal = _is_chordal(nb, part)
         if count is None:

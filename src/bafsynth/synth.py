@@ -258,13 +258,11 @@ def irredundant(spec: Specification, mss_list: list[frozenset[int]]) -> list[int
 def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> SynthesisOutcome:
     """One decision per MFS, enumerated via the conflict graph; fails with
     the offending MFS as witness when its output clauses are unsatisfiable.
-    Raises LimitError, before any MFS is built, when more than `mis_limit`
-    exist."""
+    `enumerate_mis` raises LimitError, before any MFS is built, when more
+    than `mis_limit` exist."""
     stats = Stats()
     g = build_conflict_graph(spec)
     enum = enumerate_mis(g, mis_limit)
-    if enum.overflow:
-        raise LimitError(f"more than {mis_limit} maximal falsifiable subsets")
     every, full = frozenset(spec.indices), spec.full_mask
     # the witness solvers number the component's outputs 1..m in ascending
     # id, which keeps their order, so they are sized to the component

@@ -146,6 +146,22 @@ def test_synth_resource_limit_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_an_mss_limit_exits_3_with_one_line_and_is_a_bench_limit_record(tmp_path, capsys):
+    d = tmp_path / "bench"
+    d.mkdir()
+    f = _write(d, "ex1.qdimacs", EXAMPLE1_TEXT)
+    flags = ["--mode", "mss-enum", "--mss-limit", "1"]
+    assert main(["synth", f, *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: more than 1 maximal satisfiable subsets\n"
+    out = tmp_path / "records.jsonl"
+    assert main(["bench", str(d), *flags, "--json", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["status"] == "limit"
+    assert record["warning"] == "more than 1 maximal satisfiable subsets"
+
+
 def test_synth_takes_a_mis_limit_above_sys_maxsize(tmp_path, capsys, monkeypatch):
     f = _write(tmp_path, "id3.qdimacs", identity_qdimacs(3))
     limit = str(sys.maxsize * 10**4)
@@ -293,6 +309,18 @@ def test_analyze_budget_exceeded(tmp_path, capsys):
     assert code == 0
     assert doc["max_cliques"] == "budget-exceeded"
     assert doc["p_np_fragment"] == "unknown"
+
+
+def test_analyze_counts_conflict_edges_without_listing_them(tmp_path, capsys, monkeypatch):
+    edges = len(graph.build_conflict_graph(parse_qdimacs(EXAMPLE1_TEXT)).edges())
+
+    def listing(self):
+        raise AssertionError("analyze lists the conflict edges")
+
+    monkeypatch.setattr(graph.ConflictGraph, "edges", listing)
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    code, doc = _run(capsys, ["analyze", f])
+    assert code == 0 and doc["conflict_edges"] == edges == 4
 
 
 def test_analyze_edgeless(tmp_path, capsys):
@@ -596,6 +624,27 @@ def test_bench_timeout_record(tmp_path, capsys):
     assert records[0]["warning"] == "timed out after 1.0 s"
 
 
+def test_bench_records_an_unexpected_exception_and_goes_on(tmp_path, capsys, monkeypatch):
+    original, calls = synth.back_and_forth, []
+
+    def first_call_fails(spec):
+        calls.append(spec)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return original(spec)
+
+    monkeypatch.setattr(synth, "back_and_forth", first_call_fails)
+    d = tmp_path / "bench"
+    d.mkdir()
+    for name in ("a_ex1.qdimacs", "b_ex1.qdimacs"):
+        (d / name).write_text(EXAMPLE1_TEXT)
+    out = tmp_path / "records.jsonl"
+    assert main(["bench", str(d), "--json", str(out)]) == 0
+    first, second = [json.loads(l) for l in out.read_text().splitlines()]
+    assert first["status"] == "error" and first["warning"] == "RuntimeError: boom"
+    assert second["status"] == "realizable"
+
+
 def test_bench_parallel_jobs(tmp_path, capsys):
     d = tmp_path / "bench"
     d.mkdir()
@@ -693,6 +742,7 @@ def test_determinism_of_artifacts(tmp_path, capsys):
         ("verify {spec} {latin1_dl}", {}),
         ("decompose {spec} --out-dir {dir} --limit 0", {}),
         ("decompose {spec} --out-dir {dir}", {"BAFSYNTH_BF_LIMIT": "-1"}),
+        ("bench {spec}", {}),
     ],
 )
 def test_bad_arguments_and_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, env):
@@ -726,6 +776,9 @@ def test_timeout_past_the_timer_range_means_no_limit(tmp_path, capsys):
     f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
     code, doc = _run(capsys, ["synth", f, "--timeout", "1e12"])
     assert code == 0 and doc["verified"] is True
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        with cli.time_limit(0):
+            pass
 
 
 def test_verify_reads_no_bench_only_environment(tmp_path, capsys, monkeypatch):

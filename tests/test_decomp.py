@@ -125,6 +125,8 @@ def test_good_decomposition_limit():
     spec = parse_qdimacs(identity_qdimacs(8))
     with pytest.raises(LimitError):
         check_good_decomposition(spec, cnf_decompose(spec), limit=16)
+    with pytest.raises(LimitError, match="16 variables exceed the brute-force limit 1"):
+        compose_and_verify(spec, limit=1)
 
 
 def test_good_decomposition_random():

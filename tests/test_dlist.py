@@ -17,7 +17,7 @@ from bafsynth.errors import ParseError
 from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
 
-from .conftest import identity_qdimacs, random_spec_text, repeated_ypart_spec_text
+from .conftest import EXAMPLE1_TEXT, identity_qdimacs, random_spec_text, repeated_ypart_spec_text
 from . import oracles
 
 
@@ -56,6 +56,12 @@ def test_build_example2_list_keeps_redundant_decision(example1):
 def test_build_rejects_bad_witness(example1):
     with pytest.raises(ValueError, match="witness"):
         build_decision_list(example1, [frozenset({1})], [{3: False, 4: False}])
+    with pytest.raises(ValueError, match="differ in length"):
+        build_decision_list(example1, [frozenset({1})], [])
+    with pytest.raises(ValueError, match="index set out of range"):
+        build_decision_list(example1, [frozenset({5})], [{3: True, 4: True}])
+    with pytest.raises(ValueError, match="not total over the outputs"):
+        build_decision_list(example1, [frozenset({1})], [{3: True}])
 
 
 def test_grouped_witness_check_matches_the_per_clause_reference():
@@ -97,6 +103,8 @@ def test_evaluate_first_match(example1):
         assert example1.evaluate({**x, **y})
     assert evaluate(dl, {1: True, 2: False}) == {3: True, 4: True}  # first fires
     assert evaluate(dl, {1: False, 2: False}) == {3: False, 4: False}
+    first = dataclasses.replace(dl, decisions=dl.decisions[:1])
+    assert evaluate(first, {1: False, 2: False}) is None  # no decision fires
 
 
 def test_evaluate_empty_guard_always_fires():
@@ -226,10 +234,14 @@ def test_parse_reads_a_guard_as_a_set():
     assert dl.decisions[0].guard == frozenset({1})
 
 
-def test_unbound_list_cannot_evaluate():
+def test_unbound_list_cannot_evaluate(example1):
     dl = parse("dl 1\nspec abc\nin 1\nout 2\nd | 2=0\n")
     with pytest.raises(ValueError, match="not bound"):
         evaluate(dl, {1: True})
+    other = parse_qdimacs(EXAMPLE1_TEXT.replace("1 -2 3 0", "1 -2 -3 0"))
+    rebound = dataclasses.replace(_example3_list(example1), spec=other)
+    with pytest.raises(ValueError, match="different specification"):
+        evaluate_combined((rebound,), {1: True, 2: True})
 
 
 def test_parse_many_roundtrip():

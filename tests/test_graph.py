@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from bafsynth import graph
+from bafsynth.errors import LimitError
 from bafsynth.graph import (
     ConflictGraph,
     _consensus_masks,
@@ -106,7 +107,6 @@ def test_extension_equals_greedy_growth_over_the_conflict_graph():
 def test_enumerate_mis_example1(example1):
     g = build_conflict_graph(example1)
     enum = enumerate_mis(g, 100)
-    assert not enum.overflow
     assert list(enum.sets) == [frozenset({1}), frozenset({2, 3}), frozenset({3, 4})]
 
 
@@ -121,21 +121,28 @@ def test_enumerate_mis_identity_family():
     g = build_conflict_graph(spec)
     assert g.edges() == [(1, 2), (3, 4), (5, 6)]
     enum = enumerate_mis(g, 100)
-    assert len(enum.sets) == 8 and not enum.overflow
+    assert len(enum.sets) == 8
 
 
 def test_enumerate_mis_overflow_flag():
     spec = parse_qdimacs(identity_qdimacs(10))
     g = build_conflict_graph(spec)
-    enum = enumerate_mis(g, 100)
-    assert enum.overflow
-    assert len(enum.sets) == 100
+    with pytest.raises(LimitError, match=r"^more than 100 maximal falsifiable subsets$"):
+        enumerate_mis(g, 100)
+    assert len(enumerate_mis(g, 1024).sets) == 1024
+
+
+def test_enumeration_and_analysis_reject_a_limit_below_one(example1):
+    g = build_conflict_graph(example1)
+    with pytest.raises(ValueError, match="limit must be positive"):
+        enumerate_mis(g, 0)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        analyze_structure(g, 0)
 
 
 def test_enumerate_mis_takes_a_limit_above_sys_maxsize():
     g = build_conflict_graph(parse_qdimacs(identity_qdimacs(3)))
     enum = enumerate_mis(g, sys.maxsize + 1)
-    assert not enum.overflow
     assert enum.sets == enumerate_mis(g, 100).sets and len(enum.sets) == 8
 
 
@@ -216,7 +223,6 @@ def test_analyze_count_matches_enumeration():
         g = build_conflict_graph(spec)
         report = analyze_structure(g, 100000)
         enum = enumerate_mis(g, 100000)
-        assert not enum.overflow
         assert report.count == len(enum.sets)
 
 
@@ -364,17 +370,15 @@ def test_component_factoring_matches_the_whole_graph_search():
         whole.sort(key=sorted)
         count = len(whole)
         enum = enumerate_mis(g, count)
-        assert list(enum.sets) == whole and not enum.overflow
+        assert list(enum.sets) == whole
         assert analyze_structure(g, count).count == count
         chordal = not oracles.has_chordless_cycle(_consensus_sets(g), g.n)
         assert analyze_structure(g, count).chordal == chordal
         if count > 1:
             assert analyze_structure(g, count - 1).count is None
-            limit = rng.randint(1, count - 1)
-            enum = enumerate_mis(g, limit)
-            assert enum.overflow and len(enum.sets) == limit
-            assert list(enum.sets) == sorted(enum.sets, key=sorted)
-            assert set(enum.sets) <= set(whole)
+            for limit in range(1, count):
+                with pytest.raises(LimitError):
+                    enumerate_mis(g, limit)
             overflowed += 1
     assert overflowed > 200
 

@@ -51,6 +51,21 @@ def test_more_than_one_alternation_rejected():
         parse_qdimacs("p cnf 3 1\na 1 0\ne 2 0\na 3 0\n1 2 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p cnf 3 1\na 1 0\ne 2 0\ne 3 0\n1 2 0\n", "more than one existential line"),
+        ("p cnf 2 0\ne 1 2 0\n", r"missing universal \(`a`\) line"),
+        ("p cnf 2 0\na 1 2 0\n", r"missing existential \(`e`\) line"),
+        ("p cnf 2 1\na 1 1 0\ne 2 0\n1 2 0\n", "duplicate variable in quantifier line"),
+    ],
+    ids=["second-e", "no-a", "no-e", "repeated-id"],
+)
+def test_a_quantifier_prefix_needs_one_line_of_each_block_without_repeats(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_qdimacs(text)
+
+
 def test_malformed_header():
     with pytest.raises(ParseError, match="header"):
         parse_qdimacs("p dnf 2 1\na 1 0\ne 2 0\n1 2 0\n")
@@ -172,6 +187,10 @@ def test_normalization_preserves_semantics():
 def test_specification_validation():
     with pytest.raises(ValueError, match="overlap"):
         Specification((1,), (1,), ())
+    with pytest.raises(ValueError, match="duplicate variable in a quantifier block"):
+        Specification((1, 1), (2,), ())
+    with pytest.raises(ValueError, match="variable ids must be positive"):
+        Specification((0, 1), (2,), ())
     with pytest.raises(ValueError, match="duplicate clause"):
         clause = ((1,), (2,))
         Specification((1,), (2,), (clause, clause))
