@@ -1,9 +1,10 @@
 """Independent checking of synthesized decision lists and of
 unrealizability witnesses.
 
-The verifier shares only the SAT engine and the renumbering of a query's
-variables (`model.numbering`) with the synthesizer, and reads only the
-specification and the list or the witness input.
+The verifier shares with the synthesizer only the SAT engine, the
+renumbering of a query's variables (`model.numbering`), the truth-table
+masks (`model.clause_masks`) and their budget (`maxsat.table_fits`), and
+reads only the specification and the list or the witness input.
 
 Soundness asks, for every decision i and clause j whose y-part the decision
 output falsifies, whether guard_i's x-parts can hold together with the
@@ -19,13 +20,30 @@ distinct y-part that some clause outside the guard carries, the clause
 masks of the falsified ones are ORed together, the guard's clauses are
 cleared, and the clauses left are queried in ascending index order.
 
-Coverage asks whether some input fires no guard, in one SAT query over
-each guard's minimal distinct x-parts: those that properly contain no
-other x-part of the guard.  An input that falsifies x-part b also
-falsifies every x-part a within b, so "some x-part of the guard is
-falsified" is unchanged.  A guard's minimal x-parts are its clauses less
-the OR of their `Specification.xpart_groups` masks (the clauses whose
-x-part properly contains theirs), one OR per guard clause.  Each kept
+Coverage asks whether some input fires no guard.  It is answered on the
+truth table over the inputs that the guards' x-parts use, in ascending id,
+built by `model.clause_masks`.  A decision fires on the AND of its guard
+clauses' masks, the gap is every assignment that no decision fires on, and
+its lowest assignment is the witness (inputs the guards do not use read
+false).  The table is exhaustive, so its verdict needs no solver.  It is
+used when its mask operations (one AND per guard clause, one OR per
+decision, and the test for a gap) fit the MaxSAT table budget this way:
+SAT_DECISIONS times the operations per decision must pass `table_fits`.
+Each operation spans all 2^n bits, while the SAT query costs some 20-50 us
+per decision, about what 2^20 bits (the budget over SAT_DECISIONS) of mask
+operations cost.  On planted components of 8 to 18 inputs (Python 3.11,
+2-core host) the table so chosen took at most 1.2 times as long as the
+query, and mostly a fifth to a half of it; counting all the operations
+against the budget instead let lists of 8 decisions over 16 or 17 inputs
+take the table at up to 11 times the query's time.
+
+Every other list gets one SAT query over each guard's minimal distinct
+x-parts: those that properly contain no other x-part of the guard.  An
+input that falsifies x-part b also falsifies every x-part a within b, so
+"some x-part of the guard is falsified" is unchanged.  A guard's minimal
+x-parts are its clauses less the OR of their `Specification.xpart_groups`
+masks (the clauses whose x-part properly contains theirs), one OR per
+guard clause.  Each kept
 x-part of two or more literals gets one selector that implies it is false,
 shared by the clauses that carry it (twins); a one-literal x-part (l) is
 selected by the literal -l itself; an empty x-part, always false, keeps a
@@ -49,9 +67,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dlist import DecisionList
+from .maxsat import table_fits
 from .model import (
     Assignment,
     Specification,
+    clause_masks,
     holds,
     index_mask,
     mask_indices,
@@ -66,6 +86,10 @@ COUNTEREXAMPLE = "counterexample"
 
 SOUNDNESS = "soundness"
 COVERAGE = "coverage-gap"
+
+# the coverage table is used when its mask operations per decision, times
+# this, pass `table_fits`; see the module docstring
+SAT_DECISIONS = 64
 
 
 @dataclass
@@ -107,8 +131,15 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     Raises ValueError, before any solving, when `check_decision_list`
     rejects the list."""
     check_decision_list(spec, dl)
+    # for coverage: each guard's mask, their OR, and the table's mask
+    # operations (one AND per guard clause, one OR per decision, and the
+    # test for a gap)
+    guards, guarded, ops = [], 0, 1
     for di, dec in enumerate(dl.decisions, 1):
         true, falsified, guard = true_literals(dec.output), 0, index_mask(dec.guard)
+        guards.append(guard)
+        guarded |= guard
+        ops += len(dec.guard) + 1
         # a guard clause needs no query: it would hold its x-part and the negation
         for lits, ys in spec.ypart_groups:
             if ys & ~guard and true.isdisjoint(lits):
@@ -125,14 +156,55 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
                 x = {v: v in var and res.model[var[v]] for v in spec.inputs}
                 return VerificationReport(COUNTEREXAMPLE, SOUNDNESS, di, j, x)
 
+    held = list(mask_indices(guarded))
+    xs = variables_of(map(spec.x_part, held))
+    if table_fits(SAT_DECISIONS * ops // max(len(guards), 1), len(xs)):
+        x = _uncovered_by_table(spec, dl, held, xs)
+    else:
+        x = _uncovered_by_sat(spec, dl, guards)
+    if x is None:
+        return VerificationReport(VERIFIED)
+    return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
+
+
+def _uncovered_by_table(
+    spec: Specification, dl: DecisionList, held: list[int], xs: list[int]
+) -> Assignment | None:
+    """The lowest input, over the inputs `xs` that the x-parts of the
+    clauses `held` in some guard use (any other input reads false), on
+    which no guard of `dl` fires, or None when every input is covered."""
+    masks, full = clause_masks(xs, map(spec.x_part, held))
+    sat = dict(zip(held, masks))
+    covered = 0
+    for dec in dl.decisions:
+        fires = full
+        for g in dec.guard:
+            fires &= sat[g]
+        covered |= fires
+    if covered == full:
+        return None
+    gap = full ^ covered
+    a = (gap & -gap).bit_length() - 1
+    x = dict.fromkeys(spec.inputs, False)
+    x.update((v, a >> i & 1 == 1) for i, v in enumerate(xs))
+    return x
+
+
+def _uncovered_by_sat(
+    spec: Specification, dl: DecisionList, guards: list[int]
+) -> Assignment | None:
+    """An input on which no guard of `dl` fires, found by the SAT query over
+    each guard's minimal distinct x-parts, or None when every input is
+    covered; `guards` holds each decision's guard mask.  See the module
+    docstring."""
     by_part = dict(spec.xpart_groups)
     wider = [0] + [by_part[x_lits] for x_lits, _ in spec.clauses]
     minimal = []  # per decision, its guard's minimal distinct x-parts
-    for dec in dl.decisions:
+    for dec, guard in zip(dl.decisions, guards):
         drop = 0
         for g in dec.guard:
             drop |= wider[g]  # the clauses whose x-part properly contains g's
-        kept = index_mask(dec.guard) & ~drop
+        kept = guard & ~drop
         minimal.append(dict.fromkeys(map(spec.x_part, mask_indices(kept))))
     parts = dict.fromkeys(p for m in minimal for p in m)
     var = numbering(variables_of(parts))
@@ -146,12 +218,11 @@ def verify_decision_list(spec: Specification, dl: DecisionList) -> VerificationR
     for m in minimal:
         s.add_clause([sel[p] for p in m])  # empty guard: empty clause
     res = s.solve()
-    if res.satisfiable:
-        # an input that occurs only in decision clauses holding both l and -l,
-        # tautologies the engine drops, is not in the model
-        x = {v: v in var and res.model.get(var[v], False) for v in spec.inputs}
-        return VerificationReport(COUNTEREXAMPLE, COVERAGE, witness_input=x)
-    return VerificationReport(VERIFIED)
+    if not res.satisfiable:
+        return None
+    # an input that occurs only in decision clauses holding both l and -l,
+    # tautologies the engine drops, is not in the model
+    return {v: v in var and res.model.get(var[v], False) for v in spec.inputs}
 
 
 def witness_has_no_output(spec: Specification, x: Assignment) -> bool:

@@ -159,7 +159,9 @@ def maxsat_paths():
     """`for _ in maxsat_paths():` runs its body once per MaxSAT path: with
     `maxsat.TABLE_BITS` at its default, so a session over few outputs is a
     truth table, and at 0, so every session over an output is a CDCL
-    `MaxSatSession` (and `synth.irredundant` keeps every decision).  Each
+    `MaxSatSession` (and `synth.irredundant` keeps every decision).  The
+    verifier shares the budget: at the default its coverage check on few
+    inputs is a truth table, and at 0 every one is its SAT query.  Each
     budget is set by a MonkeyPatch that is undone before the next one, and
     also when the body fails; the fixture is session-scoped, so Hypothesis
     tests can use it."""

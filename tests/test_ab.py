@@ -2,6 +2,7 @@
 
 import argparse
 import importlib.util
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,43 @@ def test_ab_rejects_a_malformed_shape():
     res = _ab(str(ROOT), str(ROOT), "--shape", "3x0x6")
     assert res.returncode != 0
     assert "'3x0x6' is not MxNxK" in res.stderr
+
+
+def _planted_clause_count(m, n, image):
+    """The distinct clauses gen.planted can draw over m inputs and n outputs
+    when output y copies the literal image[y], found by trying every draw."""
+    inputs, outputs = range(1, m + 1), range(m + 1, m + n + 1)
+    signs = [(s, t) for s in (1, -1) for t in (1, -1)]
+    ylits = [[s * y] for y in outputs for s in (1, -1)]
+    ylits += [[s * y, t * z] for y in outputs for z in outputs if y != z for s, t in signs]
+    xlits = [set()] + [{s * x} for x in inputs for s in (1, -1)]
+    xlits += [{s * x, t * w} for x in inputs for w in inputs if x < w for s, t in signs]
+    clauses = set()
+    for ys in ylits:
+        img = image[abs(ys[0])] * (1 if ys[0] > 0 else -1)
+        for xs in xlits:
+            if img not in xs:
+                clauses.add((frozenset(xs | {-img}), frozenset(ys)))
+    return len(clauses)
+
+
+def test_ab_refuses_more_clauses_than_planted_can_form():
+    ab = _load_ab()
+    assert ab.planted_clauses(2, 2) == 36
+    # the bound holds for every planted function on small shapes
+    for m, n in [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]:
+        literals = [s * x for x in range(1, m + 1) for s in (1, -1)]
+        counts = [
+            _planted_clause_count(m, n, dict(zip(range(m + 1, m + n + 1), images)))
+            for images in itertools.product(literals, repeat=n)
+        ]
+        assert max(counts) <= ab.planted_clauses(m, n), (m, n)
+    assert ab.shape("2x2x36") == (2, 2, 36)
+    with pytest.raises(argparse.ArgumentTypeError):
+        ab.shape("2x2x37")
+    res = _ab(str(ROOT), str(ROOT), "--shape", "2x2x500")
+    assert res.returncode == 2
+    assert "'2x2x500' asks for more than the 36 distinct clauses" in res.stderr
 
 
 def test_ab_takes_a_workload_or_shapes_but_not_both():

@@ -10,7 +10,10 @@ fails here deterministically and on small inputs.  The totality check of
 synthesized once and renamed for the rest, so the contracts that measure
 synthesis per copy run on copies whose input polarities make each shape
 distinct, and the same-shape ones count the synthesis calls (one at either
-width) and the verifier calls (one per copy).
+width) and the verifier calls (one per copy).  The verifier checks the
+coverage of these lists on a truth table, with no solver, so the contracts
+that count the verifier's solvers run with `maxsat.TABLE_BITS` at 0, where
+it builds one coverage solver per component.
 """
 
 import json
@@ -19,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from bafsynth import cli, dlist, sat, synth, verify
+from bafsynth import cli, dlist, maxsat, sat, synth, verify
 from bafsynth.cli import RunConfig, run_pipeline
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
@@ -73,9 +76,15 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
 
         return call
 
+    class VerifierSolver(sat.Solver):
+        def __init__(self):
+            super().__init__()
+            calls["verify_solvers"] += 1
+
     with monkeypatch.context() as m:
         m.setattr(sat.Solver, "__init__", counting_init)
         m.setattr(sat.Solver, "add_clause", counting_add_clause)
+        m.setattr(verify, "Solver", VerifierSolver)
         m.setattr(synth, "back_and_forth", counted("synth", synth.back_and_forth))
         m.setattr(verify, "verify_decision_list", counted("verify", verify.verify_decision_list))
         result = run_pipeline(parse_qdimacs(text), RunConfig())
@@ -89,6 +98,7 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
         "add_clause_calls": calls["add_clause"],
         "synth_calls": calls["synth"],
         "verify_calls": calls["verify"],
+        "verify_solvers": calls["verify_solvers"],
         "reused": sum(c["reuses"] is not None for c in result["components"]),
         "decisions": result["decisions"],
         "dl_bytes": len(dl_text.encode("utf-8")),
@@ -96,25 +106,42 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
     }
 
 
+def _runs(text, widths: tuple[int, int], table_bits: int | None = None) -> dict:
+    """`_measured_run` of `text(w)` at each width w, with `maxsat.TABLE_BITS`
+    set to `table_bits` unless it is None."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if table_bits is not None:
+            monkeypatch.setattr(maxsat, "TABLE_BITS", table_bits)
+        return {w: _measured_run(monkeypatch, text(w), w) for w in widths}
+
+
 @pytest.fixture(scope="module")
 def runs():
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        yield {w: _measured_run(monkeypatch, identity_qdimacs(w), w) for w in (W, 2 * W)}
+    return _runs(identity_qdimacs, (W, 2 * W))
+
+
+@pytest.fixture(scope="module")
+def sat_runs():
+    # at budget 0 the verifier checks coverage with a SAT query per component
+    return _runs(identity_qdimacs, (W, 2 * W), table_bits=0)
 
 
 @pytest.fixture(scope="module")
 def planted_runs():
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        yield {
-            w: _measured_run(monkeypatch, planted_copies_qdimacs(w), w)
-            for w in (COPIES, 2 * COPIES)
-        }
+    return _runs(planted_copies_qdimacs, (COPIES, 2 * COPIES))
+
+
+@pytest.fixture(scope="module")
+def planted_sat_runs():
+    return _runs(planted_copies_qdimacs, (COPIES, 2 * COPIES), table_bits=0)
 
 
 @pytest.mark.parametrize("measure", ["nvars", "add_clause_calls"])
-def test_solver_work_grows_linearly(runs, measure):
-    # each component's solvers are sized to its one input and one output
-    small, large = runs[W][measure], runs[2 * W][measure]
+def test_solver_work_grows_linearly(sat_runs, measure):
+    # each component's solvers are sized to its one input and one output;
+    # counted with the verifier's coverage check on its SAT query, one
+    # solver per component
+    small, large = sat_runs[W][measure], sat_runs[2 * W][measure]
     assert small >= W
     assert large <= 2.1 * small, (measure, small, large)
 
@@ -132,18 +159,16 @@ def test_written_output_grows_at_most_quadratically(runs, measure):
 
 @pytest.fixture(scope="module")
 def flipped_runs():
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        yield {
-            w: _measured_run(monkeypatch, planted_copies_qdimacs(w, flip=True), w)
-            for w in (COPIES, 2 * COPIES)
-        }
+    return _runs(lambda w: planted_copies_qdimacs(w, flip=True), (COPIES, 2 * COPIES))
 
 
 @pytest.mark.parametrize("measure", ["nvars", "add_clause_calls", "decisions"])
-def test_planted_copies_grow_linearly(planted_runs, measure):
+def test_planted_copies_grow_linearly(planted_runs, planted_sat_runs, measure):
     # each copy is its own component, sized to the copy and not to the
-    # specification, and keeps the same 4 decisions
-    small, large = planted_runs[COPIES][measure], planted_runs[2 * COPIES][measure]
+    # specification, and keeps the same 4 decisions; solver work is counted
+    # with the verifier's coverage check on its SAT query, one solver per copy
+    runs = planted_runs if measure == "decisions" else planted_sat_runs
+    small, large = runs[COPIES][measure], runs[2 * COPIES][measure]
     assert small >= COPIES
     assert large <= 2.1 * small, (measure, small, large)
 
@@ -164,6 +189,16 @@ def test_same_shape_copies_are_synthesized_once_and_each_verified(planted_runs, 
     assert run["synth_calls"] == planted_runs[COPIES]["synth_calls"] == 1
     assert run["reused"] == copies - 1
     assert run["verify_calls"] == copies
+
+
+@pytest.mark.parametrize("width", [W, 2 * W])
+def test_chain_coverage_is_checked_without_a_verifier_solver(runs, sat_runs, width):
+    # every component of the chain is verified, and its coverage check
+    # fits the truth table, so the verifier builds no solver at the default
+    # budget and one per component at budget 0
+    assert runs[width]["verify_calls"] == sat_runs[width]["verify_calls"] == width
+    assert runs[width]["verify_solvers"] == 0
+    assert sat_runs[width]["verify_solvers"] == width
 
 
 class KeysCountingInput(dict):

@@ -7,7 +7,7 @@ from bafsynth.dlist import Decision, DecisionList, build_decision_list
 from bafsynth.errors import LimitError
 from bafsynth.graph import build_conflict_graph, enumerate_mis
 from bafsynth.model import Specification, holds, parse_qdimacs
-from bafsynth import verify
+from bafsynth import maxsat, verify
 from bafsynth.sat import Solver
 from bafsynth.synth import (
     back_and_forth,
@@ -194,6 +194,27 @@ def _record_solvers(monkeypatch) -> list:
     return made
 
 
+def _record_sat_checks(monkeypatch) -> list:
+    """The arguments of every coverage check that takes the SAT query."""
+    calls, sat_check = [], verify._uncovered_by_sat
+
+    def recording(*args):
+        calls.append(args)
+        return sat_check(*args)
+
+    monkeypatch.setattr(verify, "_uncovered_by_sat", recording)
+    return calls
+
+
+def _verify_on_sat(monkeypatch, spec, dl):
+    """`verify_decision_list(spec, dl)` with `maxsat.TABLE_BITS` at 0, so
+    that its coverage check takes the SAT query; the list itself was made
+    at the default budget."""
+    with monkeypatch.context() as m:
+        m.setattr(maxsat, "TABLE_BITS", 0)
+        return verify_decision_list(spec, dl)
+
+
 def _corrupted(rng, dl):
     """`dl` with one random change: an output bit flipped, a guard index
     dropped or added, or a decision deleted."""
@@ -255,7 +276,7 @@ def test_grouped_soundness_scan_matches_the_per_clause_reference(monkeypatch):
         first = oracles.first_unsound_pair(spec, dl)
         expected = pairs[: pairs.index(first) + 1] if first else pairs
         queries.clear()
-        report = verify_decision_list(spec, dl)
+        report = _verify_on_sat(monkeypatch, spec, dl)
         assert queries[: len(expected)] == [
             _compactly_numbered(
                 [
@@ -286,7 +307,7 @@ def test_verifying_a_synthesized_list_builds_one_solver(monkeypatch):
         if not out.realizable:
             continue
         made.clear()
-        assert verify_decision_list(spec, out.decision_list).verified
+        assert _verify_on_sat(monkeypatch, spec, out.decision_list).verified
         assert len(made) == 1  # the coverage query; every soundness pair is refuted directly
         checked += 1
     assert checked >= 10
@@ -297,7 +318,7 @@ def test_coverage_query_has_one_selector_per_clause(monkeypatch):
     spec = parse_qdimacs(identity_qdimacs(10))
     dl = synth_by_mfs_enumeration(spec).decision_list
     assert len(dl) == 1024
-    assert verify_decision_list(spec, dl).verified
+    assert _verify_on_sat(monkeypatch, spec, dl).verified
     assert len(made) == 1
     assert made[0].nvars <= max(*spec.inputs, *spec.outputs) + spec.num_clauses
 
@@ -323,16 +344,11 @@ def _renamed(spec, new):
     return parse_qdimacs("\n".join(lines) + "\n")
 
 
-def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
-    # synthesized, corrupted and random lists on specs with scattered ids and
-    # on their components, which keep every input: same report, and every
-    # soundness query and the coverage query make the same decisions and
-    # conflicts in no more variables
-    made = _record_solvers(monkeypatch)
+def _scattered_lists():
+    """300 synthesized, corrupted and random lists, each with its spec: specs
+    with scattered ids, and some of their components, which keep every
+    input."""
     rng = random.Random(467)
-    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
-    work = {"decisions": 0, "conflicts": 0}
-    soundness_work = {"queries": 0, "decisions": 0, "conflicts": 0}
     for _ in range(300):
         if rng.random() < 0.5:
             text = planted_spec_text(rng, 6, 4, 20)
@@ -348,8 +364,20 @@ def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
                 dl = _corrupted(rng, dl)
         else:
             dl = _random_list(rng, spec)
+        yield spec, dl
+
+
+def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
+    # on `_scattered_lists`: same report, and every soundness query and the
+    # coverage query make the same decisions and conflicts in no more
+    # variables
+    made = _record_solvers(monkeypatch)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    work = {"decisions": 0, "conflicts": 0}
+    soundness_work = {"queries": 0, "decisions": 0, "conflicts": 0}
+    for spec, dl in _scattered_lists():
         made.clear()
-        report = verify_decision_list(spec, dl)
+        report = _verify_on_sat(monkeypatch, spec, dl)
         expected, references = oracles.whole_id_verification(spec, dl)
         assert (
             report.status,
@@ -377,6 +405,74 @@ def test_compact_coverage_query_matches_the_whole_id_reference(monkeypatch):
     assert min(kinds.values()) >= 30, kinds
     assert min(work.values()) >= 100, work
     assert soundness_work["queries"] >= 30, soundness_work
+
+
+def _verdict(report):
+    return report.status, report.failure_kind, report.decision_index, report.clause_index
+
+
+def test_table_coverage_matches_the_sat_query_and_brute_force(monkeypatch):
+    # on `_scattered_lists`, whose guards use at most 6 inputs: the default
+    # budget checks coverage on the truth table, budget 0 with the SAT
+    # query, and both give brute force's verdict; a table witness is the
+    # lowest input on which no guard fires, read as an index whose bit i is
+    # the i-th input the guards use, in ascending id (the others are false)
+    sat_checks = _record_sat_checks(monkeypatch)
+    kinds = {None: 0, SOUNDNESS: 0, COVERAGE: 0}
+    for spec, dl in _scattered_lists():
+        sat_checks.clear()
+        report = verify_decision_list(spec, dl)
+        assert not sat_checks
+        verdict = _verdict(report)
+        assert verdict == _verdict(_verify_on_sat(monkeypatch, spec, dl))
+        assert len(sat_checks) == (report.failure_kind != SOUNDNESS)
+        unsound = oracles.first_unsound_pair(spec, dl)
+        inputs = list(oracles.assignments(spec.inputs))
+        gap = any(not any(_fires(spec, d.guard, x) for d in dl.decisions) for x in inputs)
+        if unsound:
+            assert verdict[1:] == (SOUNDNESS, *unsound)
+        elif gap:
+            assert report.failure_kind == COVERAGE
+            x = report.witness_input
+            assert set(x) == set(spec.inputs)
+            assert not any(_fires(spec, d.guard, x) for d in dl.decisions)
+            used = sorted({abs(l) for d in dl.decisions for g in d.guard for l in spec.x_part(g)})
+            candidates = (
+                {v: v in used and a >> used.index(v) & 1 == 1 for v in spec.inputs}
+                for a in range(1 << len(used))
+            )
+            assert x == next(
+                c for c in candidates if not any(_fires(spec, d.guard, c) for d in dl.decisions)
+            )
+        else:
+            assert report.verified
+        kinds[report.failure_kind] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_the_maxsat_paths_fixture_reaches_both_coverage_checks(maxsat_paths, monkeypatch):
+    # the verifier shares maxsat.TABLE_BITS: at the default budget every
+    # coverage check below is a truth table, at budget 0 a SAT query.
+    # table_fits(0, 0) holds even at budget 0, but the table's count of mask
+    # operations is never 0 (the test for a gap is one), so no list takes
+    # the table there, not even one without decisions or inputs
+    sat_checks = _record_sat_checks(monkeypatch)
+    rng = random.Random(487)
+    specs = [parse_qdimacs(random_synth_spec_text(rng)) for _ in range(40)]
+    lists = [(s, out.decision_list) for s in specs if (out := back_and_forth(s)).realizable]
+    example = parse_qdimacs("p cnf 2 1\na 1 0\ne 2 0\n2 0\n")
+    one = back_and_forth(example).decision_list
+    assert [dec.guard for dec in one.decisions] == [frozenset()]
+    lists += [(example, one), (example, dataclasses.replace(one, decisions=()))]
+    assert len(lists) >= 20
+    counts = []
+    for bits in maxsat_paths():
+        sat_checks.clear()
+        reports = [verify_decision_list(s, dl) for s, dl in lists]
+        assert [r.verified for r in reports] == [True] * (len(lists) - 1) + [False]
+        assert reports[-1].witness_input == {1: False}
+        counts.append((bits, len(sat_checks)))
+    assert counts == [(maxsat.TABLE_BITS, 0), (0, len(lists))]
 
 
 def _nested_xpart_spec(rng):
@@ -453,7 +549,7 @@ def test_coverage_query_is_sized_to_the_component(monkeypatch):
     spec = parse_qdimacs(identity_qdimacs(40))
     for comp in partition_by_output_variables(spec):
         made.clear()
-        assert verify_decision_list(comp, back_and_forth(comp).decision_list).verified
+        assert _verify_on_sat(monkeypatch, comp, back_and_forth(comp).decision_list).verified
         assert [s.nvars for s in made] == [1]
 
 

@@ -11,12 +11,15 @@ processes on a busy host can differ by a third.  The corpus is
 With `--shape` in place of `--workload` it is one realizable planted spec
 per shape, `gen.planted(random.Random(7), M, N, K, False)` with M inputs, N
 outputs and K clauses, to time components wider than the workloads' (the
-seed does not apply; gen.planted draws until it has K distinct clauses, so
-K must be within reach of M and N).  Each operation is perfbench's own
-(`run.OPS`).  A pass parses every instance (untimed) and runs its
-operations, each after a `gc.collect()`; the pass time is the sum of the
-operation times.  Passes alternate between the sides, A first on even
-passes and B first on odd ones.  One pass of
+seed does not apply).  gen.planted draws until it has K distinct clauses,
+so a K above `planted_clauses(M, N)`, a bound on the distinct clauses it
+can form from M and N alone, is refused with exit status 2.  A K below the
+bound can still hang when the planted function allows fewer clauses; only
+a bound on gen.planted's draws would turn that into an error.  Each
+operation is perfbench's own (`run.OPS`).  A pass parses every instance
+(untimed) and runs its operations, each after a `gc.collect()`; the pass
+time is the sum of the operation times.  Passes alternate between the
+sides, A first on even passes and B first on odd ones.  One pass of
 perfbench's host-speed kernel (`calib.pass_s`) is timed before the first
 pass and after every pass, and each pass time is divided by its host
 factor, the mean of the kernel times right before and after it over
@@ -94,13 +97,31 @@ def verdict(a: list[float], b: list[float]) -> str:
     return "within noise"
 
 
+def planted_clauses(m: int, n: int) -> int:
+    """An upper bound on the distinct clauses gen.planted can form over m
+    inputs and n outputs, whatever function it plants.  A clause's x-part
+    holds the negated image -img of its first output literal and up to two
+    literals of other inputs: s = 1 + 2(m-1) + 4 C(m-1, 2) x-parts per
+    image.  Each of the 2n one-literal y-parts has one image, and each of
+    the 4 C(n, 2) two-literal y-parts has at most two, one per literal."""
+    s = 1 + 2 * (m - 1) + 2 * (m - 1) * (m - 2)
+    return (2 * n + 4 * n * (n - 1)) * s
+
+
 def shape(text: str) -> tuple[int, int, int]:
     """`MxNxK` as (M, N, K).  gen.planted samples up to two inputs and two
-    outputs for a clause, so M and N must be at least 2."""
+    outputs for a clause, so M and N must be at least 2, and it cannot form
+    more than `planted_clauses(M, N)` distinct clauses."""
     got = re.fullmatch(r"(\d+)x(\d+)x(\d+)", text)
     dims = tuple(map(int, got.groups())) if got else (0, 0, 0)
     if min(dims[:2]) < 2 or dims[2] < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not MxNxK with M, N >= 2 and K >= 1")
+    bound = planted_clauses(*dims[:2])
+    if dims[2] > bound:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} asks for more than the {bound} distinct clauses"
+            f" that {dims[0]} inputs and {dims[1]} outputs allow"
+        )
     return dims
 
 
