@@ -23,7 +23,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import decomp as _decomp
@@ -421,16 +421,10 @@ def cmd_decompose(args) -> int:
         "good_decomposition": None,
         "composition": None,
     }
-    width = len(spec.inputs) + len(spec.outputs)
-    if not args.no_check and width + len(pair.z_vars) <= args.limit:
-        report = _decomp.check_good_decomposition(spec, pair, limit=args.limit)
-        doc["good_decomposition"] = {
-            "equivalence_holds": report.equivalence_holds,
-            "image_in_domain": report.image_in_domain,
-        }
-    if not args.no_check and width <= args.limit:
+    if not args.no_check:
+        doc["good_decomposition"] = asdict(_decomp.check_good_decomposition(spec, pair))
         t0 = time.perf_counter()
-        comp = _decomp.compose_and_verify(spec, limit=args.limit)
+        comp = _decomp.compose_and_verify(spec)
         doc["composition"] = {
             "status": comp.status,
             "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
@@ -620,12 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out-dir", default=".", help="directory for the stage files")
     p.add_argument(
-        "--limit",
-        type=_positive(int),
-        default=_env("BF_LIMIT", 16),
-        help="brute-force variable budget for the property checks (env BAFSYNTH_BF_LIMIT)",
+        "--no-check",
+        action="store_true",
+        help="skip the structural check and the composition, which costs one synthesis run",
     )
-    p.add_argument("--no-check", action="store_true", help="skip the brute-force checks")
     p.add_argument("--json", metavar="PATH", default=None)
     p.set_defaults(func=cmd_decompose)
 

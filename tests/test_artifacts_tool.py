@@ -26,4 +26,6 @@ def test_artifacts_tool_prints_json_lines():
     lines = run.stdout.splitlines()
     assert lines
     for line in lines:
-        json.loads(line)
+        record = json.loads(line)
+        if "decompose" in record:  # every specification gets a composition status
+            assert isinstance(record["composition"], str), record["instance"]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bafsynth import cli, graph, sat, synth, verify
+from bafsynth import cli, decomp, graph, sat, synth, verify
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
@@ -534,8 +534,8 @@ def test_decompose_command(tmp_path, capsys):
     assert f1_text.splitlines()[2].startswith("p cnf 8 ")
 
 
-# 3 inputs and 3 outputs with 11 clauses: 6 variables fit the default limit
-# of 16, and 17 with the intermediates do not
+# 3 inputs and 3 outputs with 11 clauses: 17 variables with the
+# intermediates, too many to check by enumerating their assignments
 WIDE_DECOMPOSE_TEXT = """\
 p cnf 6 11
 a 1 2 3 0
@@ -559,8 +559,48 @@ def test_decompose_composes_within_its_own_budget(tmp_path, capsys):
     code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path)])
     assert code == 0
     assert doc["intermediate_vars"] == 11
-    assert doc["good_decomposition"] is None
+    assert doc["good_decomposition"] == {"equivalence_holds": True, "image_in_domain": True}
     assert doc["composition"].keys() == {"status", "wall_time_ms"}
+    assert doc["composition"]["status"] == "verified"
+
+
+def test_decompose_a_spec_without_clauses(tmp_path, capsys):
+    # its only clause is a tautology, so stage 1 has no intermediates
+    f = _write(tmp_path, "taut.qdimacs", "p cnf 2 1\na 1 0\ne 2 0\n2 -2 0\n")
+    code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert doc["intermediate_vars"] == 0
+    assert (tmp_path / "taut.f1.cnf").read_text().splitlines() == [
+        "c stage 1: no clauses",
+        "c inputs: 1",
+        "p cnf 1 0",
+    ]
+    assert doc["good_decomposition"] == {"equivalence_holds": True, "image_in_domain": True}
+    assert doc["composition"]["status"] == "verified"
+
+
+def test_decompose_no_check_runs_no_synthesis(tmp_path, capsys, monkeypatch):
+    def fails(spec):
+        raise AssertionError("decompose --no-check synthesized")
+
+    # decomp binds the name when it is imported, so both bindings are replaced
+    monkeypatch.setattr(synth, "back_and_forth", fails)
+    monkeypatch.setattr(decomp, "back_and_forth", fails)
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path), "--no-check"])
+    assert code == 0
+    assert doc["good_decomposition"] is None and doc["composition"] is None
+    assert parse_qdimacs((tmp_path / "ex1.f2.qdimacs").read_text()).num_clauses == 4
+
+
+def test_decompose_checks_a_width_12_chain(tmp_path, capsys):
+    # 24 variables and 24 intermediates: 2^48 assignments, far past any
+    # check that enumerates them
+    f = _write(tmp_path, "id12.qdimacs", identity_qdimacs(12))
+    code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert doc["intermediate_vars"] == 24
+    assert doc["good_decomposition"] == {"equivalence_holds": True, "image_in_domain": True}
     assert doc["composition"]["status"] == "verified"
 
 
@@ -740,8 +780,6 @@ def test_determinism_of_artifacts(tmp_path, capsys):
         ("decompose {latin1} --out-dir {dir}", {}),
         ("verify {latin1} {dl}", {}),
         ("verify {spec} {latin1_dl}", {}),
-        ("decompose {spec} --out-dir {dir} --limit 0", {}),
-        ("decompose {spec} --out-dir {dir}", {"BAFSYNTH_BF_LIMIT": "-1"}),
         ("bench {spec}", {}),
     ],
 )

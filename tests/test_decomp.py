@@ -12,9 +12,7 @@ from bafsynth.decomp import (
     check_good_decomposition,
     cnf_decompose,
     compose_and_verify,
-    stage1_evaluate,
 )
-from bafsynth.errors import LimitError
 from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth.synth import back_and_forth
 
@@ -55,7 +53,7 @@ def test_stage1_is_total_and_functional():
         spec = parse_qdimacs(random_spec_text(rng, max_in=3, max_out=3, max_clauses=5))
         pair = cnf_decompose(spec)
         for x in oracles.assignments(spec.inputs):
-            z = stage1_evaluate(spec, pair, x)
+            z = oracles.stage1_reference(spec, pair, x)
             merged = {**x, **z}
             assert all(holds(c, merged) for c in pair.f1_clauses)
             # no other intermediate assignment satisfies stage 1
@@ -81,7 +79,8 @@ def test_corrupted_pair_violates_equivalence(example1):
     assert dropped in pair.f1_clauses
     kept = tuple(c for c in pair.f1_clauses if c != dropped)
     broken = DecomposedPair(kept, pair.f2_spec, pair.z_vars)
-    report = check_good_decomposition(example1, broken)
+    assert check_good_decomposition(example1, broken).equivalence_holds is False
+    report = oracles.good_decomposition_reference(example1, broken)
     assert not report.equivalence_holds
     assert report.equivalence_witness is not None
     # the witness really distinguishes the two sides
@@ -104,7 +103,8 @@ def test_corrupted_pair_leaves_the_stage2_domain():
     f2 = pair.f2_spec
     broken_f2 = Specification(f2.inputs, f2.outputs, (*f2.clauses, ((-z1,), (-3,))))
     broken = DecomposedPair(pair.f1_clauses, broken_f2, pair.z_vars)
-    report = check_good_decomposition(spec, broken)
+    assert check_good_decomposition(spec, broken).image_in_domain is False
+    report = oracles.good_decomposition_reference(spec, broken)
     assert report.image_in_domain is False
     w = report.image_witness
     assert w == {1: False, 2: False, 5: True, 6: True}
@@ -122,19 +122,21 @@ def test_good_decomposition_zero_clauses():
 
 
 def test_good_decomposition_limit():
+    # 16 variables and 16 intermediates: both checks take no limit
     spec = parse_qdimacs(identity_qdimacs(8))
-    with pytest.raises(LimitError):
-        check_good_decomposition(spec, cnf_decompose(spec), limit=16)
-    with pytest.raises(LimitError, match="16 variables exceed the brute-force limit 1"):
-        compose_and_verify(spec, limit=1)
+    report = check_good_decomposition(spec, cnf_decompose(spec))
+    assert report.equivalence_holds and report.image_in_domain
+    assert compose_and_verify(spec).status == GOOD
 
 
 def test_good_decomposition_random():
     rng = random.Random(449)
     for _ in range(40):
         spec = parse_qdimacs(random_spec_text(rng, max_in=3, max_out=3, max_clauses=6))
-        report = check_good_decomposition(spec, cnf_decompose(spec), limit=14)
+        pair = cnf_decompose(spec)
+        report = oracles.good_decomposition_reference(spec, pair, limit=14)
         assert report.equivalence_holds and report.image_in_domain
+        assert check_good_decomposition(spec, pair) == decomp.GoodDecompositionReport(True, True)
 
 
 def test_compose_jointly_satisfiable_yparts():
@@ -189,7 +191,7 @@ def test_the_composition_verifies_exactly_the_realizable_specs():
     statuses, guarded = [], 0
     for _ in range(100):
         spec = parse_qdimacs(random_spec_text(rng, max_in=5, max_out=5, max_clauses=6))
-        report = compose_and_verify(spec, limit=16)
+        report = compose_and_verify(spec)
         statuses.append(report.status)
         assert report.status != COUNTEREXAMPLE
         assert (report.status == GOOD) == brute_force_synthesize(spec).realizable
@@ -212,3 +214,15 @@ def test_compose_catches_a_wrong_output(example1, monkeypatch):
         decomp, "back_and_forth", lambda spec: dataclasses.replace(outcome, decision_list=dl)
     )
     assert compose_and_verify(example1).status == COUNTEREXAMPLE
+
+
+@pytest.mark.parametrize(
+    "seed, max_size, count",
+    [(CORPUS_SEED + 3, 5, 100), (457, 3, 40)],  # criterion 7's and test_compose_random_specs's
+)
+def test_composition_matches_the_brute_force_composition(seed, max_size, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = random_spec_text(rng, max_in=max_size, max_out=max_size, max_clauses=6)
+        spec = parse_qdimacs(text)
+        assert compose_and_verify(spec).status == oracles.composition_reference(spec), text

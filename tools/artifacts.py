@@ -13,10 +13,9 @@ decision-list text, and the `verify_decision_list` verdict of every
 document of that text.  One more line holds the two stage texts that
 `bafsynth decompose` writes: stage 1 (`cli._stage1_dimacs`) and stage 2
 (the QDIMACS of `decomp.cnf_decompose`'s second-stage specification), with
-the status of `decomp.compose_and_verify` when the specification has at most
-16 inputs and outputs, and null otherwise.  All of
-it is deterministic, so diffing the output of two checkouts shows whether a
-change keeps behaviour byte for byte; the tool uses only names that earlier
+the status of `decomp.compose_and_verify`.  All of it is deterministic, so
+diffing the output of two checkouts shows whether a change keeps behaviour
+byte for byte; the tool uses only names that earlier
 checkouts also have, so it can run over either checkout's `src/`.  After
 the corpora come the same lines for a few fixed specifications
 (workload `inline`, seed 0) whose rendering has edge cases: no inputs (the
@@ -99,9 +98,7 @@ def emit(head: dict, text: str, partition: bool) -> None:
         "stage1": cli._stage1_dimacs(spec, pair),
         "stage2": pair.f2_spec.to_qdimacs(),
     }
-    composition = None
-    if len(spec.inputs) + len(spec.outputs) <= 16:
-        composition = decomp.compose_and_verify(spec).status
+    composition = decomp.compose_and_verify(spec).status
     record = {**head, "composition": composition, "decompose": stages}
     print(json.dumps(record, sort_keys=True), flush=True)
     for mode in MODES:
