@@ -17,7 +17,26 @@ Three ways to produce a decision list from a split specification:
     its `subsumed` clauses, and the list is mapped back to the
     component's own clause numbering.
   - synth_by_mfs_enumeration: enumerate every MFS via the conflict graph
-    and pick one satisfying output per MFS.
+    and pick one output per MFS that satisfies the MFS's distinct y-parts.
+    A component whose truth table is cheap enough gets one `TableSession`
+    over its outputs, in ascending id, with one soft clause per distinct
+    y-part, and each MFS is one MaxSAT query on it with the MFS's y-parts
+    hard (counted in `maxsat_calls`); every other component gets a fresh
+    SAT solver per MFS holding just those y-parts (counted in `sat_calls`).  The table is
+    taken when its masks, one per distinct y-part and one per output,
+    times MFS_TABLE_FACTOR pass `table_fits`, so TABLE_BITS = 0 forces the
+    solvers.  A query costs the table a few mask operations over all 2^m
+    assignments of the m outputs per y-part, and a solver about the same
+    per y-part whatever m is, so the table's cost relative to the solvers
+    doubles with each output; building the table's m output masks is the
+    rest.  Timed per component on planted and random components of 1 to 22
+    outputs with 1 to 88 distinct y-parts (Python 3.11, 2-core host), the
+    table took mostly 0.4 to 0.9 times the solvers' time up to 14 outputs
+    (at most 1.2), 0.8 to 1.3 times at 15, 0.9 to 1.5 at 16 and 37 to 71
+    at 22; with a single y-part over 18 outputs it took 6 times as long.
+    With the factor 32 the table serves 14 outputs with up to 113 y-parts,
+    15 with up to 48, 16 with up to 15 and never more; counting only the
+    y-parts would have let one y-part over 19 outputs take it.
   - synth_by_mss_enumeration: enumerate every MSS by repeated MaxSAT
     queries on one session that blocks each MSS found, then ask the
     coverage query once whether some MFS is left uncovered, which makes
@@ -53,6 +72,11 @@ from .sat import Solver
 
 REALIZABLE = "realizable"
 UNREALIZABLE = "unrealizable"
+
+# mfs-enum finds a component's outputs on a truth table when its masks, one
+# per distinct y-part and one per output, times this, pass `table_fits`; see
+# the module docstring
+MFS_TABLE_FACTOR = 32
 
 
 @dataclass
@@ -259,29 +283,43 @@ def synth_by_mfs_enumeration(spec: Specification, mis_limit: int = 100000) -> Sy
     """One decision per MFS, enumerated via the conflict graph; fails with
     the offending MFS as witness when its output clauses are unsatisfiable.
     `enumerate_mis` raises LimitError, before any MFS is built, when more
-    than `mis_limit` exist."""
+    than `mis_limit` exist.  The outputs come from one table per component
+    or one solver per MFS, as the module docstring describes."""
     stats = Stats()
     g = build_conflict_graph(spec)
     enum = enumerate_mis(g, mis_limit)
     every, full = frozenset(spec.indices), spec.full_mask
-    # the witness solvers number the component's outputs 1..m in ascending
-    # id, which keeps their order, so they are sized to the component
-    num = numbering(sorted(spec.outputs))
-    groups = [(ys, tuple(map(num.get, lits))) for lits, ys in spec.ypart_groups]
+    outputs, groups = sorted(spec.outputs), spec.ypart_groups
+    table = None
+    if table_fits(MFS_TABLE_FACTOR * (len(groups) + len(outputs)), len(outputs)):
+        table = TableSession(outputs, [lits for lits, _ in groups])
+    else:
+        # the witness solvers number the outputs 1..m in ascending id,
+        # which keeps their order, so they are sized to the component
+        num = numbering(outputs)
+        local = [(ys, tuple(map(num.get, lits))) for lits, ys in groups]
     witnesses = []
     for m in enum.sets:
         mask = full ^ index_mask(every - m)
-        # each distinct y-part of m once, ordered by its first clause in m
-        hits = sorted((hit & -hit, lits) for ys, lits in groups if (hit := ys & mask))
-        s = Solver()
-        for _, lits in hits:
-            s.add_clause(lits)
-        res = s.solve()
-        stats.sat_calls += 1
         stats.iterations += 1
-        if not res.satisfiable:
+        if table is not None:
+            res = solve_partial_maxsat(table, [j for j, (_, ys) in enumerate(groups) if ys & mask])
+            stats.maxsat_calls += 1
+            output = res.model if res.optimal else None
+        else:
+            # each distinct y-part of m once, ordered by its first clause in m
+            hits = sorted((hit & -hit, lits) for ys, lits in local if (hit := ys & mask))
+            s = Solver()
+            for _, lits in hits:
+                s.add_clause(lits)
+            res = s.solve()
+            stats.sat_calls += 1
+            output = None
+            if res.satisfiable:
+                output = {v: res.model.get(num[v], False) for v in spec.outputs}
+        if output is None:
             return SynthesisOutcome(UNREALIZABLE, witness_mfs=m, stats=stats)
-        witnesses.append({v: res.model.get(num[v], False) for v in spec.outputs})
+        witnesses.append(output)
         stats.mss_recorded += 1
     dl = build_decision_list(spec, list(enum.sets), witnesses)
     return SynthesisOutcome(REALIZABLE, dl, stats=stats)

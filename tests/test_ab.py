@@ -59,6 +59,49 @@ def test_ab_times_planted_shapes_in_place_of_a_workload():
     assert lines[2].endswith(f" s, {decisions} decisions per pass")
 
 
+def _decisions(texts, mode):
+    return sum(run_pipeline(parse_qdimacs(t), RunConfig(mode=mode))["decisions"] for t in texts)
+
+
+def test_ab_synthesizes_shapes_in_the_mode_asked_for():
+    res = _ab(str(ROOT), str(ROOT), "--shape", "4x3x8", "--mode", "mfs-enum", "--passes", "1")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "shapes 4x3x8, mfs-enum, 1 passes"
+    (inst,) = _load_ab().shape_corpus([(4, 3, 8)])
+    decisions = _decisions([inst.qdimacs()], "mfs-enum")
+    # one decision per MFS, more than back-and-forth keeps
+    assert decisions > _decisions([inst.qdimacs()], "back-and-forth")
+    assert lines[1].endswith(f" s, {decisions} decisions per pass")
+    assert lines[2].endswith(f" s, {decisions} decisions per pass")
+
+
+def test_ab_times_random_2qbf_specs():
+    res = _ab(str(ROOT), str(ROOT), "--random", "4x4x10:3", "--random", "3x4x6", "--passes", "1")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[0] == "random 4x4x10:3 3x4x6:0, 1 passes"
+    qbfgen = _load_ab().qbfgen
+    texts = [qbfgen.random_2qbf(3, 4, 4, 10), qbfgen.random_2qbf(0, 3, 4, 6)]
+    decisions = _decisions(texts, "back-and-forth")
+    assert decisions > 0
+    assert lines[1].endswith(f" s, {decisions} decisions per pass")
+    res = _ab(str(ROOT), str(ROOT), "--random", "3x4x6", "--mode", "mfs-enum", "--passes", "1")
+    assert res.returncode == 0, res.stderr
+    decisions = _decisions(texts[1:], "mfs-enum")
+    assert res.stdout.splitlines()[1].endswith(f" s, {decisions} decisions per pass")
+
+
+def test_ab_rejects_a_malformed_random_shape_and_a_mode_for_a_workload():
+    # tests/test_qbfgen.py checks which shapes are refused
+    res = _ab(str(ROOT), str(ROOT), "--random", "2x3x33")
+    assert res.returncode == 2
+    assert "argument --random: 2x3x33 needs M >= 2, N >= 3 and 1 <= K <= 32" in res.stderr
+    res = _ab(str(ROOT), str(ROOT), "--workload", "equiv-chain", "--mode", "mfs-enum")
+    assert res.returncode == 2
+    assert "--mode applies to --shape and --random only" in res.stderr
+
+
 def test_ab_rejects_a_malformed_shape():
     shape = _load_ab().shape
     assert shape("12x10x300") == (12, 10, 300)

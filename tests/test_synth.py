@@ -185,6 +185,12 @@ def test_the_maxsat_paths_fixture_reaches_both_sessions(maxsat_paths, example1):
     default = maxsat.TABLE_BITS
     kinds = [(bits, type(output_session(example1))) for bits in maxsat_paths()]
     assert kinds == [(default, TableSession), (0, MaxSatSession)]
+    # mfs-enum asks its three MFS on a table, or on a solver each
+    calls = []
+    for _ in maxsat_paths():
+        stats = synth_by_mfs_enumeration(example1).stats
+        calls.append((stats.maxsat_calls, stats.sat_calls))
+    assert calls == [(3, 0), (0, 3)]
     assert maxsat.TABLE_BITS == default
 
 
@@ -625,7 +631,8 @@ def test_an_empty_clause_subsumes_every_other_and_is_the_witness():
 # enumeration modes
 
 
-def test_mfs_enumeration_example1(example1):
+def test_mfs_enumeration_example1(monkeypatch, example1):
+    monkeypatch.setattr(maxsat, "TABLE_BITS", 0)  # the witness solvers
     out = synth_by_mfs_enumeration(example1)
     assert out.realizable
     decisions = out.decision_list.decisions
@@ -668,6 +675,7 @@ def test_mfs_enumeration_adds_each_distinct_ypart_once(monkeypatch):
             super().add_clause(lits)
 
     monkeypatch.setattr(synth, "Solver", Recording)
+    monkeypatch.setattr(maxsat, "TABLE_BITS", 0)
     out = synth_by_mfs_enumeration(spec)
     assert out.realizable
     guards = [d.guard for d in out.decision_list.decisions]
@@ -698,6 +706,7 @@ def test_mfs_witness_solvers_match_the_per_clause_reference(monkeypatch):
             super().add_clause(lits)
 
     monkeypatch.setattr(synth, "Solver", Recording)
+    monkeypatch.setattr(maxsat, "TABLE_BITS", 0)
     rng = random.Random(463)
     outcomes = {True: 0, False: 0}
     for _ in range(150):
@@ -712,6 +721,38 @@ def test_mfs_witness_solvers_match_the_per_clause_reference(monkeypatch):
             assert len(added) == len(out.decision_list)
         else:
             assert mfs[-1] == out.witness_mfs
+        outcomes[out.realizable] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_mfs_table_outputs_hold_each_mfs_like_brute_force():
+    # at the default budget these components all take the table: each
+    # output holds every y-part of its MFS, and the run stops at the first
+    # MFS, in enumeration order, whose y-parts no output satisfies
+    rng = random.Random(467)
+    outcomes = {True: 0, False: 0}
+    for n in range(150):
+        make = repeated_ypart_spec_text if n % 2 else random_synth_spec_text
+        spec = parse_qdimacs(make(rng, max_clauses=12))
+        out = synth_by_mfs_enumeration(spec)
+        assert out.stats.sat_calls == 0
+        assert out.stats.maxsat_calls == out.stats.iterations
+        mfs_all, _ = brute_force_mfs_mss(spec)
+        unsat = [
+            oracles.cnf_model([spec.y_part(i) for i in m], spec.outputs) is None
+            for m in mfs_all
+        ]
+        if out.realizable:
+            assert not any(unsat)
+            every = frozenset(spec.indices)
+            decisions = out.decision_list.decisions
+            assert [every - d.guard for d in decisions] == mfs_all
+            for m, d in zip(mfs_all, decisions):
+                assert all(holds(spec.y_part(i), d.output) for i in m)
+        else:
+            first = unsat.index(True)
+            assert out.witness_mfs == mfs_all[first]
+            assert out.stats.iterations == first + 1
         outcomes[out.realizable] += 1
     assert min(outcomes.values()) >= 20, outcomes
 

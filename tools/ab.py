@@ -1,7 +1,8 @@
 """Time two bafsynth checkouts against each other in one process.
 
     python3 tools/ab.py A B --workload NAME [--seed N] [--passes P]
-    python3 tools/ab.py A B --shape MxNxK [--shape MxNxK ...] [--passes P]
+    python3 tools/ab.py A B --shape MxNxK [--shape MxNxK ...] [--mode M] [--passes P]
+    python3 tools/ab.py A B --random MxNxK[:SEED] [--random ...] [--mode M] [--passes P]
 
 A and B are checkout roots.  Each one's `src/bafsynth` is imported under its
 own module name (`bafsynth_a`, `bafsynth_b`), so both run in this
@@ -15,7 +16,11 @@ seed does not apply).  gen.planted draws until it has K distinct clauses,
 so a K above `planted_clauses(M, N)`, a bound on the distinct clauses it
 can form from M and N alone, is refused with exit status 2.  A K below the
 bound can still hang when the planted function allows fewer clauses; only
-a bound on gen.planted's draws would turn that into an error.  Each
+a bound on gen.planted's draws would turn that into an error.  With
+`--random` it is one spec per shape from `qbfgen.random_2qbf(SEED, M, N, K)`
+(SEED 0 when left out), the random 2QBF family of tools/qbfgen.py.  Both
+corpora are synthesized with `--mode`: back-and-forth (the default) runs
+perfbench's `synth` operation, and mfs-enum its `synth-mfs-enum`.  Each
 operation is perfbench's own (`run.OPS`).  A pass parses every instance
 (untimed) and runs its operations, each after a `gc.collect()`; the pass
 time is the sum of the operation times.  Passes alternate between the
@@ -51,10 +56,15 @@ from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
 
 import calib  # noqa: E402
 import gen  # noqa: E402
+import qbfgen  # noqa: E402
 import run  # noqa: E402
+
+# perfbench's synth operation for each --mode
+MODE_OPS = {"back-and-forth": "synth", "mfs-enum": "synth-mfs-enum"}
 
 
 def load(root: Path, name: str) -> SimpleNamespace:
@@ -153,19 +163,31 @@ def main(argv=None) -> int:
     what = ap.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", choices=sorted(gen.WORKLOADS))
     what.add_argument("--shape", type=shape, action="append", help="MxNxK, repeatable")
+    what.add_argument(
+        "--random", type=qbfgen.shape, action="append", help="MxNxK[:SEED], repeatable"
+    )
     ap.add_argument("--seed", type=int, default=1, help="the workload's seed")
+    ap.add_argument("--mode", choices=sorted(MODE_OPS), help="synthesis mode of --shape or --random")
     ap.add_argument("--passes", type=int, default=20)
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be positive")
+    if args.workload and args.mode:
+        ap.error("--mode applies to --shape and --random only")
     sides = {"A": load(args.a.resolve(), "bafsynth_a"), "B": load(args.b.resolve(), "bafsynth_b")}
+    ops = (MODE_OPS[args.mode or "back-and-forth"],)
     if args.shape:
-        instances = shape_corpus(args.shape)
+        corpus = [(inst.qdimacs(), ops) for inst in shape_corpus(args.shape)]
         title = "shapes " + " ".join("x".join(map(str, dims)) for dims in args.shape)
+    elif args.random:
+        corpus = [(qbfgen.random_2qbf(seed, m, n, k), ops) for m, n, k, seed in args.random]
+        title = "random " + " ".join(f"{m}x{n}x{k}:{seed}" for m, n, k, seed in args.random)
     else:
         instances = gen.WORKLOADS[args.workload](args.seed)
+        corpus = [(inst.qdimacs(), inst.ops) for inst in instances]
         title = f"workload {args.workload}, seed {args.seed}"
-    corpus = [(inst.qdimacs(), inst.ops) for inst in instances]
+    if args.mode:
+        title += f", {args.mode}"
     times: dict[str, list[float]] = {"A": [], "B": []}
     counts: dict[str, set[int]] = {"A": set(), "B": set()}
     kernel = calib.pass_s()
