@@ -7,12 +7,10 @@ represented as a decision list.
 """
 
 from .decomp import (
-    CompositionReport,
     DecomposedPair,
     GoodDecompositionReport,
     check_good_decomposition,
     cnf_decompose,
-    compose_and_verify,
 )
 from .dlist import (
     Decision,

@@ -390,6 +390,13 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     failures = _failures("document", ((dl.spec, dl) for dl in docs))
+    held = {c for dl in docs for c in dl.spec.clauses}
+    for i in spec.empty_ypart_indices:  # a component without outputs, so it can be left out
+        if spec.clauses[i - 1] not in held:
+            x = _input_json(_synth.falsifying_input(spec, (i,)))
+            failures.append(
+                dict(document=None, kind=_verify.SOUNDNESS, decision=None, clause=i, input=x)
+            )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": Path(args.spec).name,
@@ -398,6 +405,15 @@ def cmd_verify(args) -> int:
         "failures": failures,
     }
     return _emit_json(doc, args.json, EXIT_OK if not failures else EXIT_VERIFICATION)
+
+
+# run status (`_status`) -> `decompose`'s composition status; the run's
+# verdict is the composition's (see `decomp`)
+COMPOSITION_STATUS = {
+    _synth.REALIZABLE: _decomp.GOOD,
+    _synth.UNREALIZABLE: _decomp.DECOMP_UNREALIZABLE,
+    "verification-failed": _decomp.COUNTEREXAMPLE,
+}
 
 
 def cmd_decompose(args) -> int:
@@ -423,11 +439,10 @@ def cmd_decompose(args) -> int:
     }
     if not args.no_check:
         doc["good_decomposition"] = asdict(_decomp.check_good_decomposition(spec, pair))
-        t0 = time.perf_counter()
-        comp = _decomp.compose_and_verify(spec)
+        report = run_pipeline(spec, RunConfig())
         doc["composition"] = {
-            "status": comp.status,
-            "wall_time_ms": (time.perf_counter() - t0) * 1000.0,
+            "status": COMPOSITION_STATUS[_status(report)],
+            "wall_time_ms": report["wall_time_ms"],
         }
     return _emit_json(doc, args.json)
 
@@ -483,7 +498,8 @@ def cmd_bench(args) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
-    paths = sorted(str(p) for p in directory.iterdir() if p.is_file())
+    out = Path(args.json).resolve() if args.json else None  # not an instance
+    paths = sorted(str(p) for p in directory.iterdir() if p.is_file() and p.resolve() != out)
     if args.json:  # fail before hours of runs
         Path(args.json).write_bytes(b"")
     if args.jobs > 1 and paths:

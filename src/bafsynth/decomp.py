@@ -9,6 +9,17 @@ for the second stage, so implementations of the two stages compose into an
 implementation of the original specification.  The specification's own
 decision list implements the second stage on every reachable value: a guard
 fires on an input exactly when its clauses' intermediates are all false.
+
+`bafsynth decompose` composes the direct stage-1 evaluator (z_i is the
+negation of clause i's x-part) with that list bound to stage 2, and reports
+the composition's status from `cli.run_pipeline`'s run on the specification.
+Clause i of the specification is clause i of stage 2, so the list's guards
+carry over unchanged, and the composition fires exactly the guards the list
+fires on the same input: its verdict is the verifier's verdict on the list.
+A verified composition gives a satisfying output on every input, so
+`DECOMP_UNREALIZABLE` is reported exactly when the specification is
+unrealizable, and `COUNTEREXAMPLE` when the verifier rejects a component's
+list.
 """
 
 from __future__ import annotations
@@ -16,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import Specification
-from .synth import back_and_forth, partition_by_output_variables
-from .verify import verify_decision_list
 
 GOOD = "verified"
 DECOMP_UNREALIZABLE = "decomposition-unrealizable"
@@ -35,11 +44,6 @@ class DecomposedPair:
 class GoodDecompositionReport:
     equivalence_holds: bool  # original CNF == exists-z (stage1 and stage2)
     image_in_domain: bool  # reachable intermediates are stage2-feasible
-
-
-@dataclass
-class CompositionReport:
-    status: str
 
 
 def cnf_decompose(spec: Specification) -> DecomposedPair:
@@ -70,24 +74,3 @@ def check_good_decomposition(spec: Specification, pair: DecomposedPair) -> GoodD
     both properties."""
     ok = pair == cnf_decompose(spec)
     return GoodDecompositionReport(ok, ok)
-
-
-def compose_and_verify(spec: Specification) -> CompositionReport:
-    """Bind the specification's back-and-forth list to stage 2 and compose
-    it with the direct stage-1 evaluator (z_i is the negation of clause i's
-    x-part).  Clause i of the specification is clause i of stage 2, so the
-    list's guards carry over unchanged, and the composition fires exactly
-    the guards the list fires on the same input: its verdict is the
-    verifier's verdict on the list.  Each output component is synthesized
-    and verified on its own, as `run_pipeline` does; an unpartitioned chain
-    of width w has 2^w MFS.  A verified composition gives a satisfying
-    output on every input, so `DECOMP_UNREALIZABLE` is returned exactly when
-    the specification is unrealizable."""
-    status = GOOD
-    for comp in partition_by_output_variables(spec):
-        outcome = back_and_forth(comp)
-        if not outcome.realizable:
-            return CompositionReport(DECOMP_UNREALIZABLE)
-        if not verify_decision_list(comp, outcome.decision_list).verified:
-            status = COUNTEREXAMPLE
-    return CompositionReport(status)

@@ -9,7 +9,8 @@ the specification's own ids on the package's SAT engine: the reference that
 the compactly numbered verifier must match decision for decision.  The
 other, `composition_reference`, composes the package's own back-and-forth
 list with stage 1 and checks it on every input: the reference that the
-verifier-based `compose_and_verify` must match.
+composition status of `bafsynth decompose`, mapped from the verdict of
+`cli.run_pipeline`, must match.
 """
 
 from dataclasses import dataclass, replace

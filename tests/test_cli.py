@@ -6,13 +6,15 @@ import sys
 
 import pytest
 
-from bafsynth import cli, decomp, graph, sat, synth, verify
+from bafsynth import cli, graph, sat, synth, verify
 from bafsynth.cli import main
 from bafsynth.dlist import parse_many
 from bafsynth.model import parse_qdimacs
 from bafsynth.synth import partition_by_output_variables
 
+from . import oracles
 from .conftest import EXAMPLE1_TEXT, UNREALIZABLE_TEXT, identity_qdimacs
+from .oracles import brute_force_synthesize
 
 
 def _write(tmp_path, name, text):
@@ -412,6 +414,58 @@ def test_verify_multidoc_partitioned(tmp_path, capsys):
     assert doc["documents"] == 4
 
 
+# a clause with an empty y-part is a component of its own without outputs,
+# so no document has to hold it: the first specification is that clause
+# alone, checked against no document, and the second adds it to (x1 or y2),
+# checked against the document of clause 1's component only
+EMPTY_YPART_CASES = [
+    ("p cnf 1 1\na 1 0\ne 0\n1 0\n", None),
+    ("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n1 0\n", "in 1\nout 2\nd | 2=1\n"),
+]
+
+
+@pytest.mark.parametrize("text, body", EMPTY_YPART_CASES, ids=["alone", "beside-a-component"])
+def test_verify_fails_a_clause_with_an_empty_ypart_that_no_document_holds(
+    tmp_path, capsys, text, body
+):
+    spec = parse_qdimacs(text)
+    f = _write(tmp_path, "spec.qdimacs", text)
+    assert main(["synth", f]) == 1
+    capsys.readouterr()
+    document = ""
+    if body is not None:
+        document = f"dl 1\nspec {spec.restrict([1]).digest}\n{body}"
+    dl = _write(tmp_path, "spec.dl", document)
+    code, doc = _run(capsys, ["verify", f, dl])
+    assert code == 4
+    assert doc["verified"] is False
+    [failure] = doc["failures"]
+    clause = spec.num_clauses  # the empty y-part is the last clause in both
+    assert spec.y_part(clause) == ()
+    assert failure == {
+        "document": None,
+        "kind": "soundness",
+        "decision": None,
+        "clause": clause,
+        "input": {"1": False},
+    }
+    x = tuple(failure["input"][str(v)] for v in spec.inputs)
+    assert not oracles.clause_sat(spec.x_part(clause), dict(zip(spec.inputs, x)))
+    assert brute_force_synthesize(spec).entries[x] is None  # no output satisfies the spec
+
+
+def test_verify_fails_a_whole_specification_document_on_its_empty_ypart(tmp_path, capsys):
+    text, body = EMPTY_YPART_CASES[1]
+    spec = parse_qdimacs(text)
+    f = _write(tmp_path, "spec.qdimacs", text)
+    dl = _write(tmp_path, "spec.dl", f"dl 1\nspec {spec.digest}\n{body}")
+    code, doc = _run(capsys, ["verify", f, dl])
+    assert code == 4
+    assert doc["failures"] == [
+        {"document": 1, "kind": "soundness", "decision": 1, "clause": 2, "input": {"1": False}}
+    ]
+
+
 # two clauses over outputs 3 and 4: two components, one document each
 TWO_OUTPUTS_TEXT = "p cnf 4 2\na 1 2 0\ne 3 4 0\n1 3 0\n2 4 0\n"
 
@@ -583,9 +637,7 @@ def test_decompose_no_check_runs_no_synthesis(tmp_path, capsys, monkeypatch):
     def fails(spec):
         raise AssertionError("decompose --no-check synthesized")
 
-    # decomp binds the name when it is imported, so both bindings are replaced
     monkeypatch.setattr(synth, "back_and_forth", fails)
-    monkeypatch.setattr(decomp, "back_and_forth", fails)
     f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
     code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path), "--no-check"])
     assert code == 0
@@ -602,6 +654,23 @@ def test_decompose_checks_a_width_12_chain(tmp_path, capsys):
     assert doc["intermediate_vars"] == 24
     assert doc["good_decomposition"] == {"equivalence_holds": True, "image_in_domain": True}
     assert doc["composition"]["status"] == "verified"
+
+
+def test_decompose_synthesizes_each_shape_once(tmp_path, capsys, monkeypatch):
+    # the 12 components of the chain share one shape, so one synthesis
+    # serves all of them
+    original, calls = synth.back_and_forth, []
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(synth, "back_and_forth", counted)
+    f = _write(tmp_path, "id12.qdimacs", identity_qdimacs(12))
+    code, doc = _run(capsys, ["decompose", f, "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert doc["composition"]["status"] == "verified"
+    assert len(calls) == 1
 
 
 def test_bench_directory(tmp_path, capsys):
@@ -683,6 +752,28 @@ def test_bench_records_an_unexpected_exception_and_goes_on(tmp_path, capsys, mon
     first, second = [json.loads(l) for l in out.read_text().splitlines()]
     assert first["status"] == "error" and first["warning"] == "RuntimeError: boom"
     assert second["status"] == "realizable"
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_bench_leaves_its_own_records_out_of_the_instances(tmp_path, capsys, monkeypatch, relative):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "a_ex1.qdimacs").write_text(EXAMPLE1_TEXT)
+    (d / "b_unreal.qdimacs").write_text(UNREALIZABLE_TEXT)
+    argv = ["bench", str(d), "--json", str(d / "records.jsonl")]
+    if relative:  # the same file, named from the directory itself
+        monkeypatch.chdir(d)
+        argv = ["bench", ".", "--json", "records.jsonl"]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        records = [json.loads(l) for l in (d / "records.jsonl").read_text().splitlines()]
+        for rec in records:
+            del rec["time_ms"]
+        runs.append((capsys.readouterr().out, records))
+    assert runs[0] == runs[1]
+    assert runs[0][0].endswith("total instances: 2\n")
+    assert [r["instance"] for r in runs[0][1]] == ["a_ex1.qdimacs", "b_unreal.qdimacs"]
 
 
 def test_bench_parallel_jobs(tmp_path, capsys):

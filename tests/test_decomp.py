@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bafsynth import decomp
+from bafsynth import cli, decomp, synth
 from bafsynth.decomp import (
     COUNTEREXAMPLE,
     DECOMP_UNREALIZABLE,
@@ -11,7 +11,6 @@ from bafsynth.decomp import (
     DecomposedPair,
     check_good_decomposition,
     cnf_decompose,
-    compose_and_verify,
 )
 from bafsynth.model import Specification, holds, parse_qdimacs
 from bafsynth.synth import back_and_forth
@@ -20,6 +19,11 @@ from .conftest import identity_qdimacs, random_spec_text
 from . import oracles
 from .oracles import brute_force_synthesize
 from .test_acceptance import CORPUS_SEED
+
+
+def composition(spec):
+    """The composition status that `bafsynth decompose` reports for `spec`."""
+    return cli.COMPOSITION_STATUS[cli._status(cli.run_pipeline(spec, cli.RunConfig()))]
 
 
 def test_decompose_example1(example1):
@@ -126,7 +130,7 @@ def test_good_decomposition_limit():
     spec = parse_qdimacs(identity_qdimacs(8))
     report = check_good_decomposition(spec, cnf_decompose(spec))
     assert report.equivalence_holds and report.image_in_domain
-    assert compose_and_verify(spec).status == GOOD
+    assert composition(spec) == GOOD
 
 
 def test_good_decomposition_random():
@@ -142,23 +146,20 @@ def test_good_decomposition_random():
 def test_compose_jointly_satisfiable_yparts():
     # every y-part can hold at once, so the spec is realizable
     spec = parse_qdimacs("p cnf 4 2\na 1 2 0\ne 3 4 0\n1 3 0\n-2 4 0\n")
-    report = compose_and_verify(spec)
-    assert report.status == GOOD
+    assert composition(spec) == GOOD
 
 
 def test_compose_example1_stage2_unrealizable(example1):
     # all four y-parts of the worked example are jointly unsatisfiable, so
     # the full-domain second stage cannot be synthesized; the spec's own
     # list still implements it on every reachable intermediate value
-    report = compose_and_verify(example1)
-    assert report.status == GOOD
+    assert composition(example1) == GOOD
     out = back_and_forth(cnf_decompose(example1).f2_spec)
     assert out.witness_mfs == frozenset({1, 2, 3, 4})
 
 
 def test_compose_identity2_stage2_unrealizable():
-    report = compose_and_verify(parse_qdimacs(identity_qdimacs(2)))
-    assert report.status == GOOD
+    assert composition(parse_qdimacs(identity_qdimacs(2))) == GOOD
 
 
 def test_compose_decomposition_unrealizable():
@@ -167,8 +168,7 @@ def test_compose_decomposition_unrealizable():
     # cannot; the composition needs only the reachable values
     spec = parse_qdimacs("p cnf 3 2\na 1 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n")
     assert brute_force_synthesize(spec).realizable
-    report = compose_and_verify(spec)
-    assert report.status == GOOD
+    assert composition(spec) == GOOD
     assert not back_and_forth(cnf_decompose(spec).f2_spec).realizable
 
 
@@ -177,10 +177,10 @@ def test_compose_random_specs():
     statuses = set()
     for _ in range(40):
         spec = parse_qdimacs(random_spec_text(rng, max_in=3, max_out=3, max_clauses=6))
-        report = compose_and_verify(spec)
-        statuses.add(report.status)
-        assert report.status in (GOOD, DECOMP_UNREALIZABLE)
-        assert report.status != COUNTEREXAMPLE  # composition is never wrong
+        status = composition(spec)
+        statuses.add(status)
+        assert status in (GOOD, DECOMP_UNREALIZABLE)
+        assert status != COUNTEREXAMPLE  # composition is never wrong
     assert GOOD in statuses
 
 
@@ -191,11 +191,11 @@ def test_the_composition_verifies_exactly_the_realizable_specs():
     statuses, guarded = [], 0
     for _ in range(100):
         spec = parse_qdimacs(random_spec_text(rng, max_in=5, max_out=5, max_clauses=6))
-        report = compose_and_verify(spec)
-        statuses.append(report.status)
-        assert report.status != COUNTEREXAMPLE
-        assert (report.status == GOOD) == brute_force_synthesize(spec).realizable
-        if report.status == GOOD:
+        status = composition(spec)
+        statuses.append(status)
+        assert status != COUNTEREXAMPLE
+        assert (status == GOOD) == brute_force_synthesize(spec).realizable
+        if status == GOOD:
             guarded += any(d.guard for d in back_and_forth(spec).decision_list.decisions)
     assert guarded >= 1
     assert (statuses.count(GOOD), statuses.count(DECOMP_UNREALIZABLE)) == (45, 55)
@@ -211,9 +211,9 @@ def test_compose_catches_a_wrong_output(example1, monkeypatch):
     dl = dataclasses.replace(outcome.decision_list, decisions=(wrong, *rest))
     assert not example1.evaluate({1: False, 2: True, **wrong.output})
     monkeypatch.setattr(
-        decomp, "back_and_forth", lambda spec: dataclasses.replace(outcome, decision_list=dl)
+        synth, "back_and_forth", lambda spec: dataclasses.replace(outcome, decision_list=dl)
     )
-    assert compose_and_verify(example1).status == COUNTEREXAMPLE
+    assert composition(example1) == COUNTEREXAMPLE
 
 
 @pytest.mark.parametrize(
@@ -225,4 +225,4 @@ def test_composition_matches_the_brute_force_composition(seed, max_size, count):
     for _ in range(count):
         text = random_spec_text(rng, max_in=max_size, max_out=max_size, max_clauses=6)
         spec = parse_qdimacs(text)
-        assert compose_and_verify(spec).status == oracles.composition_reference(spec), text
+        assert composition(spec) == oracles.composition_reference(spec), text

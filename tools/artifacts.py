@@ -13,7 +13,8 @@ decision-list text, and the `verify_decision_list` verdict of every
 document of that text.  One more line holds the two stage texts that
 `bafsynth decompose` writes: stage 1 (`cli._stage1_dimacs`) and stage 2
 (the QDIMACS of `decomp.cnf_decompose`'s second-stage specification), with
-the status of `decomp.compose_and_verify`.  All of it is deterministic, so
+the composition `status` of `decompose`'s JSON report, run through
+`cli.main` as `analyze` is.  All of it is deterministic, so
 diffing the output of two checkouts shows whether a change keeps behaviour
 byte for byte; the tool uses only names that earlier
 checkouts also have, so it can run over either checkout's `src/`.  After
@@ -75,17 +76,23 @@ def verdicts(spec, dl_text: str | None) -> list[dict]:
     ]
 
 
-def analyze(text: str) -> dict:
-    """The structural fields of `bafsynth analyze` on the QDIMACS `text`."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "spec.qdimacs"
-        path.write_text(text, encoding="utf-8")
+def command_json(text: str, command: str, *flags: str) -> dict:
+    """The JSON report of `bafsynth COMMAND spec.qdimacs FLAGS...` on the
+    QDIMACS `text`, run in a scratch directory (where `decompose` writes its
+    stage files)."""
+    with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
+        Path("spec.qdimacs").write_text(text, encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(["analyze", str(path), "--budget", "10000"])
+            code = cli.main([command, "spec.qdimacs", *flags])
     if code != cli.EXIT_OK:
-        raise RuntimeError(f"analyze exited {code}")
-    doc = json.loads(out.getvalue())
+        raise RuntimeError(f"{command} exited {code}")
+    return json.loads(out.getvalue())
+
+
+def analyze(text: str) -> dict:
+    """The structural fields of `bafsynth analyze` on the QDIMACS `text`."""
+    doc = command_json(text, "analyze", "--budget", "10000")
     return {key: doc[key] for key in ANALYZE_FIELDS}
 
 
@@ -98,7 +105,7 @@ def emit(head: dict, text: str, partition: bool) -> None:
         "stage1": cli._stage1_dimacs(spec, pair),
         "stage2": pair.f2_spec.to_qdimacs(),
     }
-    composition = decomp.compose_and_verify(spec).status
+    composition = command_json(text, "decompose")["composition"]["status"]
     record = {**head, "composition": composition, "decompose": stages}
     print(json.dumps(record, sort_keys=True), flush=True)
     for mode in MODES:
