@@ -74,15 +74,11 @@ def build_conflict_graph(spec: Specification) -> ConflictGraph:
 
 
 def conflict_masks(spec: Specification) -> list[int]:
-    """masks[i]: the mask of the clauses that conflict with clause i, those
-    whose x-part holds `-l` for some `l` of its own; masks[0] = 0.  An
+    """masks[i]: the clauses that conflict with clause i, the OR of
+    `Specification.occurs[-l]` over its x-literals l; masks[0] = 0.  An
     x-part never holds both `l` and `-l`, so no clause conflicts with
     itself, and the relation is symmetric."""
-    occurs: dict[int, int] = {}
-    for i, (x_lits, _) in enumerate(spec.clauses, 1):
-        for l in x_lits:
-            occurs[l] = occurs.get(l, 0) | 1 << i
-    masks = [0]
+    occurs, masks = spec.occurs, [0]
     for x_lits, _ in spec.clauses:
         mask = 0
         for l in x_lits:

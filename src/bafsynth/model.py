@@ -14,9 +14,12 @@ that string, not one `str()` per input.  All derived clause sets (falsified
 sets, must-satisfy sets, MFS, MSS) are plain frozensets of 1-based clause
 indices, so the input-to-output correspondence is the identity on indices.
 Checks that test many clauses at once read an index set as an int mask
-instead (`index_mask`, `mask_indices`), a truth table over a few variables
-keeps one int mask per clause (`clause_masks`), and a solver query numbers
-the variables it uses compactly (`numbering` of `variables_of`).
+instead (`index_mask`, `mask_indices`).  Each specification indexes once
+which clauses hold each literal (`occurs`, ANDed over a tuple by `holders`)
+for the conflict graph, subsumption, x-part containment (`xpart_groups`)
+and the partition by shared outputs; a component builds its own.  A truth
+table over a few variables keeps one int mask per clause (`clause_masks`),
+and a solver query numbers its variables compactly (`numbering`).
 """
 
 from __future__ import annotations
@@ -74,12 +77,11 @@ class Specification:
 
     Clause indices are 1-based throughout the public API.  A set of clause
     indices can also be an int mask (`index_mask`): bit i stands for clause
-    i, and bit 0 is never set.  `ypart_groups` indexes the clauses by output
-    part, so a check that needs only a clause's y-part and its membership in
-    an index set tests each distinct y-part once.  `xpart_groups` indexes
-    the distinct input parts by the clauses whose input part properly
-    contains them, so a set of clauses sheds every clause that contains
-    another of the set's input parts with one OR per clause.
+    i, and bit 0 is never set.  The derived indices are masks too: `occurs`
+    per literal, `ypart_groups` per distinct y-part (so a check that needs
+    only y-parts tests each once) and `xpart_groups` per distinct x-part (so
+    a clause set sheds the clauses that contain another of its x-parts with
+    one OR per clause).
     """
 
     inputs: tuple[int, ...]
@@ -126,7 +128,8 @@ class Specification:
         outputs the clauses' y-parts use, ascending; given ones must include
         those.  Its clauses are this specification's checked ones, so it is
         built without checking them again, and it shares this
-        specification's `inputs`, `input_ids` and `max_input`."""
+        specification's `inputs`, `input_ids` and `max_input`, but not
+        `occurs`, which numbers this specification's clauses."""
         clauses = tuple(self.clauses[i - 1] for i in indices)
         if outputs is None:
             outputs = tuple(variables_of(y_lits for _, y_lits in clauses))
@@ -170,23 +173,30 @@ class Specification:
     @cached_property
     def xpart_groups(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each distinct x-part's literals, in order of first occurrence,
-        with the mask of the clauses whose x-part properly contains it: the
-        AND of its literals' occurrence masks (the mask of every clause for
-        the empty x-part), less the clauses that carry it."""
+        with the mask of the clauses whose x-part properly contains it: its
+        `holders`, less the clauses that carry it."""
         carriers: dict[tuple[int, ...], int] = {}
         for i, (lits, _) in enumerate(self.clauses, 1):
             carriers[lits] = carriers.get(lits, 0) | 1 << i
+        return tuple((lits, self.holders(lits) ^ mask) for lits, mask in carriers.items())
+
+    @cached_property
+    def occurs(self) -> dict[int, int]:
+        """Each literal's mask of the clauses whose x-part or y-part holds it
+        (the blocks share no variable); a literal no clause holds is no key."""
         occurs: dict[int, int] = {}
-        for lits, mask in carriers.items():
-            for l in lits:
-                occurs[l] = occurs.get(l, 0) | mask
-        full, groups = self.full_mask, []
-        for lits, mask in carriers.items():
-            holders = full
-            for l in lits:
-                holders &= occurs[l]
-            groups.append((lits, holders ^ mask))
-        return tuple(groups)
+        for i, (x_lits, y_lits) in enumerate(self.clauses, 1):
+            for l in x_lits + y_lits:
+                occurs[l] = occurs.get(l, 0) | 1 << i
+        return occurs
+
+    def holders(self, lits: Iterable[int]) -> int:
+        """The clauses that hold every literal of `lits`: the AND of their
+        `occurs` masks from `full_mask`, so every clause for no literal."""
+        occurs, mask = self.occurs, self.full_mask
+        for l in lits:
+            mask &= occurs.get(l, 0)
+        return mask
 
     @property
     def full_mask(self) -> int:

@@ -175,19 +175,11 @@ def subsumed(spec: Specification) -> int:
     another clause.  Such a clause c is implied by the one it contains, d,
     so the specification less c has the same models and Skolem functions
     (the subsumption step of SAT and QBF preprocessors).  The clauses that
-    hold every literal of d are the AND of one occurrence mask per literal,
-    less d.  The AND starts from the mask of every clause, so the empty
-    clause, which has no literal, is held by every other clause."""
-    occurs: dict[int, int] = {}
+    contain d are d's `Specification.holders`, less d; the empty clause,
+    which has no literal, is held by every other clause."""
+    dropped = 0
     for i, (x_lits, y_lits) in enumerate(spec.clauses, 1):
-        for lit in x_lits + y_lits:
-            occurs[lit] = occurs.get(lit, 0) | 1 << i
-    full, dropped = spec.full_mask, 0
-    for i, (x_lits, y_lits) in enumerate(spec.clauses, 1):
-        holders = full
-        for lit in x_lits + y_lits:
-            holders &= occurs[lit]
-        dropped |= holders ^ 1 << i
+        dropped |= spec.holders(x_lits + y_lits) ^ 1 << i
     return dropped
 
 
@@ -377,20 +369,16 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     output, so it is a component of its own without outputs.  The outputs
     no clause mentions, if any, form one last component without clauses,
     whose list sets them all false.  The components are those of
-    `graph.components` on one mask per clause: itself and every clause
-    that uses one of its output variables."""
-    uses: dict[int, int] = {}  # per output variable, the mask of the clauses that use it
-    for i, (_, y_lits) in enumerate(spec.clauses, 1):
-        for v in map(abs, y_lits):
-            uses[v] = uses.get(v, 0) | 1 << i
-    links = [0]
+    `graph.components` on one mask per clause: itself and the
+    `Specification.occurs` masks of both literals of its outputs."""
+    occurs, links = spec.occurs, [0]
     for i, (_, y_lits) in enumerate(spec.clauses, 1):
         link = 1 << i
-        for v in map(abs, y_lits):
-            link |= uses[v]
+        for l in y_lits:
+            link |= occurs[l] | occurs.get(-l, 0)
         links.append(link)
     parts = [spec.restrict(mask_indices(part)) for part in components(links)[1]]
-    leftover = tuple(v for v in spec.outputs if v not in uses)
+    leftover = tuple(v for v in spec.outputs if v not in occurs and -v not in occurs)
     if leftover:
         parts.append(spec.restrict((), leftover))
     return parts

@@ -10,6 +10,7 @@ Regenerate the golden file, only for an intended change of behaviour, with
     PYTHONPATH=src python -m tests.test_golden_pipeline
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from bafsynth.model import parse_qdimacs
 from .conftest import EXAMPLE1_TEXT, UNREALIZABLE_TEXT, identity_qdimacs
 
 GOLDEN = Path(__file__).with_name("golden_pipeline.json")
+ARTIFACTS = Path(__file__).resolve().parent.parent / "tools" / "artifacts.py"
 
 SPECS = {
     "example1": EXAMPLE1_TEXT,
@@ -32,12 +34,11 @@ SPECS = {
 MODES = ("back-and-forth", "mfs-enum", "mss-enum")
 
 
-def _strip_ms(value):
-    if isinstance(value, dict):
-        return {k: _strip_ms(v) for k, v in value.items() if not k.endswith("_ms")}
-    if isinstance(value, list):
-        return [_strip_ms(v) for v in value]
-    return value
+# the report filter is tools/artifacts.py's, so the two cannot drift apart
+_tool = importlib.util.spec_from_file_location("artifacts", ARTIFACTS)
+artifacts = importlib.util.module_from_spec(_tool)
+_tool.loader.exec_module(artifacts)
+strip_ms = artifacts.strip_ms
 
 
 def pipeline_records() -> dict:
@@ -48,7 +49,7 @@ def pipeline_records() -> dict:
             for partition in (True, False):
                 cfg = RunConfig(mode=mode, partition=partition)
                 key = f"{name} {mode} partition={partition}"
-                records[key] = _strip_ms(run_pipeline(spec, cfg))
+                records[key] = strip_ms(run_pipeline(spec, cfg))
     return records
 
 

@@ -12,8 +12,9 @@ from bafsynth.model import (
     parse_qdimacs,
     true_literals,
 )
+from bafsynth.synth import partition_by_output_variables
 
-from .conftest import random_spec_text, repeated_ypart_spec_text
+from .conftest import random_spec_text, random_synth_spec_text, repeated_ypart_spec_text
 from . import oracles
 
 
@@ -290,6 +291,36 @@ def test_xpart_groups_index_each_xpart_by_the_clauses_that_contain_it():
             ]
             nested += mask != 0
     assert nested >= 300
+
+
+def test_occurs_and_holders_match_a_set_reference():
+    # every component is checked too: `restrict` must not hand a component
+    # its parent's index, which numbers the parent's clauses
+    rng = random.Random(101)
+    generators = (random_spec_text, random_synth_spec_text, repeated_ypart_spec_text)
+    components = held_by_several = 0
+    for n in range(300):
+        whole = parse_qdimacs(generators[n % 3](rng))
+        parts = partition_by_output_variables(whole)
+        components += len(parts)
+        for spec in (whole, *parts):
+            held = {i: set(spec.x_part(i) + spec.y_part(i)) for i in spec.indices}
+            lits = set().union(*held.values())
+            assert set(spec.occurs) == lits
+            for l in lits:
+                assert spec.occurs[l] == index_mask(i for i in spec.indices if l in held[i])
+            assert spec.holders(()) == spec.full_mask == index_mask(spec.indices)
+            variables = spec.inputs + spec.outputs
+            queries = [tuple(held[i]) for i in spec.indices]
+            for _ in range(10):
+                chosen = rng.sample(variables, rng.randint(0, min(3, len(variables))))
+                queries.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+            for query in queries:
+                expected = index_mask(i for i in spec.indices if held[i] >= set(query))
+                assert spec.holders(query) == expected
+                held_by_several += expected.bit_count() > 1
+    assert components > 300
+    assert held_by_several > 300
 
 
 def test_true_literals_agree_with_clause_evaluation():

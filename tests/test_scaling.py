@@ -28,7 +28,7 @@ from bafsynth.model import parse_qdimacs
 from bafsynth.synth import back_and_forth, partition_by_output_variables
 
 from .conftest import identity_qdimacs, planted_spec_text
-from .test_golden_pipeline import _strip_ms
+from .test_golden_pipeline import strip_ms
 
 W = 100
 COPIES = 20
@@ -92,7 +92,7 @@ def _measured_run(monkeypatch, text: str, components: int) -> dict:
     dl_text = result.pop("dl_text")
     # the report as `synth --json` writes it, without the timing fields,
     # whose digits vary from run to run
-    report = json.dumps(_strip_ms(result), sort_keys=True, indent=2) + "\n"
+    report = json.dumps(strip_ms(result), sort_keys=True, indent=2) + "\n"
     return {
         "nvars": sum(s.nvars for s in made),
         "add_clause_calls": calls["add_clause"],

@@ -35,6 +35,10 @@ of its components, and `bench` with the same limit over a directory that
 also holds a junk file.  Every command also records its stderr.
 `--no-partition` is practical on planted-synth and graph-structure only: an
 unpartitioned equivalence chain of width w has 2^w MFS.
+
+The tool imports the program and perfbench's generators and nothing from
+the tests, so it runs on an interpreter without pytest; the golden
+pipeline test imports `strip_ms` from it.
 """
 
 from __future__ import annotations
@@ -57,11 +61,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402
 from bafsynth import cli, decomp, dlist, verify  # noqa: E402
 from bafsynth.model import parse_qdimacs  # noqa: E402
-from tests.test_golden_pipeline import _strip_ms  # noqa: E402
 
 SEEDS = (1, 4242)
 MODES = ("back-and-forth", "mfs-enum", "mss-enum")
 ANALYZE_FIELDS = ("clauses", "conflict_edges", "consensus_chordal", "max_cliques", "p_np_fragment")
+
+
+def strip_ms(value):
+    """`value` without its timing fields: every dict key ending in `_ms`
+    is dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: strip_ms(v) for k, v in value.items() if not k.endswith("_ms")}
+    if isinstance(value, list):
+        return [strip_ms(v) for v in value]
+    return value
 
 
 def verdicts(spec, dl_text: str | None) -> list[dict]:
@@ -110,7 +123,7 @@ def emit(head: dict, text: str, partition: bool) -> None:
     print(json.dumps(record, sort_keys=True), flush=True)
     for mode in MODES:
         cfg = cli.RunConfig(mode=mode, partition=partition)
-        report = _strip_ms(cli.run_pipeline(spec, cfg))
+        report = strip_ms(cli.run_pipeline(spec, cfg))
         record = {
             **head,
             "mode": mode,
@@ -152,7 +165,7 @@ def _json_or_text(run: dict) -> dict:
     """`run` with its stdout parsed as JSON and stripped of `*_ms` fields
     when it is a JSON document."""
     if run["stdout"].startswith("{"):
-        return {**run, "stdout": _strip_ms(json.loads(run["stdout"]))}
+        return {**run, "stdout": strip_ms(json.loads(run["stdout"]))}
     return run
 
 
