@@ -8,8 +8,8 @@ falsifiable subsets (MFS), and equal the maximal cliques of the complement
 (the consensus graph); only `analyze` and MFS enumeration build the graphs.
 
 Both the enumeration and the analysis split the conflict graph into its
-connected components (`components`, which also splits the clauses by
-shared outputs for `synth.partition_by_output_variables`).  A clause whose
+connected components (`components`, which also splits the distinct
+y-parts by shared outputs for `synth.partition_by_output_variables`).  A clause whose
 x-part conflicts with no other is an isolated vertex and belongs to every
 MFS.  Every other component is searched on its own, and the MFS are the
 Cartesian product of the components' maximal independent sets (with every

@@ -16,8 +16,9 @@ indices, so the input-to-output correspondence is the identity on indices.
 Checks that test many clauses at once read an index set as an int mask
 instead (`index_mask`, `mask_indices`).  Each specification indexes once
 which clauses hold each literal (`occurs`, ANDed over a tuple by `holders`)
-for the conflict graph, subsumption, x-part containment (`xpart_groups`)
-and the partition by shared outputs; a component builds its own.  A truth
+for the conflict graph, subsumption and x-part containment
+(`xpart_groups`); a component builds its own.  The partition by shared
+outputs reads the distinct y-parts (`ypart_groups`) instead.  A truth
 table over a few variables keeps one int mask per clause (`clause_masks`),
 and a solver query numbers its variables compactly (`numbering`).
 """
@@ -208,15 +209,20 @@ class Specification:
         return all(holds(x, assignment) or holds(y, assignment) for x, y in self.clauses)
 
     def to_qdimacs(self) -> str:
-        """Canonical QDIMACS text (sorted literals, normalized clause set)."""
+        """Canonical QDIMACS text (sorted literals, normalized clause set).
+        When every input id is below every output id, a clause's x-part
+        followed by its y-part is already in variable order, so only
+        otherwise is each clause sorted (the parts' variables are
+        disjoint)."""
         max_var = max(self.max_input, max(self.outputs, default=0))
         lines = [
             f"p cnf {max_var} {len(self.clauses)}",
             f"a {self.input_ids} 0" if self.inputs else "a 0",
             "e " + " ".join(str(v) for v in self.outputs) + " 0" if self.outputs else "e 0",
         ]
+        ordered = not self.outputs or self.max_input < min(self.outputs)
         for x_lits, y_lits in self.clauses:
-            lits = sorted(x_lits + y_lits, key=abs)  # the parts' variables are disjoint
+            lits = x_lits + y_lits if ordered else sorted(x_lits + y_lits, key=abs)
             lines.append(" ".join(map(str, lits)) + " 0" if lits else "0")
         return "\n".join(lines) + "\n"
 

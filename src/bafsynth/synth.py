@@ -369,16 +369,37 @@ def partition_by_output_variables(spec: Specification) -> list[Specification]:
     output, so it is a component of its own without outputs.  The outputs
     no clause mentions, if any, form one last component without clauses,
     whose list sets them all false.  The components are those of
-    `graph.components` on one mask per clause: itself and the
-    `Specification.occurs` masks of both literals of its outputs."""
-    occurs, links = spec.occurs, [0]
-    for i, (_, y_lits) in enumerate(spec.clauses, 1):
-        link = 1 << i
-        for l in y_lits:
-            link |= occurs[l] | occurs.get(-l, 0)
+    `graph.components` on one mask per distinct y-part of
+    `Specification.ypart_groups`: the y-parts that share an output variable
+    with it, itself included; each component then takes the clauses of its
+    y-parts.  When the clauses form one component that uses every output
+    and `spec.outputs` is ascending, that component is `spec` itself, which
+    is what `restrict` would rebuild."""
+    groups = spec.ypart_groups
+    sharers: dict[int, int] = {}  # output variable -> mask of the y-parts using it
+    for g, (lits, _) in enumerate(groups, 1):
+        for l in lits:
+            sharers[abs(l)] = sharers.get(abs(l), 0) | 1 << g
+    links = [0]
+    for lits, _ in groups:
+        link = 0
+        for l in lits:
+            link |= sharers[abs(l)]
         links.append(link)
-    parts = [spec.restrict(mask_indices(part)) for part in components(links)[1]]
-    leftover = tuple(v for v in spec.outputs if v not in occurs and -v not in occurs)
+    isolated, linked = components(links)  # isolated: the empty y-part, if any
+    masks = []
+    for part in linked:
+        mask = 0
+        for g in mask_indices(part):
+            mask |= groups[g - 1][1]
+        masks.append(mask)
+    for g in isolated:
+        masks.extend(1 << i for i in mask_indices(groups[g - 1][1]))
+    leftover = tuple(v for v in spec.outputs if v not in sharers)
+    if masks == [spec.full_mask] and not leftover and spec.outputs == tuple(sorted(spec.outputs)):
+        return [spec]
+    masks.sort(key=lambda mask: mask & -mask)
+    parts = [spec.restrict(mask_indices(mask)) for mask in masks]
     if leftover:
         parts.append(spec.restrict((), leftover))
     return parts

@@ -112,6 +112,29 @@ def repeated_ypart_spec_text(rng: random.Random, max_in=5, max_out=4, max_clause
     return "\n".join(lines) + "\n"
 
 
+def renamed_spec_text(rng: random.Random, text: str) -> str:
+    """`text`, a spec text from one of the generators here, with its
+    variables renamed by a random permutation of their ids and the ids of
+    each quantifier line shuffled: the same specification up to renaming,
+    with input and output ids interleaved and `a`/`e` lines in no
+    particular order."""
+    header, a_line, e_line, *clause_lines = text.splitlines()
+    n = int(header.split()[2])
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    new = {sign * v: sign * w for v, w in enumerate(ids, 1) for sign in (1, -1)}
+
+    def block(line):
+        vs = [new[int(t)] for t in line.split()[1:-1]]
+        rng.shuffle(vs)
+        return " ".join([line[0], *map(str, vs), "0"])
+
+    lines = [header, block(a_line), block(e_line)]
+    for line in clause_lines:
+        lines.append(" ".join([*(str(new[int(t)]) for t in line.split()[:-1]), "0"]))
+    return "\n".join(lines) + "\n"
+
+
 PLANTED_MISSES = 10_000  # draws in a row without a new clause
 
 

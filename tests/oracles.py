@@ -187,7 +187,8 @@ def output_components_reference(spec):
     indices and the outputs their y-parts use, both ascending, the
     components in order of their least clause (a clause with an empty
     y-part shares no output, so it is one on its own); then, when there are
-    any, the outputs no clause uses, with no clause."""
+    any, the outputs no clause uses, in the order of the `e` line, with no
+    clause."""
     outs = [{abs(l) for l in y_lits} for _, y_lits in spec.clauses]
     left = set(range(1, len(outs) + 1))
     found = []
@@ -200,7 +201,8 @@ def output_components_reference(spec):
             group |= reach
         left -= group
         found.append((sorted(group), sorted(set().union(*(outs[i - 1] for i in group)))))
-    unused = sorted(set(spec.outputs).difference(*outs))
+    used = set().union(*outs)
+    unused = [v for v in spec.outputs if v not in used]
     if unused:
         found.append(([], unused))
     return found

@@ -14,7 +14,12 @@ from bafsynth.model import (
 )
 from bafsynth.synth import partition_by_output_variables
 
-from .conftest import random_spec_text, random_synth_spec_text, repeated_ypart_spec_text
+from .conftest import (
+    random_spec_text,
+    random_synth_spec_text,
+    renamed_spec_text,
+    repeated_ypart_spec_text,
+)
 from . import oracles
 
 
@@ -132,17 +137,25 @@ def test_fals_requires_total_assignment(example1):
 
 
 def test_split_roundtrip_and_disjointness():
-    rng = random.Random(7)
+    # each spec also renamed so that input and output ids interleave, where
+    # `to_qdimacs` must sort each clause's literals
+    rng, renaming = random.Random(7), random.Random(8)
+    interleaved = 0
     for _ in range(50):
-        spec = parse_qdimacs(random_spec_text(rng))
-        for x_lits, y_lits in spec.clauses:
-            for part, block in ((x_lits, spec.inputs), (y_lits, spec.outputs)):
-                variables = [abs(l) for l in part]
-                assert variables == sorted(set(variables))  # canonical: strictly ascending
-                assert set(variables) <= set(block)
-        for line, (x_lits, y_lits) in zip(spec.to_qdimacs().splitlines()[3:], spec.clauses):
-            merged = sorted(x_lits + y_lits, key=lambda l: (abs(l), l))
-            assert [int(t) for t in line.split()[:-1]] == merged
+        text = random_spec_text(rng)
+        for spec in (parse_qdimacs(text), parse_qdimacs(renamed_spec_text(renaming, text))):
+            for x_lits, y_lits in spec.clauses:
+                for part, block in ((x_lits, spec.inputs), (y_lits, spec.outputs)):
+                    variables = [abs(l) for l in part]
+                    assert variables == sorted(set(variables))  # canonical: strictly ascending
+                    assert set(variables) <= set(block)
+            lines = spec.to_qdimacs().splitlines()[3:]
+            assert len(lines) == spec.num_clauses
+            for line, (x_lits, y_lits) in zip(lines, spec.clauses):
+                merged = sorted(x_lits + y_lits, key=lambda l: (abs(l), l))
+                assert [int(t) for t in line.split()[:-1]] == merged
+            interleaved += max(spec.inputs) > min(spec.outputs)
+    assert interleaved >= 20
 
 
 def test_fals_monotonicity_implies_mustsat_monotonicity():
@@ -161,12 +174,17 @@ def test_fals_monotonicity_implies_mustsat_monotonicity():
 
 
 def test_serialize_parse_fixpoint():
-    rng = random.Random(13)
+    # also on each spec renamed so that input and output ids interleave
+    rng, renaming = random.Random(13), random.Random(14)
     for _ in range(50):
-        spec = parse_qdimacs(random_spec_text(rng))
-        again = parse_qdimacs(spec.to_qdimacs())
-        assert again == spec
-        assert again.digest == spec.digest
+        text = random_spec_text(rng)
+        for spec in (parse_qdimacs(text), parse_qdimacs(renamed_spec_text(renaming, text))):
+            rendered = spec.to_qdimacs()
+            for line, (x_lits, y_lits) in zip(rendered.splitlines()[3:], spec.clauses):
+                assert [int(t) for t in line.split()[:-1]] == sorted(x_lits + y_lits, key=abs)
+            again = parse_qdimacs(rendered)
+            assert again == spec
+            assert again.digest == spec.digest
 
 
 def test_normalization_preserves_semantics():

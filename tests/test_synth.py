@@ -36,6 +36,7 @@ from .conftest import (
     planted_spec_text,
     random_spec_text,
     random_synth_spec_text,
+    renamed_spec_text,
     repeated_ypart_spec_text,
 )
 from . import oracles
@@ -921,9 +922,14 @@ def test_partition_keeps_an_empty_ypart_clause_as_its_own_component():
 
 def test_partition_matches_the_set_closure_reference():
     # clauses, outputs and order of every component, on random specs (empty
-    # y-parts, outputs no clause uses), planted ones, and clause-free ones
-    rng = random.Random(107)
-    seen = {"empty y-part": 0, "unused output": 0, "no clause": 0}
+    # y-parts, outputs no clause uses), planted ones, and clause-free ones,
+    # each also renamed so that its `e` line is not ascending; the first
+    # component is the spec itself exactly when it is the only one, it holds
+    # every clause and every output, and the `e` line is ascending
+    rng, renaming = random.Random(107), random.Random(108)
+    seen = dict.fromkeys(
+        ("empty y-part", "unused output", "no clause", "whole", "whole, e not ascending"), 0
+    )
     for n in range(300):
         if n % 10 == 0:
             m, k = rng.randint(0, 3), rng.randint(0, 4)
@@ -933,16 +939,21 @@ def test_partition_matches_the_set_closure_reference():
             text = random_spec_text(rng, max_clauses=12)
         else:
             text = planted_spec_text(rng, rng.randint(3, 6), rng.randint(1, 6), rng.randint(1, 10))
-        spec = parse_qdimacs(text)
-        expected = oracles.output_components_reference(spec)
-        got = partition_by_output_variables(spec)
-        assert [(p.clauses, p.outputs) for p in got] == [
-            (tuple(spec.clauses[i - 1] for i in clauses), tuple(outputs))
-            for clauses, outputs in expected
-        ]
-        seen["empty y-part"] += bool(spec.empty_ypart_indices)
-        seen["unused output"] += bool(expected and not expected[-1][0])
-        seen["no clause"] += not spec.clauses
+        for spec in (parse_qdimacs(text), parse_qdimacs(renamed_spec_text(renaming, text))):
+            expected = oracles.output_components_reference(spec)
+            got = partition_by_output_variables(spec)
+            assert [(p.clauses, p.outputs) for p in got] == [
+                (tuple(spec.clauses[i - 1] for i in clauses), tuple(outputs))
+                for clauses, outputs in expected
+            ]
+            whole = bool(spec.clauses) and expected == [(list(spec.indices), sorted(spec.outputs))]
+            ascending = list(spec.outputs) == sorted(spec.outputs)
+            assert any(p is spec for p in got) == (whole and ascending)
+            seen["empty y-part"] += bool(spec.empty_ypart_indices)
+            seen["unused output"] += bool(expected and not expected[-1][0])
+            seen["no clause"] += not spec.clauses
+            seen["whole"] += whole and ascending
+            seen["whole, e not ascending"] += whole and not ascending
     assert min(seen.values()) >= 20, seen
 
 

@@ -21,7 +21,9 @@ checkouts also have, so it can run over either checkout's `src/`.  After
 the corpora come the same lines for a few fixed specifications
 (workload `inline`, seed 0) whose rendering has edge cases: no inputs (the
 `a 0` line and an `in ` line with nothing after the space), no outputs,
-outputs that no clause mentions, and a clause with an empty y-part.  For
+outputs that no clause mentions, a clause with an empty y-part, and one
+component each whose `e` line is not ascending or whose input and output
+ids interleave (so its clause lines need sorting).  For
 these, more lines come from `cli.main` alone, run in a scratch directory:
 in each mode, `synth --dl --json` (the report without `*_ms` fields, the
 `.dl` text and the exit code) and `verify` of that `.dl` (its JSON and exit
@@ -140,6 +142,8 @@ INLINE = {
     "no-outputs": "p cnf 2 0\na 2 1 0\ne 0\n",
     "unconstrained-outputs": "p cnf 6 2\na 3 1 0\ne 6 2 5 4 0\n-1 2 0\n1 3 -4 0\n",
     "empty-ypart": "p cnf 3 2\na 1 2 0\ne 3 0\n1 -2 0\n-1 3 0\n",
+    "unsorted-outputs": "p cnf 5 3\na 1 5 0\ne 4 2 3 0\n5 2 -4 0\n-1 -2 3 0\n1 4 -3 0\n",
+    "interleaved-ids": "p cnf 5 3\na 1 3 5 0\ne 2 4 0\n5 2 0\n-3 -2 4 0\n1 -4 0\n",
 }
 
 
