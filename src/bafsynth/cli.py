@@ -192,30 +192,33 @@ def _unrealizable(result: dict, t0: float, spec: Specification, ci: int, comp, m
 
 def _shape(comp: Specification) -> tuple:
     """`comp`'s clauses with the inputs its x-parts use numbered 1..n and
-    its outputs 1..m, each block in ascending id order, and m.  Every
-    solver query numbers the variables it uses in ascending id order and
-    reads nothing else of an id, so components of one shape get the same
-    list up to the renaming of their outputs."""
-    xs = numbering(variables_of(x_lits for x_lits, _ in comp.clauses))
-    ys = numbering(sorted(comp.outputs))
+    its outputs 1..m, each block in ascending id order, and m.  One
+    `numbering` dict holds both blocks, which share no id.  Every solver
+    query numbers the variables it uses in ascending id order and reads
+    nothing else of an id, so components of one shape get the same list up
+    to the renaming of their outputs; `_renamed` still checks each renamed
+    output with `dlist.check_output`."""
+    local = numbering(variables_of(x_lits for x_lits, _ in comp.clauses))
+    local.update(numbering(sorted(comp.outputs)))
+    new = local.__getitem__
     clauses = tuple(
-        (tuple(map(xs.__getitem__, x_lits)), tuple(map(ys.__getitem__, y_lits)))
-        for x_lits, y_lits in comp.clauses
+        [(tuple(map(new, x_lits)), tuple(map(new, y_lits))) for x_lits, y_lits in comp.clauses]
     )
     return clauses, len(comp.outputs)
 
 
 def _renamed(dl: _dlist.DecisionList, comp: Specification) -> _dlist.DecisionList:
-    """`dl`, the list of a component of `comp`'s shape, for `comp`: the same
-    guards, and outputs renamed in ascending id order.  Building it checks
-    every output against `comp`'s y-parts again."""
+    """`dl`, the list of a component of `comp`'s shape, bound to `comp`: the
+    same guards, and outputs renamed in ascending id order.  Each renamed
+    output passes `dlist.check_output`, as each output that
+    `build_decision_list` builds into a list does."""
     rename = dict(zip(sorted(dl.outputs), sorted(comp.outputs)))
-    every = frozenset(comp.indices)
-    return _dlist.build_decision_list(
-        comp,
-        [every - dec.guard for dec in dl.decisions],
-        [{rename[v]: b for v, b in dec.output.items()} for dec in dl.decisions],
-    )
+    decisions = []
+    for dec in dl.decisions:
+        output = {rename[v]: b for v, b in dec.output.items()}
+        _dlist.check_output(comp, dec.guard, output)
+        decisions.append(_dlist.Decision(dec.guard, output))
+    return _dlist.DecisionList(comp.inputs, comp.outputs, tuple(decisions), comp.digest, comp)
 
 
 def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
@@ -225,7 +228,8 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
     y-part is reported as component 0, before any partitioning; this is the
     one place that rule is applied.  A component whose `_shape` an earlier
     component j of the run had is not synthesized: it takes j's
-    list `_renamed`, reports zero for every `Stats` counter and `reuses` j
+    list `_renamed`, whose outputs pass the check that a built list's
+    outputs pass, reports zero for every `Stats` counter and `reuses` j
     (null for a synthesized component), and is verified like the rest."""
     t0 = time.perf_counter()
     synthesize = MODES.get(cfg.mode)
@@ -264,27 +268,29 @@ def run_pipeline(spec: Specification, cfg: RunConfig) -> dict:
         if sizes[comp.num_clauses, len(comp.outputs)] > 1:  # else no other has its shape
             reuses = first.setdefault(_shape(comp), ci)
         if reuses < ci:
-            outcome = _synth.SynthesisOutcome(_synth.REALIZABLE, _renamed(parts[reuses - 1], comp))
+            status, dl = _synth.REALIZABLE, _renamed(parts[reuses - 1], comp)
+            counts = dict.fromkeys(_STATS_COUNTERS, 0)
         else:
             outcome = synthesize(comp, cfg)
+            status, dl = outcome.status, outcome.decision_list
+            counts = {key: getattr(outcome.stats, key) for key in _STATS_COUNTERS}
         ms = (time.perf_counter() - t) * 1000.0
-        counts = {key: getattr(outcome.stats, key) for key in _STATS_COUNTERS}
-        counts["decisions"] = len(outcome.decision_list) if outcome.decision_list else 0
+        counts["decisions"] = len(dl) if dl else 0
         for key, n in counts.items():
             result[key] += n
         result["components"].append(
             {
                 "outputs": list(comp.outputs),
                 "clauses": comp.num_clauses,
-                "status": outcome.status,
+                "status": status,
                 **counts,
                 "reuses": reuses if reuses < ci else None,
                 "wall_time_ms": ms,
             }
         )
-        if not outcome.realizable:
+        if status != _synth.REALIZABLE:
             return _unrealizable(result, t0, spec, ci, comp, outcome.witness_mfs)
-        parts.append(outcome.decision_list)
+        parts.append(dl)
 
     _dlist.combine(parts, spec)  # every output in exactly one list
     result["dl_text"] = "".join(_dlist.serialize(dl) for dl in parts)
@@ -333,10 +339,10 @@ def _read_spec(path: str) -> Specification:
 
 
 def _synth_file(path: str, cfg: RunConfig, timeout: float) -> dict:
-    """Parse the specification at `path` and run the pipeline on it in `timeout` s."""
-    spec = _read_spec(path)
+    """Read and parse the specification at `path` and run the pipeline on
+    it, all in `timeout` s."""
     with time_limit(timeout):
-        return run_pipeline(spec, cfg)
+        return run_pipeline(_read_spec(path), cfg)
 
 
 def cmd_synth(args) -> int:

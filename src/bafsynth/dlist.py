@@ -41,31 +41,37 @@ def build_decision_list(
     witnesses: list[Assignment],
 ) -> DecisionList:
     """One decision per index set: guard = complement of the set, output =
-    the witness assignment, which must satisfy every y-part in the set.
-    Each distinct y-part is checked once; the error names the smallest
-    clause of the set whose y-part the witness falsifies."""
+    the witness assignment, which `check_output` checks."""
     if len(index_sets) != len(witnesses):
         raise ValueError("index sets and witnesses differ in length")
-    every, full = frozenset(spec.indices), spec.full_mask
+    every = frozenset(spec.indices)
     decisions = []
     for sel, wit in zip(index_sets, witnesses):
         if not sel <= every:
             raise ValueError("index set out of range")
-        if set(wit) != set(spec.outputs):
-            raise ValueError("witness is not total over the outputs")
         guard = every - sel
-        mask = full ^ index_mask(guard)  # sel, from the smaller guard
-        true, bad = true_literals(wit), 0
-        for lits, ys in spec.ypart_groups:
-            if true.isdisjoint(lits):
-                bad |= ys & mask
-        if bad:
-            j = next(mask_indices(bad))
-            raise ValueError(f"witness does not satisfy the y-part of clause {j}")
+        check_output(spec, guard, wit)
         decisions.append(Decision(guard, dict(wit)))
     return DecisionList(
         spec.inputs, spec.outputs, tuple(decisions), spec.digest, spec
     )
+
+
+def check_output(spec: Specification, guard: frozenset[int], wit: Assignment) -> None:
+    """Raise ValueError unless `wit` assigns exactly `spec`'s outputs and
+    satisfies the y-part of every clause outside `guard`.  Each distinct
+    y-part is checked once; the error names the smallest such clause whose
+    y-part the witness falsifies."""
+    if wit.keys() != set(spec.outputs):
+        raise ValueError("witness is not total over the outputs")
+    mask = spec.full_mask ^ index_mask(guard)  # the clauses outside, from the smaller guard
+    true, bad = true_literals(wit), 0
+    for lits, ys in spec.ypart_groups:
+        if true.isdisjoint(lits):
+            bad |= ys & mask
+    if bad:
+        j = next(mask_indices(bad))
+        raise ValueError(f"witness does not satisfy the y-part of clause {j}")
 
 
 def evaluate(dl: DecisionList, x: Assignment):

@@ -244,7 +244,10 @@ def numbering(variables: Iterable[int], first: int = 1) -> dict[int, int]:
     variable (from 0) and its negation become first + n and -(first + n).
     A solver query renumbered this way keeps the relative order of its
     variables, which is all the SAT engine reads of an id."""
-    return {sign * v: sign * n for n, v in enumerate(variables, first) for sign in (1, -1)}
+    local = {}
+    for n, v in enumerate(variables, first):
+        local[v], local[-v] = n, -n
+    return local
 
 
 def variables_of(parts: Iterable[tuple[int, ...]]) -> list[int]:

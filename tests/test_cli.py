@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -180,6 +181,38 @@ def test_synth_timeout(tmp_path, capsys):
     f = _write(tmp_path, "id16.qdimacs", identity_qdimacs(16))
     code, _ = _run(capsys, ["synth", f, "--no-partition", "--timeout", "1"])
     assert code == 3
+
+
+def _slow_parse(monkeypatch):
+    """Make parsing outlast a 0.05 s timeout: the alarm cuts the sleep."""
+    parse = cli.parse_qdimacs
+
+    def slow(data):
+        time.sleep(2)
+        return parse(data)
+
+    monkeypatch.setattr(cli, "parse_qdimacs", slow)
+
+
+def test_the_synth_timeout_covers_parsing(tmp_path, capsys, monkeypatch):
+    f = _write(tmp_path, "ex1.qdimacs", EXAMPLE1_TEXT)
+    _slow_parse(monkeypatch)
+    code = main(["synth", f, "--timeout", "0.05"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "timed out" in captured.err
+
+
+def test_the_bench_timeout_covers_parsing(tmp_path, capsys, monkeypatch):
+    d = tmp_path / "bench"
+    d.mkdir()
+    (d / "ex1.qdimacs").write_text(EXAMPLE1_TEXT)
+    out = tmp_path / "records.jsonl"
+    _slow_parse(monkeypatch)
+    assert main(["bench", str(d), "--timeout", "0.05", "--json", str(out)]) == 0
+    records = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["status"] for r in records] == ["timeout"]
+    assert records[0]["warning"] == "timed out after 0.05 s"
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from bafsynth.model import (
     holds,
     index_mask,
     mask_indices,
+    numbering,
     parse_qdimacs,
     true_literals,
 )
@@ -350,3 +351,13 @@ def test_true_literals_agree_with_clause_evaluation():
         assignment = {v: rng.random() < 0.5 for v in variables}
         true = true_literals(assignment)
         assert (not true.isdisjoint(clause)) == holds(clause, assignment)
+
+
+def test_numbering_matches_the_comprehension_reference():
+    rng = random.Random(36)
+    for _ in range(200):
+        variables = rng.sample(range(1, 60), rng.randint(0, 12))
+        first = rng.randint(1, 20)
+        reference = {s * v: s * n for n, v in enumerate(variables, first) for s in (1, -1)}
+        local = numbering(iter(variables), first)
+        assert local == reference and list(local) == list(reference)

@@ -14,6 +14,7 @@ from bafsynth.model import (
     holds,
     index_mask,
     mask_indices,
+    numbering,
     parse_qdimacs,
     variables_of,
 )
@@ -1201,3 +1202,96 @@ def test_a_reused_component_gets_the_list_synthesis_would_give_it(maxsat_paths):
                 lists = dlist.parse_many(result["dl_text"], cli._specs_by_digest(spec))
                 assert all(verify_decision_list(dl.spec, dl).verified for dl in lists)
         assert reused > 60
+
+
+def _rebuilt(dl: dlist.DecisionList, comp: Specification) -> dlist.DecisionList:
+    """The reference for `cli._renamed`: `dl`'s outputs renamed in ascending
+    id order and the list rebuilt for `comp` by `build_decision_list`."""
+    rename = dict(zip(sorted(dl.outputs), sorted(comp.outputs)))
+    every = frozenset(comp.indices)
+    return dlist.build_decision_list(
+        comp,
+        [every - dec.guard for dec in dl.decisions],
+        [{rename[v]: b for v, b in dec.output.items()} for dec in dl.decisions],
+    )
+
+
+def test_a_reused_list_equals_the_list_rebuilt_for_its_component():
+    rng = random.Random(36)
+    specs = [parse_qdimacs(identity_qdimacs(12))]
+    while len(specs) < 40:
+        make = planted_spec_text if len(specs) % 3 else random_synth_spec_text
+        spec = parse_qdimacs(make(rng, 3, 3, rng.randint(2, 6)))
+        if not spec.empty_ypart_indices:
+            specs.append(_with_renamed_copies(rng, spec, rng.randint(1, 2)))
+    reused = 0
+    for spec in specs:
+        result = run_pipeline(spec, RunConfig())
+        first: dict[tuple, tuple[int, dlist.DecisionList | None]] = {}
+        for ci, comp in enumerate(partition_by_output_variables(spec), 1):
+            if _shape(comp) not in first:
+                first[_shape(comp)] = ci, back_and_forth(comp).decision_list
+                continue
+            j, source = first[_shape(comp)]
+            if source is None:  # unrealizable: the run stops before any reuse
+                continue
+            reused += 1
+            dl, reference = cli._renamed(source, comp), _rebuilt(source, comp)
+            assert dl == reference and dl.spec_digest == comp.digest
+            assert dl.spec is comp and dl.inputs is comp.inputs
+            record = result["components"][ci - 1]
+            assert record["reuses"] == j and record["decisions"] == len(reference)
+            assert result["decision_lists"][ci - 1] == dlist.to_json_dict(reference)
+    assert reused > 60
+
+
+def test_renaming_a_list_checks_each_output_as_building_it_does():
+    # clause 1 is x1 or y2 and clause 2 is -x1 or y3; the hand-built list's
+    # outputs 7 and 8 become 2 and 3, and guard {2} leaves clause 1 outside
+    comp = Specification((1,), (2, 3), (((1,), (2,)), ((-1,), (3,))))
+    every = frozenset(comp.indices)
+    rename = {7: 2, 8: 3}
+    cases = [
+        ({7: False, 8: True}, "witness does not satisfy the y-part of clause 1"),
+        ({7: True}, "witness is not total over the outputs"),
+    ]
+    for output, message in cases:
+        dl = dlist.DecisionList((1,), (7, 8), (dlist.Decision(frozenset({2}), output),), "")
+        witness = {rename[v]: b for v, b in output.items()}
+        with pytest.raises(ValueError, match=message):
+            dlist.build_decision_list(comp, [every - {2}], [witness])
+        with pytest.raises(ValueError, match=message):
+            cli._renamed(dl, comp)
+    good = dlist.Decision(frozenset({2}), {7: True, 8: False})
+    dl = dlist.DecisionList((1,), (7, 8), (good,), "")
+    assert cli._renamed(dl, comp) == _rebuilt(dl, comp)
+
+
+def _two_dict_shape(comp: Specification) -> tuple:
+    """The reference for `cli._shape`: the used inputs and the outputs
+    numbered in two dicts."""
+    xs = numbering(variables_of(x_lits for x_lits, _ in comp.clauses))
+    ys = numbering(sorted(comp.outputs))
+    clauses = tuple(
+        (tuple(map(xs.__getitem__, x_lits)), tuple(map(ys.__getitem__, y_lits)))
+        for x_lits, y_lits in comp.clauses
+    )
+    return clauses, len(comp.outputs)
+
+
+def test_the_one_dict_shape_key_equals_the_two_dict_key():
+    rng = random.Random(3636)
+    texts = [identity_qdimacs(5), output_chain_qdimacs(4)]
+    for _ in range(50):
+        texts.append(random_spec_text(rng))
+        texts.append(random_synth_spec_text(rng))
+        texts.append(repeated_ypart_spec_text(rng))
+        texts.append(planted_spec_text(rng, 3, 3, rng.randint(1, 6)))
+    compared = 0
+    for text in texts:
+        for variant in (text, renamed_spec_text(rng, text)):
+            spec = parse_qdimacs(variant)
+            for comp in (spec, *partition_by_output_variables(spec)):
+                assert _shape(comp) == _two_dict_shape(comp)
+                compared += 1
+    assert compared > 1000
